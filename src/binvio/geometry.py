@@ -10,6 +10,24 @@ Conventions used throughout the package:
   ``p`` has frame coordinates ``R(q) @ (p - position)``.
 * Pixel coordinates are ``(u, v)`` with ``u`` along columns and ``v`` along
   rows of the 256x256 maps.
+
+Camera model.  A camera-frame point ``(X, Y, Z)`` is divided onto the
+normalized plane, ``x = X / Z`` and ``y = Y / Z``, distorted with
+``r2 = x^2 + y^2``::
+
+    xd = x (1 + k1 r2 + k2 r2^2) + 2 p1 x y + p2 (r2 + 2 x^2)
+    yd = y (1 + k1 r2 + k2 r2^2) + p1 (r2 + 2 y^2) + 2 p2 x y
+
+and scaled to pixels ``u = fx xd + cx``, ``v = fy yd + cy``.  The
+polynomial is written once, in ``_distort``.  :func:`project_points` is the
+model on (N, 3) camera-frame arrays; on request it also returns
+d(pixel)/d(point) as (N, 2, 3) and d(pixel)/d(fx, fy, cx, cy, k1, k2, p1, p2)
+as (N, 2, 8), in the order of :meth:`CameraCalibration.intrinsic_vector`.
+It does not check depth: callers guarantee ``Z > 0``.  :func:`project`
+raises NonPositiveDepth at or below ``MIN_PROJECTION_DEPTH``;
+:func:`project_batch`, the renderer's path, flags such points invalid and
+shares the normalized radius with its culling.  :func:`undistort` inverts
+the distortion by fixed-point iteration.
 """
 
 from __future__ import annotations
@@ -328,108 +346,82 @@ class CameraCalibration:
 MIN_PROJECTION_DEPTH = 1e-6
 
 
-def to_camera_frame(point: np.ndarray, cam_pose: Pose) -> np.ndarray:
-    """Stage one of the projection chain: global point to camera coordinates."""
-    return cam_pose.transform_point(point)
+def _distort(x: np.ndarray, y: np.ndarray, distortion: np.ndarray):
+    """Radial-tangential distortion of normalized coordinates.
 
-
-def project_normalized(p_cam: np.ndarray) -> np.ndarray:
-    """Stage two: perspective division onto the normalized image plane."""
-    z = p_cam[2]
-    if z <= MIN_PROJECTION_DEPTH:
-        raise NonPositiveDepth(f"camera-frame depth {z:.3e} <= {MIN_PROJECTION_DEPTH}")
-    return np.array([p_cam[0] / z, p_cam[1] / z])
-
-
-def distort(xn: np.ndarray, calib: CameraCalibration) -> np.ndarray:
-    """Stage three: radial-tangential distortion of normalized coordinates."""
-    k1, k2, p1, p2 = calib.distortion
-    x, y = xn
+    Returns ``(xd, yd, r2, radial)``; the inverse in :func:`undistort` reuses
+    ``radial`` as its fixed-point step.
+    """
+    k1, k2, p1, p2 = distortion
     r2 = x * x + y * y
     radial = 1.0 + k1 * r2 + k2 * r2 * r2
     xd = x * radial + 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
     yd = y * radial + p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
-    return np.array([xd, yd])
+    return xd, yd, r2, radial
 
 
-def to_pixels(xd: np.ndarray, calib: CameraCalibration) -> np.ndarray:
-    """Stage four: distorted normalized coordinates to pixels."""
-    return np.array([calib.fx * xd[0] + calib.cx, calib.fy * xd[1] + calib.cy])
+def project_points(p_cam: np.ndarray, calib: CameraCalibration, jacobians: bool = False):
+    """Pixels (N, 2) of camera-frame points (N, 3); the caller guarantees z > 0.
+
+    With ``jacobians`` also returns d(pixel)/d(p_cam) (N, 2, 3) and
+    d(pixel)/d(fx, fy, cx, cy, k1, k2, p1, p2) (N, 2, 8).
+    """
+    z = p_cam[:, 2]
+    x = p_cam[:, 0] / z
+    y = p_cam[:, 1] / z
+    xd, yd, r2, radial = _distort(x, y, calib.distortion)
+    fx, fy = calib.fx, calib.fy
+    px = np.column_stack([fx * xd + calib.cx, fy * yd + calib.cy])
+    if not jacobians:
+        return px
+
+    k1, k2, p1, p2 = calib.distortion
+    # d(distorted)/d(normalized), then through the perspective division
+    dradial = 2.0 * (k1 + 2.0 * k2 * r2)
+    j00 = radial + x * x * dradial + 2.0 * p1 * y + 6.0 * p2 * x
+    j01 = x * y * dradial + 2.0 * p1 * x + 2.0 * p2 * y
+    j11 = radial + y * y * dradial + 6.0 * p1 * y + 2.0 * p2 * x
+    inv_z = 1.0 / z
+    J_point = np.empty((len(z), 2, 3))
+    J_point[:, 0, 0] = fx * j00 * inv_z
+    J_point[:, 0, 1] = fx * j01 * inv_z
+    J_point[:, 0, 2] = -fx * (j00 * x + j01 * y) * inv_z
+    J_point[:, 1, 0] = fy * j01 * inv_z
+    J_point[:, 1, 1] = fy * j11 * inv_z
+    J_point[:, 1, 2] = -fy * (j01 * x + j11 * y) * inv_z
+
+    # the distorted coordinates are linear in each distortion coefficient
+    xy2 = 2.0 * x * y
+    J_intr = np.zeros((len(z), 2, 8))
+    J_intr[:, 0, 0] = xd
+    J_intr[:, 1, 1] = yd
+    J_intr[:, 0, 2] = 1.0
+    J_intr[:, 1, 3] = 1.0
+    J_intr[:, 0, 4:8] = fx * np.column_stack([x * r2, x * r2 * r2, xy2, r2 + 2.0 * x * x])
+    J_intr[:, 1, 4:8] = fy * np.column_stack([y * r2, y * r2 * r2, r2 + 2.0 * y * y, xy2])
+    return px, J_point, J_intr
 
 
 def project(point: Landmark3D | np.ndarray, cam_pose: Pose, calib: CameraCalibration) -> np.ndarray:
-    """Project a global 3D point through the full four-stage chain."""
+    """Pixel of one global point; raises NonPositiveDepth at or behind the camera."""
     p = point.position if isinstance(point, Landmark3D) else np.asarray(point, dtype=float)
-    return to_pixels(distort(project_normalized(to_camera_frame(p, cam_pose)), calib), calib)
+    p_cam = cam_pose.transform_point(p)
+    if p_cam[2] <= MIN_PROJECTION_DEPTH:
+        raise NonPositiveDepth(f"camera-frame depth {p_cam[2]:.3e} <= {MIN_PROJECTION_DEPTH}")
+    return project_points(p_cam[None, :], calib)[0]
 
 
-def undistort(pixel: np.ndarray, calib: CameraCalibration, iters: int = 20) -> np.ndarray:
-    """Normalized coordinates for a pixel, inverting distortion by fixed point."""
-    return undistort_batch(np.asarray(pixel, dtype=float)[None, :], calib, iters)[0]
-
-
-def undistort_batch(pixels: np.ndarray, calib: CameraCalibration, iters: int = 20) -> np.ndarray:
-    """Vectorized distortion inversion for an (N, 2) pixel array."""
+def undistort(pixels: np.ndarray, calib: CameraCalibration, iters: int = 20) -> np.ndarray:
+    """Normalized coordinates (N, 2) of pixels (N, 2), inverting distortion by fixed point."""
     pixels = np.asarray(pixels, dtype=float)
-    xd = np.column_stack(
-        [(pixels[:, 0] - calib.cx) / calib.fx, (pixels[:, 1] - calib.cy) / calib.fy]
-    )
-    xn = xd.copy()
-    k1, k2, p1, p2 = calib.distortion
+    xd = (pixels[:, 0] - calib.cx) / calib.fx
+    yd = (pixels[:, 1] - calib.cy) / calib.fy
+    x, y = xd, yd
     for _ in range(iters):
-        x = xn[:, 0]
-        y = xn[:, 1]
-        r2 = x * x + y * y
-        radial = 1.0 + k1 * r2 + k2 * r2 * r2
-        dx = 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
-        dy = p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
-        xn = np.column_stack([(xd[:, 0] - dx) / radial, (xd[:, 1] - dy) / radial])
-    return xn
-
-
-def distortion_jacobian(xn: np.ndarray, calib: CameraCalibration) -> np.ndarray:
-    """d(distorted)/d(normalized), 2x2."""
-    k1, k2, p1, p2 = calib.distortion
-    x, y = xn
-    r2 = x * x + y * y
-    radial = 1.0 + k1 * r2 + k2 * r2 * r2
-    dradial_dx = 2.0 * x * (k1 + 2.0 * k2 * r2)
-    dradial_dy = 2.0 * y * (k1 + 2.0 * k2 * r2)
-    j00 = radial + x * dradial_dx + 2.0 * p1 * y + 6.0 * p2 * x
-    j01 = x * dradial_dy + 2.0 * p1 * x + 2.0 * p2 * y
-    j10 = y * dradial_dx + 2.0 * p1 * x + 2.0 * p2 * y
-    j11 = radial + y * dradial_dy + 6.0 * p1 * y + 2.0 * p2 * x
-    return np.array([[j00, j01], [j10, j11]])
-
-
-def intrinsics_jacobian(xn: np.ndarray, calib: CameraCalibration) -> np.ndarray:
-    """d(pixel)/d(fx, fy, cx, cy, k1, k2, p1, p2), 2x8."""
-    xd = distort(xn, calib)
-    x, y = xn
-    r2 = x * x + y * y
-    # Distorted coords are linear in each distortion coefficient.
-    dxd_dk = np.array([[x * r2, x * r2 * r2, 2.0 * x * y, r2 + 2.0 * x * x],
-                       [y * r2, y * r2 * r2, r2 + 2.0 * y * y, 2.0 * x * y]])
-    J = np.zeros((2, 8))
-    J[0, 0] = xd[0]
-    J[1, 1] = xd[1]
-    J[0, 2] = 1.0
-    J[1, 3] = 1.0
-    J[0, 4:8] = calib.fx * dxd_dk[0]
-    J[1, 4:8] = calib.fy * dxd_dk[1]
-    return J
-
-
-def projection_jacobian_point(p_cam: np.ndarray, calib: CameraCalibration) -> np.ndarray:
-    """d(pixel)/d(camera-frame point), 2x3, through stages two to four."""
-    z = p_cam[2]
-    if z <= MIN_PROJECTION_DEPTH:
-        raise NonPositiveDepth(f"camera-frame depth {z:.3e} <= {MIN_PROJECTION_DEPTH}")
-    xn = np.array([p_cam[0] / z, p_cam[1] / z])
-    d_norm = np.array([[1.0 / z, 0.0, -p_cam[0] / (z * z)],
-                       [0.0, 1.0 / z, -p_cam[1] / (z * z)]])
-    K = np.array([[calib.fx, 0.0], [0.0, calib.fy]])
-    return K @ distortion_jacobian(xn, calib) @ d_norm
+        xd_k, yd_k, _, radial = _distort(x, y, calib.distortion)
+        x = x + (xd - xd_k) / radial
+        y = y + (yd - yd_k) / radial
+    return np.column_stack([x, y])
 
 
 def project_batch(
@@ -452,39 +444,6 @@ def project_batch(
     z = np.where(valid, pc[:, 2], 1.0)
     x = pc[:, 0] / z
     y = pc[:, 1] / z
-    r2 = x * x + y * y
+    xd, yd, r2, _ = _distort(x, y, calib.distortion)
     valid &= r2 < max_normalized_radius**2
-    k1, k2, p1, p2 = calib.distortion
-    radial = 1.0 + k1 * r2 + k2 * r2 * r2
-    xd = x * radial + 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
-    yd = y * radial + p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
-    px = np.column_stack([calib.fx * xd + calib.cx, calib.fy * yd + calib.cy])
-    return px, valid
-
-
-def project_jacobians(
-    point: Landmark3D | np.ndarray, cam_pose: Pose, calib: CameraCalibration
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic Jacobians of :func:`project`.
-
-    Returns ``(J_point, J_pose, J_calib)`` where ``J_point`` is 2x3 with
-    respect to the global point, ``J_pose`` is 2x6 with respect to the pose
-    error ``(dtheta, dposition)`` defined by ``q = dq(dtheta) * q_hat`` and
-    ``p = p_hat + dposition``, and ``J_calib`` is 2x8 with respect to
-    ``(fx, fy, cx, cy, k1, k2, p1, p2)``.
-    """
-    p = point.position if isinstance(point, Landmark3D) else np.asarray(point, dtype=float)
-    R = cam_pose.rotation()
-    p_cam = R @ (p - cam_pose.position)
-    J_proj = projection_jacobian_point(p_cam, calib)
-    z = p_cam[2]
-    xn = np.array([p_cam[0] / z, p_cam[1] / z])
-
-    J_point = J_proj @ R
-    J_pose = np.zeros((2, 6))
-    # q = dq(dtheta) * q_hat gives R = (I - [dtheta]x) R_hat, so the
-    # camera-frame point moves by [R(p - pos)]x dtheta = [p_cam]x dtheta.
-    J_pose[:, 0:3] = J_proj @ skew(p_cam)
-    J_pose[:, 3:6] = -J_proj @ R
-    J_calib = intrinsics_jacobian(xn, calib)
-    return J_point, J_pose, J_calib
+    return np.column_stack([calib.fx * xd + calib.cx, calib.fy * yd + calib.cy]), valid

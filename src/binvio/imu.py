@@ -39,7 +39,7 @@ BA = slice(12, 15)
 
 
 class TimestampGap(RuntimeError):
-    """Consecutive samples further apart than 3x the nominal period."""
+    """Consecutive samples further apart than 3x the stream's median spacing."""
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,6 @@ def propagate_block(
     state: NavState,
     samples: list[ImuSample],
     noise: NoiseParams,
-    nominal_rate_hz: float = 400.0,
     integration: str = "zoh",
 ) -> tuple[NavState, np.ndarray, np.ndarray]:
     """Integrate over the sample stream; also return (Phi_total, Q_total).
@@ -213,7 +212,6 @@ def propagate_block(
     """
     if integration not in ("zoh", "midpoint"):
         raise ValueError("integration must be 'zoh' or 'midpoint'")
-    max_gap = 3.0 / nominal_rate_hz
     Phi_total = np.eye(ERROR_STATE_DIM)
     Q_total = np.zeros((ERROR_STATE_DIM, ERROR_STATE_DIM))
     cur = state.copy()
@@ -222,8 +220,6 @@ def propagate_block(
         dt = s1.t - s0.t
         if dt <= 0:
             raise ValueError("sample timestamps must be strictly increasing")
-        if dt > max_gap:
-            raise TimestampGap(f"gap {dt * 1e3:.2f} ms exceeds 3x nominal period")
         if integration == "midpoint":
             omega_m = 0.5 * (s0.omega + s1.omega)
             accel_m = 0.5 * (s0.accel + s1.accel)
@@ -246,7 +242,6 @@ def propagate(
     cov: np.ndarray,
     samples: list[ImuSample],
     noise: NoiseParams,
-    nominal_rate_hz: float = 400.0,
     integration: str = "zoh",
 ) -> tuple[NavState, np.ndarray]:
     """Propagate mean and 15x15 covariance across ``samples``.
@@ -257,7 +252,7 @@ def propagate(
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (ERROR_STATE_DIM, ERROR_STATE_DIM):
         raise ValueError("cov must be 15x15")
-    new_state, Phi, Q = propagate_block(state, samples, noise, nominal_rate_hz, integration)
+    new_state, Phi, Q = propagate_block(state, samples, noise, integration)
     new_cov = Phi @ cov @ Phi.T + Q
     new_cov = 0.5 * (new_cov + new_cov.T)
     evals, evecs = np.linalg.eigh(new_cov)

@@ -26,19 +26,17 @@ from scipy.linalg import qr as scipy_qr
 from scipy.stats import chi2 as chi2_dist
 
 from .geometry import (
+    MIN_PROJECTION_DEPTH,
     CameraCalibration,
     Landmark3D,
     NonPositiveDepth,
     Pose,
     UnitQuaternion,
-    intrinsics_jacobian,
-    project,
-    projection_jacobian_point,
+    project_points,
     quat_from_axis_angle,
     quat_multiply,
     quat_normalize,
-    skew,
-    undistort_batch,
+    undistort,
 )
 from .imu import ERROR_STATE_DIM, NavState, NoiseParams, propagate_block
 from .tracker import FeatureTrack, TrackStatus, TrackTable, classify_tracks
@@ -298,20 +296,33 @@ def camera_poses_now(clones: dict[int, CloneEntry], calib: CameraCalibration):
     return {f: calib.extrinsic.compose(c.pose) for f, c in clones.items()}
 
 
-def _batch_project(Rs, centers, calib: CameraCalibration, pg: np.ndarray):
-    """Pixels of one global point seen by stacked cameras (m,3,3)/(m,3)."""
+def _points_in_cameras(Rs, centers, pg: np.ndarray) -> np.ndarray:
+    """Camera-frame coordinates of one global point seen by stacked cameras (m,3,3)/(m,3)."""
     p_c = np.einsum("mij,mj->mi", Rs, pg[None, :] - centers)
-    if np.any(p_c[:, 2] <= 1e-6):
+    if np.any(p_c[:, 2] <= MIN_PROJECTION_DEPTH):
         raise BehindCamera("point behind an observing camera")
-    x = p_c[:, 0] / p_c[:, 2]
-    y = p_c[:, 1] / p_c[:, 2]
-    k1, k2, p1, p2 = calib.distortion
-    r2 = x * x + y * y
-    radial = 1.0 + k1 * r2 + k2 * r2 * r2
-    xd = x * radial + 2 * p1 * x * y + p2 * (r2 + 2 * x * x)
-    yd = y * radial + p1 * (r2 + 2 * y * y) + 2 * p2 * x * y
-    px = np.column_stack([calib.fx * xd + calib.cx, calib.fy * yd + calib.cy])
-    return px, p_c
+    return p_c
+
+
+def _anchored_point(w: np.ndarray, R_ga: np.ndarray, c_a: np.ndarray) -> np.ndarray:
+    """Global point of inverse-depth parameters ``w = (x/z, y/z, 1/z)`` in the anchor camera."""
+    return R_ga @ np.array([w[0] / w[2], w[1] / w[2], 1.0 / w[2]]) + c_a
+
+
+def _inverse_depth_rows(w, R_ga, c_a, Rs, centers, pixels, calib: CameraCalibration):
+    """Stacked reprojection residual (2m,) and its Jacobian (2m, 3) with respect to ``w``."""
+    p_c = _points_in_cameras(Rs, centers, _anchored_point(w, R_ga, c_a))
+    pred, J_point, _ = project_points(p_c, calib, jacobians=True)
+    rho = w[2]
+    dpg_dw = R_ga @ np.array(
+        [
+            [1.0 / rho, 0.0, -w[0] / rho**2],
+            [0.0, 1.0 / rho, -w[1] / rho**2],
+            [0.0, 0.0, -1.0 / rho**2],
+        ]
+    )
+    J = (J_point @ Rs @ dpg_dw).reshape(-1, 3)
+    return (pixels - pred).ravel(), J
 
 
 def triangulate(
@@ -337,7 +348,7 @@ def triangulate(
     Rs = np.stack([cam_poses[f].rotation() for f, _ in obs])
     centers = np.stack([cam_poses[f].position for f, _ in obs])
 
-    xn = undistort_batch(pixels, calib, iters=8)
+    xn = undistort(pixels, calib, iters=8)
     d_cam = np.column_stack([xn, np.ones(m)])
     d_cam /= np.linalg.norm(d_cam, axis=1, keepdims=True)
     bearings = np.einsum("mji,mj->mi", Rs, d_cam)  # R^T d per camera
@@ -361,44 +372,10 @@ def triangulate(
         raise BehindCamera("linear solution behind the anchor camera")
     w = np.array([p_a[0] / p_a[2], p_a[1] / p_a[2], 1.0 / p_a[2]])
     R_ga = R_a.T
-    k1, k2, p1d, p2d = calib.distortion
-
-    def point_global(wv):
-        return R_ga @ np.array([wv[0] / wv[2], wv[1] / wv[2], 1.0 / wv[2]]) + c_a
 
     converged = False
     for _ in range(max_iters):
-        pg = point_global(w)
-        pred, p_c = _batch_project(Rs, centers, calib, pg)
-        r = (pixels - pred).ravel()
-        # stage Jacobians, batched over observations
-        z = p_c[:, 2]
-        xs = p_c[:, 0] / z
-        ys = p_c[:, 1] / z
-        r2 = xs * xs + ys * ys
-        radial = 1.0 + k1 * r2 + k2 * r2 * r2
-        drad_dx = 2 * xs * (k1 + 2 * k2 * r2)
-        drad_dy = 2 * ys * (k1 + 2 * k2 * r2)
-        Jd = np.empty((m, 2, 2))
-        Jd[:, 0, 0] = radial + xs * drad_dx + 2 * p1d * ys + 6 * p2d * xs
-        Jd[:, 0, 1] = xs * drad_dy + 2 * p1d * xs + 2 * p2d * ys
-        Jd[:, 1, 0] = ys * drad_dx + 2 * p1d * xs + 2 * p2d * ys
-        Jd[:, 1, 1] = radial + ys * drad_dy + 6 * p1d * ys + 2 * p2d * xs
-        Jn = np.zeros((m, 2, 3))
-        Jn[:, 0, 0] = 1.0 / z
-        Jn[:, 0, 2] = -xs / z
-        Jn[:, 1, 1] = 1.0 / z
-        Jn[:, 1, 2] = -ys / z
-        K = np.array([[calib.fx, 0.0], [0.0, calib.fy]])
-        rho = w[2]
-        dpg_dw = R_ga @ np.array(
-            [
-                [1.0 / rho, 0.0, -w[0] / rho**2],
-                [0.0, 1.0 / rho, -w[1] / rho**2],
-                [0.0, 0.0, -1.0 / rho**2],
-            ]
-        )
-        J = np.einsum("ab,mbc,mcd,mde,ef->maf", K, Jd, Jn, Rs, dpg_dw).reshape(2 * m, 3)
+        r, J = _inverse_depth_rows(w, R_ga, c_a, Rs, centers, pixels, calib)
         try:
             delta = np.linalg.solve(J.T @ J, J.T @ r)
         except np.linalg.LinAlgError as e:
@@ -412,92 +389,73 @@ def triangulate(
     if not converged:
         raise NoConvergence(f"no convergence in {max_iters} iterations")
 
-    pg = point_global(w)
-    _batch_project(Rs, centers, calib, pg)  # raises if behind any camera
+    pg = _anchored_point(w, R_ga, c_a)
+    _points_in_cameras(Rs, centers, pg)  # raises if behind any camera
     return Landmark3D(pg)
 
 
-def triangulation_jacobian(w, anchor: Pose, cam: Pose, calib: CameraCalibration):
-    """d(pixel)/d(anchored inverse-depth params); exposed for verification."""
-    R_ga = anchor.rotation().T
-    rho = w[2]
-    p_anchor = np.array([w[0] / rho, w[1] / rho, 1.0 / rho])
-    pg = R_ga @ p_anchor + anchor.position
-    p_c = cam.transform_point(pg)
-    J_pt = projection_jacobian_point(p_c, calib)
-    dpg_dw = R_ga @ np.array(
-        [
-            [1.0 / rho, 0.0, -w[0] / rho**2],
-            [0.0, 1.0 / rho, -w[1] / rho**2],
-            [0.0, 0.0, -1.0 / rho**2],
-        ]
-    )
-    return J_pt @ cam.rotation() @ dpg_dw
+def _frame_points(poses: list[Pose], points: np.ndarray):
+    """Points (N,3) expressed in the frames ``poses[i]``, and the stacked rotations."""
+    R = np.stack([p.rotation() for p in poses])
+    return R, np.einsum("nij,nj->ni", R, points - np.stack([p.position for p in poses]))
 
 
 def _observation_jacobians(
-    state: FilterState, clone: CloneEntry, p_global: np.ndarray, cam_cur: Pose | None = None
+    state: FilterState, clones: list[CloneEntry], p_global: np.ndarray, cams: list[Pose]
 ):
-    """Rows of the measurement model for one observation.
+    """Measurement rows for N observations: row i sees point i from ``clones[i]``.
 
-    Returns (predicted_pixel, H_f, H_clone, H_calib) with Jacobians at the
-    first-estimate linearization point when enabled.
+    Pixels are predicted through the camera poses ``cams``; the Jacobians are
+    taken at first-estimate clone poses when enabled.  ``p_global``
+    broadcasts from (3,) to (N, 3).  Returns ``(pred (N,2), H_f (N,2,3),
+    H_clone (N,2,6), H_calib (N,2,14) or None, in_front (N,))``; rows whose
+    point is not in front of both cameras are placeholders.
     """
-    fej = state.cfg.use_fej
-    imu_pose = clone.fej if fej else clone.pose
-    R_ig = imu_pose.rotation()
-    p_i = imu_pose.position
+    n = len(clones)
+    p_global = np.broadcast_to(p_global, (n, 3))
     ext = state.calib.extrinsic
-    R_ci = ext.rotation()
-    p_ic = ext.position
+    _, c_pred = _frame_points(cams, p_global)
+    R_ig, u = _frame_points([c.fej if state.cfg.use_fej else c.pose for c in clones], p_global)
+    c_lin = (u - ext.position) @ ext.rotation().T
+    in_front = (c_pred[:, 2] > MIN_PROJECTION_DEPTH) & (c_lin[:, 2] > MIN_PROJECTION_DEPTH)
+    c_pred[~in_front, 2] = 1.0
+    c_lin[~in_front, 2] = 1.0
 
-    if cam_cur is None:
-        cam_cur = state.camera_pose(clone, fej=False)
-    pred = project(p_global, cam_cur, state.calib)
-
-    u_vec = R_ig @ (p_global - p_i)
-    p_c = R_ci @ (u_vec - p_ic)
-    J_pt = projection_jacobian_point(p_c, state.calib)
-
-    H_f = J_pt @ R_ci @ R_ig
-    H_clone = np.zeros((2, CLONE_DIM))
-    H_clone[:, 0:3] = J_pt @ R_ci @ skew(u_vec)
-    H_clone[:, 3:6] = -J_pt @ R_ci @ R_ig
-
+    pred = project_points(c_pred, state.calib)
+    _, J_pt, J_intr = project_points(c_lin, state.calib, jacobians=True)
+    # q = dq(dtheta) * q_hat gives R = (I - [dtheta]x) R_hat, so a point in
+    # that frame moves by [u]x dtheta; row a of J [u]x is a x u.
+    J_imu = J_pt @ ext.rotation()
+    H_f = J_imu @ R_ig
+    H_clone = np.concatenate([np.cross(J_imu, u[:, None, :]), -H_f], axis=2)
     H_calib = None
     if state.cfg.estimate_calibration:
-        H_calib = np.zeros((2, CALIB_DIM))
-        H_calib[:, 0:3] = J_pt @ skew(p_c)
-        H_calib[:, 3:6] = -J_pt @ R_ci
-        z = p_c[2]
-        xn = np.array([p_c[0] / z, p_c[1] / z])
-        H_calib[:, 6:14] = intrinsics_jacobian(xn, state.calib)
-    return pred, H_f, H_clone, H_calib
+        H_calib = np.concatenate(
+            [np.cross(J_pt, c_lin[:, None, :]), -J_imu, J_intr], axis=2
+        )
+    return pred, H_f, H_clone, H_calib, in_front
 
 
 def _stack_track_rows(
-    state: FilterState, track: FeatureTrack, p_global: np.ndarray, cam_poses=None
+    state: FilterState, track: FeatureTrack, p_global: np.ndarray, cam_poses: dict[int, Pose]
 ):
     """Residuals and Jacobians for all of a track's in-window observations."""
     obs = [(f, z) for f, z in track.observations if f in state.clones]
+    frames = [f for f, _ in obs]
     m = len(obs)
-    d = state.dim()
-    r = np.zeros(2 * m)
-    H_x = np.zeros((2 * m, d))
-    H_f = np.zeros((2 * m, 3))
-    for i, (f, z) in enumerate(obs):
-        clone = state.clones[f]
-        cam = cam_poses.get(f) if cam_poses else None
-        pred, Hf_i, Hc_i, Hcal_i = _observation_jacobians(state, clone, p_global, cam)
-        rows = slice(2 * i, 2 * i + 2)
-        r[rows] = np.asarray(z, dtype=float) - pred
-        H_f[rows] = Hf_i
-        off = state.clone_offset(f)
-        H_x[rows, off:off + CLONE_DIM] = Hc_i
-        if Hcal_i is not None:
-            c = state.calib_offset()
-            H_x[rows, c:c + CALIB_DIM] = Hcal_i
-    return r, H_x, H_f, m
+    pred, H_f, H_clone, H_calib, in_front = _observation_jacobians(
+        state, [state.clones[f] for f in frames], p_global, [cam_poses[f] for f in frames]
+    )
+    if not in_front.all():
+        raise NonPositiveDepth("landmark at or behind an observing camera")
+    r = (np.array([z for _, z in obs], dtype=float) - pred).ravel()
+    H_x = np.zeros((2 * m, state.dim()))
+    cols = np.repeat([state.clone_offset(f) for f in frames], 2)[:, None] + np.arange(CLONE_DIM)
+    H_x[np.arange(2 * m)[:, None], cols] = H_clone.reshape(2 * m, CLONE_DIM)
+    if H_calib is not None:
+        c = state.calib_offset()
+        H_x[:, c:c + CALIB_DIM] = H_calib.reshape(2 * m, CALIB_DIM)
+    return r, H_x, H_f.reshape(2 * m, 3), m
 
 
 _CHI2_TABLE: dict[tuple[float, int], float] = {}
@@ -590,50 +548,55 @@ def slam_update(
     frame_index: int,
 ) -> FilterState:
     """Update existing in-state landmarks, then initialize promotions."""
-    # (a) per-feature EKF rows for landmarks observed this frame
+    # (a) per-feature EKF rows for landmarks observed this frame, all from
+    # this frame's clone, built in one batch
     H_rows = []
     r_rows = []
     participating = 0
     inconsistent = []
     by_id = {t.id: t for t in in_state_tracks}
     cam_poses = camera_poses_now(state.clones, state.calib)
-    for tid, lm in list(state.slam.items()):
-        track = by_id.get(tid)
-        if track is None or track.last_frame() != frame_index:
-            continue
+    seen = [
+        (tid, by_id[tid]) for tid in state.slam
+        if tid in by_id and by_id[tid].last_frame() == frame_index
+    ]
+    if seen:
+        cams = [cam_poses[frame_index]] * len(seen)
+        now = np.array([state.slam[tid].position for tid, _ in seen])
+        lin = np.array([state.slam[tid].fej for tid, _ in seen]) if state.cfg.use_fej else now
+        pred, H_f, H_clone, H_calib, in_front = _observation_jacobians(
+            state, [state.clones[frame_index]] * len(seen), lin, cams
+        )
+        if state.cfg.use_fej:
+            # the residual uses the current estimate even under FEJ
+            _, c_now = _frame_points(cams, now)
+            in_front &= c_now[:, 2] > MIN_PROJECTION_DEPTH
+            c_now[~in_front, 2] = 1.0
+            pred = project_points(c_now, state.calib)
+        d = state.dim()
+        off_c = state.clone_offset(frame_index)
+    for i, (tid, track) in enumerate(seen):
         if participating >= budget.max_slam:
             break
-        z = track.last_position()
-        clone = state.clones[frame_index]
-        cam_now = cam_poses[frame_index]
-        try:
-            pred, H_f, H_clone, H_calib = _observation_jacobians(
-                state, clone, lm.position if not state.cfg.use_fej else lm.fej, cam_now
-            )
-            # residual must use the current estimate even under FEJ
-            if state.cfg.use_fej:
-                pred = project(lm.position, cam_now, state.calib)
-        except NonPositiveDepth:
+        if not in_front[i]:
             # a claimed observation of a landmark behind the camera is
             # geometrically inconsistent: retire it after the batch update
             # (removing now would shift the column offsets already built)
             inconsistent.append(tid)
             continue
-        r = np.asarray(z, dtype=float) - pred
-        d = state.dim()
+        r = np.asarray(track.last_position(), dtype=float) - pred[i]
         H = np.zeros((2, d))
-        off_c = state.clone_offset(frame_index)
-        H[:, off_c:off_c + CLONE_DIM] = H_clone
+        H[:, off_c:off_c + CLONE_DIM] = H_clone[i]
         off_f = state.slam_offset(tid)
-        H[:, off_f:off_f + LANDMARK_DIM] = H_f
+        H[:, off_f:off_f + LANDMARK_DIM] = H_f[i]
         if H_calib is not None:
             c = state.calib_offset()
-            H[:, c:c + CALIB_DIM] = H_calib
+            H[:, c:c + CALIB_DIM] = H_calib[i]
         if not _chi2_gate(state, H, r, 2):
             continue
         H_rows.append(H)
         r_rows.append(r)
-        lm.last_seen_frame = frame_index
+        state.slam[tid].last_seen_frame = frame_index
         participating += 1
     state.checks.max_slam_in_update = max(state.checks.max_slam_in_update, participating)
     if H_rows:

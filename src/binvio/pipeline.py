@@ -18,7 +18,7 @@ from .config import PipelineConfig
 from .emulator import GrayFrame, detect_corners, detect_edges, inject_analog_noise
 from .evaluate import TrajectorySeries
 from .geometry import UnitQuaternion
-from .imu import ImuSample, NavState, NoiseParams
+from .imu import ImuSample, NavState, NoiseParams, TimestampGap
 from .msckf import FilterState, FrameResult, process_frame
 from .simgen import Dataset
 from .tracker import (
@@ -49,13 +49,24 @@ class PipelineResult:
 
 
 class _ImuSlicer:
-    """Serves interpolated-boundary sample slices per frame interval."""
+    """Serves interpolated-boundary sample slices per frame interval.
+
+    The stream's nominal period is its median sample spacing; a gap of more
+    than three periods raises TimestampGap here, once for the whole stream.
+    """
 
     def __init__(self, samples: list[ImuSample]):
         if len(samples) < 2:
             raise ValueError("need at least two IMU samples")
         self.samples = samples
         self.times = np.array([s.t for s in samples])
+        gaps = np.diff(self.times)
+        worst = int(np.argmax(gaps))
+        if gaps[worst] > 3.0 * float(np.median(gaps)):
+            raise TimestampGap(
+                f"gap {gaps[worst] * 1e3:.2f} ms at t={self.times[worst]:.6f} s exceeds "
+                f"3x the median spacing {np.median(gaps) * 1e3:.2f} ms"
+            )
 
     def _interp(self, t: float) -> ImuSample:
         i = int(np.clip(np.searchsorted(self.times, t) - 1, 0, len(self.samples) - 2))
@@ -125,24 +136,12 @@ def run_pipeline(
             corners = detect_corners(
                 payload, config.emulator.fast_threshold, tracker_cfg.max_tracks
             )
-            if config.emulator.noise_flip_rate > 0.0:
-                base = config.run.seed * 1_000_003 + k * 2
-                corners = inject_analog_noise(
-                    corners, config.emulator.noise_flip_rate, base
-                )
-                edges = inject_analog_noise(
-                    edges, config.emulator.noise_flip_rate, base + 1
-                )
         else:
             corners, edges = payload
-            if config.emulator.noise_flip_rate > 0.0:
-                base = config.run.seed * 1_000_003 + k * 2
-                corners = inject_analog_noise(
-                    corners, config.emulator.noise_flip_rate, base
-                )
-                edges = inject_analog_noise(
-                    edges, config.emulator.noise_flip_rate, base + 1
-                )
+        if config.emulator.noise_flip_rate > 0.0:
+            base = config.run.seed * 1_000_003 + k * 2
+            corners = inject_analog_noise(corners, config.emulator.noise_flip_rate, base)
+            edges = inject_analog_noise(edges, config.emulator.noise_flip_rate, base + 1)
 
         if tracker_cfg.feathering_enabled:
             feathered = feather(edges, tracker_cfg.sigma_e)

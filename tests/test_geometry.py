@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from binvio import geometry as geo
 from binvio.geometry import (
@@ -9,8 +11,10 @@ from binvio.geometry import (
     Pose,
     UnitQuaternion,
     project,
-    project_jacobians,
+    project_batch,
+    project_points,
     quat_integrate,
+    undistort,
 )
 
 
@@ -181,69 +185,127 @@ class TestProjection:
         calib = random_calib(rng)
         for _ in range(100):
             xn = rng.uniform(-0.6, 0.6, size=2)
-            px = geo.to_pixels(geo.distort(xn, calib), calib)
-            np.testing.assert_allclose(geo.undistort(px, calib), xn, atol=1e-10)
+            px = project_points(np.array([[xn[0], xn[1], 1.0]]), calib)
+            np.testing.assert_allclose(undistort(px, calib, iters=20)[0], xn, atol=1e-10)
+
+
+def finite_difference(f, x0, eps=1e-6):
+    x0 = np.asarray(x0, dtype=float)
+    J = np.zeros((2, x0.size))
+    for i in range(x0.size):
+        d = np.zeros_like(x0)
+        d[i] = eps
+        J[:, i] = (f(x0 + d) - f(x0 - d)) / (2 * eps)
+    return J
+
+
+def model_jacobian_errors(p_cam, calib):
+    """Scaled max error of the point and intrinsics Jacobians against central differences."""
+    _, Jp, Jc = project_points(p_cam[None, :], calib, jacobians=True)
+    fd_p = finite_difference(lambda v: project_points(v[None, :], calib)[0], p_cam)
+    fd_c = finite_difference(
+        lambda v: project_points(
+            p_cam[None, :], CameraCalibration.from_intrinsic_vector(v, calib.extrinsic)
+        )[0],
+        calib.intrinsic_vector(),
+    )
+    pairs = ((Jp[0], fd_p), (Jc[0], fd_c))
+    return [np.abs(J - fd).max() / max(1.0, np.abs(fd).max()) for J, fd in pairs]
 
 
 class TestProjectionJacobians:
-    def finite_difference(self, f, x0, eps=1e-6):
-        x0 = np.asarray(x0, dtype=float)
-        J = np.zeros((2, x0.size))
-        for i in range(x0.size):
-            d = np.zeros_like(x0)
-            d[i] = eps
-            J[:, i] = (f(x0 + d) - f(x0 - d)) / (2 * eps)
-        return J
-
     def test_point_jacobian_pinhole_entry(self):
         calib = CameraCalibration(fx=200, fy=300, cx=128, cy=128)
         d = 2.0
-        Jp, _, _ = project_jacobians(np.array([0.0, 0.0, d]), Pose(), calib)
-        assert abs(Jp[0, 0] - 200.0 / d) < 1e-12
-        assert abs(Jp[1, 1] - 300.0 / d) < 1e-12
+        _, Jp, _ = project_points(np.array([[0.0, 0.0, d]]), calib, jacobians=True)
+        assert abs(Jp[0, 0, 0] - 200.0 / d) < 1e-12
+        assert abs(Jp[0, 1, 1] - 300.0 / d) < 1e-12
 
     def test_zero_distortion_stage(self):
         calib = CameraCalibration(fx=200, fy=300, cx=128, cy=128)
         xn = np.array([0.2, -0.3])
-        J = geo.distortion_jacobian(xn, calib)
-        np.testing.assert_allclose(J, np.eye(2), atol=1e-15)
-        # combined distortion+pixel stage collapses to diag(fx, fy)
-        K = np.array([[200.0, 0.0], [0.0, 300.0]])
-        np.testing.assert_allclose(K @ J, np.diag([200.0, 300.0]), atol=1e-12)
+        # at unit depth the in-plane block is diag(fx, fy) times d(distorted)/d(normalized)
+        _, J, _ = project_points(np.array([[xn[0], xn[1], 1.0]]), calib, jacobians=True)
+        np.testing.assert_allclose(J[0, :, :2] / [[200.0], [300.0]], np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(J[0, :, :2], np.diag([200.0, 300.0]), atol=1e-12)
 
     def test_jacobians_match_finite_differences(self):
+        # the pose block is checked by test_msckf's test_full_measurement_jacobian_fd
         rng = np.random.default_rng(18)
         trials = 0
         while trials < 1000:
-            cam = random_pose(rng)
             calib = random_calib(rng)
-            p = cam.inverse_transform_point(
-                np.array([rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4), rng.uniform(0.5, 5.0)])
+            p_cam = np.array(
+                [rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4), rng.uniform(0.5, 5.0)]
             )
-            Jp, Jx, Jc = project_jacobians(p, cam, calib)
-
-            fd_p = self.finite_difference(lambda v: project(v, cam, calib), p)
-            fd_x = self.finite_difference(
-                lambda e: project(
-                    p,
-                    Pose(
-                        UnitQuaternion.from_axis_angle(e[0:3]).multiply(cam.orientation),
-                        cam.position + e[3:6],
-                    ),
-                    calib,
-                ),
-                np.zeros(6),
-            )
-            fd_c = self.finite_difference(
-                lambda v: project(
-                    p, cam, CameraCalibration.from_intrinsic_vector(v, calib.extrinsic)
-                ),
-                calib.intrinsic_vector(),
-            )
-            for J, fd in ((Jp, fd_p), (Jx, fd_x), (Jc, fd_c)):
-                scale = max(1.0, np.abs(fd).max())
-                assert np.abs(J - fd).max() / scale < 1e-4
+            for err in model_jacobian_errors(p_cam, calib):
+                assert err < 1e-4
             trials += 1
+
+
+# radial terms up to 0.05 and tangential up to 0.01, the scale of simgen's camera
+calibrations = st.builds(
+    lambda f, c, k, p: CameraCalibration(
+        fx=f[0], fy=f[1], cx=c[0], cy=c[1], distortion=np.array(k + p)
+    ),
+    st.tuples(st.floats(150.0, 250.0), st.floats(150.0, 250.0)),
+    st.tuples(st.floats(110.0, 146.0), st.floats(110.0, 146.0)),
+    st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+    st.tuples(st.floats(-0.01, 0.01), st.floats(-0.01, 0.01)),
+)
+
+
+def points_in_front(half_width):
+    """Camera-frame points in front of the camera, |X/Z| and |Y/Z| <= half_width."""
+    return st.tuples(
+        st.floats(-half_width, half_width), st.floats(-half_width, half_width),
+        st.floats(0.2, 10.0),
+    ).map(lambda t: np.array([t[0] * t[2], t[1] * t[2], t[2]]))
+
+
+class TestCameraModelProperties:
+    @given(calibrations, points_in_front(1.0))
+    def test_jacobians_match_central_differences(self, calib, p_cam):
+        for err in model_jacobian_errors(p_cam, calib):
+            assert err < 1e-4
+
+    # the fixed point contracts slowly far off axis; this is the round-trip
+    # test's +-0.6 range
+    @given(calibrations, st.lists(points_in_front(0.6), min_size=1, max_size=8))
+    def test_undistort_inverts_projection(self, calib, pts):
+        p_cam = np.array(pts)
+        xn = p_cam[:, :2] / p_cam[:, 2:3]
+        np.testing.assert_allclose(undistort(project_points(p_cam, calib), calib), xn, atol=1e-10)
+
+    @given(calibrations, st.lists(points_in_front(1.0), min_size=1, max_size=8))
+    def test_batch_rows_equal_single_calls(self, calib, pts):
+        p_cam = np.array(pts)
+        batch = project_points(p_cam, calib, jacobians=True)
+        for i in range(len(p_cam)):
+            single = project_points(p_cam[i:i + 1], calib, jacobians=True)
+            for b, s in zip(batch, single):
+                np.testing.assert_array_equal(b[i], s[0])
+
+    @given(
+        calibrations,
+        st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+        st.lists(
+            st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+            min_size=1, max_size=16,
+        ),
+    )
+    def test_project_batch_matches_oracle(self, calib, q, position, pts):
+        if np.linalg.norm(q) < 0.1:
+            q = [0.0, 0.0, 0.0, 1.0]
+        cam = Pose(UnitQuaternion(np.array(q)), np.array(position))
+        pts = np.array(pts)
+        px, valid = project_batch(pts, cam, calib)
+        for p, row, ok in zip(pts, px, valid):
+            if ok:
+                np.testing.assert_allclose(
+                    row, oracle_project(p, cam, calib), rtol=1e-12, atol=1e-9
+                )
 
 
 class TestSO3Helpers:

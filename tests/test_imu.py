@@ -17,6 +17,7 @@ from binvio.imu import (
     propagate_block,
     state_transition_jacobian,
 )
+from binvio.pipeline import _ImuSlicer
 
 NO_NOISE = NoiseParams(0.0, 0.0, 0.0, 0.0, 9.81)
 NO_NOISE_NO_G = NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -119,13 +120,12 @@ class TestPropagateMean:
         np.testing.assert_allclose(out.velocity, [1.0, 0.0, 0.0], atol=1e-9)
 
     def test_timestamp_gap_raises(self):
-        samples = [
-            ImuSample(0.0, np.zeros(3), np.zeros(3)),
-            ImuSample(0.0025, np.zeros(3), np.zeros(3)),
-            ImuSample(0.02, np.zeros(3), np.zeros(3)),
-        ]
+        # one dropped sample is a 2x gap, inside the 3x bound; three are a 4x gap
+        samples = make_stream(0.0, 0.5, 400, lambda t: np.zeros(3), lambda t: np.zeros(3))
+        _ImuSlicer(samples)
+        del samples[100:103]
         with pytest.raises(TimestampGap):
-            propagate(NavState(), np.zeros((15, 15)), samples, NO_NOISE_NO_G)
+            _ImuSlicer(samples)
 
     def test_split_interval_equals_single_call(self):
         rng = np.random.default_rng(2)

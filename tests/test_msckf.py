@@ -9,10 +9,10 @@ from binvio.msckf import (
     FilterState,
     InsufficientBaseline,
     UpdateBudget,
+    _inverse_depth_rows,
     msckf_update,
     slam_update,
     triangulate,
-    triangulation_jacobian,
 )
 from binvio.simgen import default_calibration
 from binvio.tracker import FeatureTrack, TrackStatus
@@ -141,7 +141,10 @@ class TestTriangulate:
             w = np.array(
                 [rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), rng.uniform(0.2, 1.0)]
             )
-            J = triangulation_jacobian(w, anchor, cam, calib)
+            _, J = _inverse_depth_rows(
+                w, anchor.rotation().T, anchor.position,
+                cam.rotation()[None], cam.position[None], np.zeros((1, 2)), calib,
+            )
             eps = 1e-7
             fd = np.zeros((2, 3))
             R_ga = anchor.rotation().T
@@ -247,6 +250,21 @@ class TestSlamUpdate:
         slam_update(state, [tr], UpdateBudget(), frame_index=9)
         assert np.linalg.norm(state.slam[7].position - landmark) < 1e-9
 
+    def test_landmark_behind_camera_retired(self):
+        state = make_state(10)
+        good = np.array([3.0, 0.1, -0.2])
+        self.add_landmark(state, good, tid=7)
+        self.add_landmark(state, np.array([-3.0, 0.1, -0.2]), tid=8)
+        tr_good = make_track(state, good, range(10), tid=7, status=TrackStatus.IN_STATE)
+        tr_bad = FeatureTrack(8)
+        for f in range(10):
+            tr_bad.add_observation(f, np.array([128.0, 128.0]))
+        tr_bad.status = TrackStatus.IN_STATE
+        slam_update(state, [tr_good, tr_bad], UpdateBudget(), frame_index=9)
+        assert 8 not in state.slam
+        assert state.slam[7].last_seen_frame == 9
+        state.check_dimensions()
+
     def test_promotion_initializes_landmark(self):
         state = make_state(15)
         landmark = np.array([3.0, -0.3, 0.25])
@@ -293,7 +311,8 @@ class TestCalibrationJacobians:
         state = make_state(4, estimate_calib=True, use_fej=False)
         landmark = np.array([3.0, 0.2, -0.1])
         clone = state.clones[2]
-        pred, H_f, H_clone, H_calib = _observation_jacobians(state, clone, landmark)
+        rows = _observation_jacobians(state, [clone], landmark, [state.camera_pose(clone)])
+        pred, H_f, H_clone, H_calib = (a[0] for a in rows[:4])
         eps = 1e-6
 
         def project_with(dtheta_c, dp_c, d_lm, d_ext_rot, d_ext_pos, d_intr):

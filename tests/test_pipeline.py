@@ -71,6 +71,14 @@ class TestClosedLoop:
         assert len(res.pose_rows) == 500
 
 
+class TestLowRateImu:
+    def test_100hz_imu_at_30fps_runs_every_frame(self):
+        cfg = sg.preset_config("hostile", seed=1, duration=0.3, fps=30.0, imu_rate=100.0)
+        res = run_pipeline(sg.build_dataset(cfg))
+        assert len(res.pose_rows) == 9
+        assert np.all(np.isfinite(res.pose_rows))
+
+
 class TestAblationPaths:
     def test_feathering_off_runs_and_degrades_tracking(self):
         ds = sg.build_dataset(sg.preset_config("hostile", duration=1.0, seed=2))
@@ -104,10 +112,11 @@ class TestGrayscalePath:
         err = np.linalg.norm(res.pose_rows[:, 1:4] - gt[idx, 1:4], axis=1)
         assert err.max() < 0.5
 
-    def test_analog_noise_injection_runs(self):
+    @pytest.mark.parametrize("mode", ["grayscale", "ideal-binary"])
+    def test_analog_noise_injection_runs(self, mode):
         from dataclasses import replace
 
-        cfg = replace(sg.preset_config("gentle", duration=0.2, seed=5), mode="grayscale")
+        cfg = replace(sg.preset_config("gentle", duration=0.2, seed=5), mode=mode)
         ds = sg.build_dataset(cfg)
         pc = PipelineConfig()
         pc.emulator.noise_flip_rate = 0.002
