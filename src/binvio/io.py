@@ -15,6 +15,7 @@ import numpy as np
 from .emulator import MAP_SIZE, BinaryMap, GrayFrame, MapKind
 
 BINARY_MAP_MAGIC = b"TCBM1"
+_HEADER_BYTES = 16  # magic, kind u8, timestamp f64, row count u16
 _KIND_CODE = {MapKind.CORNER: 0, MapKind.EDGE: 1}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
@@ -59,25 +60,36 @@ def encode_binary_map(bmap: BinaryMap) -> bytes:
 def decode_binary_map(data: bytes) -> BinaryMap:
     if data[:5] != BINARY_MAP_MAGIC:
         raise DatasetCorrupt("bad binary map magic")
+    if len(data) < _HEADER_BYTES or (len(data) - _HEADER_BYTES) % 2:
+        raise DatasetCorrupt(f"binary map has a bad length {len(data)}")
     kind_code, timestamp = struct.unpack_from("<Bd", data, 5)
     (nrows,) = struct.unpack_from("<H", data, 14)
     if nrows != MAP_SIZE or kind_code not in _CODE_KIND:
         raise DatasetCorrupt("bad binary map header")
-    offset = 16
-    all_lengths = []
-    all_values = []
+    # each row is a u16 run count followed by that many u16 run lengths
+    words = np.frombuffer(data, dtype="<u2", offset=_HEADER_BYTES)
+    word = words.item
+    heads = []
+    pos = 0
     for _ in range(MAP_SIZE):
-        (n,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        row = np.frombuffer(data, dtype="<u2", count=n, offset=offset)
-        offset += 2 * n
-        if int(row.sum()) != MAP_SIZE:
-            raise DatasetCorrupt("row runs do not sum to row width")
-        all_lengths.append(row)
-        all_values.append(np.arange(n) % 2)
-    lengths = np.concatenate(all_lengths).astype(int)
-    values = np.concatenate(all_values).astype(np.uint8)
-    bits = np.repeat(values, lengths).reshape(MAP_SIZE, MAP_SIZE)
+        if pos >= words.size:
+            raise DatasetCorrupt("binary map ends before its last row")
+        heads.append(pos)
+        pos += word(pos) + 1
+    if pos != words.size:
+        raise DatasetCorrupt("binary map rows do not end at the end of the data")
+    runs = words[heads].astype(np.intp)
+    if not runs.all():
+        raise DatasetCorrupt("binary map row has no runs")
+    is_run = np.ones(words.size, dtype=bool)
+    is_run[heads] = False
+    lengths = words[is_run].astype(np.intp)
+    row_start = np.cumsum(runs) - runs
+    if (np.add.reduceat(lengths, row_start) != MAP_SIZE).any():
+        raise DatasetCorrupt("row runs do not sum to row width")
+    # runs alternate zero, one, zero, ... from the start of each row
+    values = (np.arange(lengths.size) - np.repeat(row_start, runs)) & 1
+    bits = np.repeat(values.astype(np.uint8), lengths).reshape(MAP_SIZE, MAP_SIZE)
     return BinaryMap(bits, _CODE_KIND[kind_code], timestamp)
 
 

@@ -7,6 +7,18 @@ locations.  Track state is kept in a table that the filter consumes.
 
 Coordinates are ``(u, v)`` pixels with ``u`` along columns; map arrays are
 indexed ``[v, u]``.
+
+Sampling: a tracking window is a unit-spaced grid, so all of its samples
+share one sub-pixel fraction, and bilinear sampling is a 4-tap blend of one
+integer ``(window + 1)``-square patch gathered through a strided view of
+the map.  The template, its central-difference gradients and its Hessian
+are formed once per track from the previous map (the fixed template of
+Baker & Matthews, "Lucas-Kanade 20 Years On", IJCV 2004): one grid a pixel
+wider on every side is blended, the template is its interior and the
+gradients are differences of its samples two pixels apart.  A patch origin
+is clamped to ``MAP_SIZE - 1 - window``, so a window whose last column or
+row lies exactly on pixel 255 blends that pixel with fraction 1, as a
+per-sample lookup clipped to the image does.
 """
 
 from __future__ import annotations
@@ -15,20 +27,13 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .emulator import MAP_SIZE, BinaryMap, MapKind
 
 EDGE_INTENSITY = 128
 MIN_EIGENVALUE = 1e-6
-
-
-class SingularHessian(RuntimeError):
-    """No usable gradient structure inside the tracking window."""
-
-
-class OutOfBounds(RuntimeError):
-    """Tracking window (plus gradient margin) leaves the image."""
 
 
 class TrackStatus(enum.Enum):
@@ -174,37 +179,35 @@ def binary_to_intensity(edges: BinaryMap) -> FeatherMap:
     return FeatherMap(edges.bits.astype(np.uint8) * EDGE_INTENSITY, edges.timestamp)
 
 
-def _window_offsets(window: int) -> tuple[np.ndarray, np.ndarray]:
-    r = window // 2
-    dv, du = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
-    return du.ravel().astype(float), dv.ravel().astype(float)
+def _sample(img: np.ndarray, corner: np.ndarray, window: int) -> np.ndarray:
+    """Bilinear samples of ``window``-square unit-spaced grids, (N, window, window).
+
+    ``corner`` (N, 2) holds each grid's top-left sample ``(u, v)``; callers
+    keep every grid inside the image.  One ``(window + 1)``-square patch per
+    grid is blended x first, then y, as a per-sample bilinear lookup would.
+    """
+    p = window + 1
+    origin = np.minimum(np.floor(corner).astype(np.intp), MAP_SIZE - p)
+    frac = corner - origin
+    fx = frac[:, 0, None, None]
+    fy = frac[:, 1, None, None]
+    patch = sliding_window_view(img, (p, p))[origin[:, 1], origin[:, 0]]
+    rows = patch[:, :, :-1] * (1 - fx) + patch[:, :, 1:] * fx
+    return rows[:, :-1] * (1 - fy) + rows[:, 1:] * fy
 
 
-def _bilinear(img: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear sample; caller guarantees 0 <= x,y <= size-1."""
-    x0 = np.clip(np.floor(x).astype(np.intp), 0, MAP_SIZE - 2)
-    y0 = np.clip(np.floor(y).astype(np.intp), 0, MAP_SIZE - 2)
-    wx = x - x0
-    wy = y - y0
-    flat = img.ravel()
-    base = y0 * MAP_SIZE + x0
-    v00 = flat[base]
-    v01 = flat[base + 1]
-    v10 = flat[base + MAP_SIZE]
-    v11 = flat[base + MAP_SIZE + 1]
-    return (v00 * (1 - wx) + v01 * wx) * (1 - wy) + (v10 * (1 - wx) + v11 * wx) * wy
+def _template(prev_f: np.ndarray, corner: np.ndarray, window: int):
+    """Template intensities and central-difference gradients, each (N, window**2).
 
-
-def _in_bounds(x: np.ndarray, y: np.ndarray, margin: float) -> np.ndarray:
-    lim = MAP_SIZE - 1 - margin
-    return (x.min(axis=-1) >= margin) & (x.max(axis=-1) <= lim) & \
-           (y.min(axis=-1) >= margin) & (y.max(axis=-1) <= lim)
-
-
-def _template_and_gradients(img: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    t = _bilinear(img, xs, ys)
-    gx = 0.5 * (_bilinear(img, xs + 1.0, ys) - _bilinear(img, xs - 1.0, ys))
-    gy = 0.5 * (_bilinear(img, xs, ys + 1.0) - _bilinear(img, xs, ys - 1.0))
+    One grid a pixel wider on every side is sampled; the template is its
+    interior and each gradient is half the difference of the samples one
+    pixel either side, as ``0.5 * (I(x + 1) - I(x - 1))`` per sample.
+    """
+    shape = (len(corner), window * window)
+    ext = _sample(prev_f, corner - 1, window + 2)
+    t = ext[:, 1:-1, 1:-1].reshape(shape)
+    gx = (0.5 * (ext[:, 1:-1, 2:] - ext[:, 1:-1, :-2])).reshape(shape)
+    gy = (0.5 * (ext[:, 2:, 1:-1] - ext[:, :-2, 1:-1])).reshape(shape)
     return t, gx, gy
 
 
@@ -223,62 +226,6 @@ def _min_eigenvalue(H: np.ndarray) -> np.ndarray:
     return mean - np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
 
 
-def klt_step(
-    prev: FeatherMap,
-    next_map: FeatherMap,
-    point: np.ndarray,
-    guess: np.ndarray,
-    window: int = 21,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Gauss-Newton step of the photometric alignment.
-
-    Gradients come from the previous (template) image, sampled bilinearly;
-    the step solves H du = g with H the gradient outer-product sum and g the
-    gradient-weighted intensity residual.  Returns ``(du, H)``.
-    """
-    point = np.asarray(point, dtype=float)
-    guess = np.asarray(guess, dtype=float)
-    du_off, dv_off = _window_offsets(window)
-    xs = point[0] + du_off
-    ys = point[1] + dv_off
-
-    prev_f = prev.as_float()
-    next_f = next_map.as_float()
-    if not (_in_bounds(xs, ys, 1.0) and
-            _in_bounds(xs + guess[0], ys + guess[1], 0.0)):
-        raise OutOfBounds("tracking window leaves the image")
-
-    t, gx, gy = _template_and_gradients(prev_f, xs, ys)
-    H = _hessian(gx, gy)
-    if _min_eigenvalue(H) < MIN_EIGENVALUE:
-        raise SingularHessian("texture-free window")
-
-    i1 = _bilinear(next_f, xs + guess[0], ys + guess[1])
-    r = t - i1
-    g = np.array([(gx * r).sum(), (gy * r).sum()])
-    du = np.linalg.solve(H, g)
-    return du, H
-
-
-def iterate_klt(
-    prev: FeatherMap,
-    next_map: FeatherMap,
-    point: np.ndarray,
-    window: int = 21,
-    max_iters: int = 30,
-    epsilon: float = 0.01,
-    guess: np.ndarray | None = None,
-) -> np.ndarray:
-    """Run klt_step to convergence; returns total displacement."""
-    u = np.zeros(2) if guess is None else np.asarray(guess, dtype=float).copy()
-    for _ in range(max_iters):
-        du, _ = klt_step(prev, next_map, point, u, window)
-        u += du
-        if np.linalg.norm(du) < epsilon:
-            break
-    return u
-
-
 def _batch_track(
     prev_f: np.ndarray,
     next_f: np.ndarray,
@@ -292,67 +239,70 @@ def _batch_track(
     one of 'oob', 'singular', 'residual' otherwise.
     """
     n = points.shape[0]
-    du_off, dv_off = _window_offsets(cfg.window)
-    xs = points[:, 0:1] + du_off[None, :]
-    ys = points[:, 1:2] + dv_off[None, :]
-
-    ok = np.ones(n, dtype=bool)
-    reason = np.array([""] * n, dtype=object)
-
-    template_ok = _in_bounds(xs, ys, 1.0)
-    ok &= template_ok
-    reason[~template_ok] = "oob"
-
-    t, gx, gy = _template_and_gradients(prev_f, xs, ys)
-    H = _hessian(gx, gy)
-    singular = _min_eigenvalue(H) < MIN_EIGENVALUE
-    reason[ok & singular] = "singular"
-    ok &= ~singular
-
-    det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] ** 2
-    det[~ok] = 1.0
+    r = cfg.window // 2
+    area = cfg.window * cfg.window
+    lo = points - r  # top-left sample of each window
+    hi = points + r  # bottom-right sample
 
     u = guesses.copy()
-    active_idx = np.nonzero(ok)[0]
+
+    def inside(ids):
+        """Whether each window, shifted by its ``u``, lies within the image."""
+        shift = u[ids]
+        return ((lo[ids] + shift >= 0.0) & (hi[ids] + shift <= MAP_SIZE - 1.0)).all(axis=1)
+
+    # the template's central differences need one more pixel of margin
+    ok = ((lo >= 1.0) & (hi <= MAP_SIZE - 2.0)).all(axis=1)
+    reason = np.array([""] * n, dtype=object)
+    reason[~ok] = "oob"
+
+    # template state lives at positions into ``live``
+    live = np.nonzero(ok)[0]
+    t, gx, gy = _template(prev_f, lo[live], cfg.window)
+    H = _hessian(gx, gy)
+    singular = _min_eigenvalue(H) < MIN_EIGENVALUE
+    reason[live[singular]] = "singular"
+    ok[live[singular]] = False
+    det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] ** 2
+
+    active = np.nonzero(~singular)[0]
     for _ in range(cfg.max_iters):
-        if active_idx.size == 0:
+        if active.size == 0:
             break
-        sx = xs[active_idx] + u[active_idx, 0:1]
-        sy = ys[active_idx] + u[active_idx, 1:2]
-        inside = _in_bounds(sx, sy, 0.0)
-        out_ids = active_idx[~inside]
-        reason[out_ids] = "oob"
-        ok[out_ids] = False
-        active_idx = active_idx[inside]
-        if active_idx.size == 0:
+        ids = live[active]
+        within = inside(ids)
+        reason[ids[~within]] = "oob"
+        ok[ids[~within]] = False
+        active = active[within]
+        ids = ids[within]
+        if active.size == 0:
             break
-        sx = sx[inside]
-        sy = sy[inside]
-        i1 = _bilinear(next_f, sx, sy)
-        r = t[active_idx] - i1
-        g0 = (gx[active_idx] * r).sum(axis=1)
-        g1 = (gy[active_idx] * r).sum(axis=1)
-        Ha = H[active_idx]
-        da = det[active_idx]
+        i1 = _sample(next_f, lo[ids] + u[ids], cfg.window).reshape(ids.size, area)
+        res = t[active] - i1
+        g0 = (gx[active] * res).sum(axis=1)
+        g1 = (gy[active] * res).sum(axis=1)
+        Ha = H[active]
+        da = det[active]
         du0 = (Ha[:, 1, 1] * g0 - Ha[:, 0, 1] * g1) / da
         du1 = (-Ha[:, 0, 1] * g0 + Ha[:, 0, 0] * g1) / da
-        u[active_idx, 0] += du0
-        u[active_idx, 1] += du1
+        u[ids, 0] += du0
+        u[ids, 1] += du1
         still = du0 * du0 + du1 * du1 >= cfg.epsilon**2
-        active_idx = active_idx[still]
+        active = active[still]
 
     # photometric gate on the final alignment
-    sx = xs + u[:, 0:1]
-    sy = ys + u[:, 1:2]
-    inside = _in_bounds(sx, sy, 0.0)
-    newly_out = ok & ~inside
-    reason[newly_out] = "oob"
-    ok &= inside
-    i1 = _bilinear(next_f, np.clip(sx, 0, MAP_SIZE - 1), np.clip(sy, 0, MAP_SIZE - 1))
-    mean_resid = np.abs(t - i1).mean(axis=1)
-    gated = ok & (mean_resid > cfg.photometric_gate)
+    final = np.nonzero(ok[live])[0]
+    ids = live[final]
+    within = inside(ids)
+    reason[ids[~within]] = "oob"
+    ok[ids[~within]] = False
+    final = final[within]
+    ids = ids[within]
+    i1 = _sample(next_f, lo[ids] + u[ids], cfg.window).reshape(ids.size, area)
+    mean_resid = np.abs(t[final] - i1).mean(axis=1)
+    gated = ids[mean_resid > cfg.photometric_gate]
     reason[gated] = "residual"
-    ok &= ~gated
+    ok[gated] = False
     return u, ok, reason
 
 

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,14 @@ class TestCli:
     def test_run_missing_dataset_exit_2(self, tmp_path):
         rc = main(["run", "--dataset", str(tmp_path / "none"),
                    "--out", str(tmp_path / "pose.csv")])
+        assert rc == 2
+
+    def test_run_truncated_map_exit_2(self, tiny_dataset, tmp_path):
+        data = tmp_path / "tiny"
+        shutil.copytree(tiny_dataset, data)
+        victim = sorted(data.rglob("*.edges.tcbm"))[2]
+        victim.write_bytes(victim.read_bytes()[:-7])
+        rc = main(["run", "--dataset", str(data), "--out", str(tmp_path / "pose.csv")])
         assert rc == 2
 
     def test_ablation_flags(self, tiny_dataset, tmp_path):

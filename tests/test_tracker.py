@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binvio import tracker as tk
-from binvio.emulator import BinaryMap, MapKind
+from binvio.emulator import MAP_SIZE, BinaryMap, MapKind
 from binvio.tracker import (
     FeatherMap,
-    FeatureTrack,
-    OutOfBounds,
-    SingularHessian,
     TrackerConfig,
     TrackStatus,
     TrackTable,
     classify_tracks,
     feather,
-    klt_step,
     shi_tomasi_on_edges,
     track_frame,
 )
@@ -42,17 +40,128 @@ def brute_force_feather(bits, sigma):
     return np.clip(np.rint(out), 0, 128).astype(np.uint8)
 
 
+def window_offsets(window):
+    r = window // 2
+    dv, du = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
+    return du.ravel().astype(float), dv.ravel().astype(float)
+
+
+def bilinear(img, x, y):
+    """Per-sample bilinear lookup; caller guarantees 0 <= x,y <= size-1."""
+    x0 = np.clip(np.floor(x).astype(np.intp), 0, MAP_SIZE - 2)
+    y0 = np.clip(np.floor(y).astype(np.intp), 0, MAP_SIZE - 2)
+    wx = x - x0
+    wy = y - y0
+    flat = img.ravel()
+    base = y0 * MAP_SIZE + x0
+    v00 = flat[base]
+    v01 = flat[base + 1]
+    v10 = flat[base + MAP_SIZE]
+    v11 = flat[base + MAP_SIZE + 1]
+    return (v00 * (1 - wx) + v01 * wx) * (1 - wy) + (v10 * (1 - wx) + v11 * wx) * wy
+
+
+def in_bounds(x, y, margin):
+    lim = MAP_SIZE - 1 - margin
+    return (x.min(axis=-1) >= margin) & (x.max(axis=-1) <= lim) & \
+           (y.min(axis=-1) >= margin) & (y.max(axis=-1) <= lim)
+
+
+def reference_batch_track(prev_f, next_f, points, guesses, cfg):
+    """Per-sample lockstep KLT: every window sample is its own bilinear gather.
+
+    Same contract as ``tracker._batch_track``; gradients are sampled as
+    central differences of bilinear lookups one pixel apart.
+    """
+    n = points.shape[0]
+    du_off, dv_off = window_offsets(cfg.window)
+    xs = points[:, 0:1] + du_off[None, :]
+    ys = points[:, 1:2] + dv_off[None, :]
+
+    ok = np.ones(n, dtype=bool)
+    reason = np.array([""] * n, dtype=object)
+
+    template_ok = in_bounds(xs, ys, 1.0)
+    ok &= template_ok
+    reason[~template_ok] = "oob"
+
+    t = bilinear(prev_f, xs, ys)
+    gx = 0.5 * (bilinear(prev_f, xs + 1.0, ys) - bilinear(prev_f, xs - 1.0, ys))
+    gy = 0.5 * (bilinear(prev_f, xs, ys + 1.0) - bilinear(prev_f, xs, ys - 1.0))
+    h00 = (gx * gx).sum(axis=-1)
+    h01 = (gx * gy).sum(axis=-1)
+    h11 = (gy * gy).sum(axis=-1)
+    H = np.stack([h00, h01, h01, h11], axis=-1).reshape(n, 2, 2)
+    singular = tk._min_eigenvalue(H) < tk.MIN_EIGENVALUE
+    reason[ok & singular] = "singular"
+    ok &= ~singular
+
+    det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] ** 2
+    det[~ok] = 1.0
+
+    u = guesses.copy()
+    active_idx = np.nonzero(ok)[0]
+    for _ in range(cfg.max_iters):
+        if active_idx.size == 0:
+            break
+        sx = xs[active_idx] + u[active_idx, 0:1]
+        sy = ys[active_idx] + u[active_idx, 1:2]
+        inside = in_bounds(sx, sy, 0.0)
+        out_ids = active_idx[~inside]
+        reason[out_ids] = "oob"
+        ok[out_ids] = False
+        active_idx = active_idx[inside]
+        if active_idx.size == 0:
+            break
+        sx = sx[inside]
+        sy = sy[inside]
+        i1 = bilinear(next_f, sx, sy)
+        r = t[active_idx] - i1
+        g0 = (gx[active_idx] * r).sum(axis=1)
+        g1 = (gy[active_idx] * r).sum(axis=1)
+        Ha = H[active_idx]
+        da = det[active_idx]
+        du0 = (Ha[:, 1, 1] * g0 - Ha[:, 0, 1] * g1) / da
+        du1 = (-Ha[:, 0, 1] * g0 + Ha[:, 0, 0] * g1) / da
+        u[active_idx, 0] += du0
+        u[active_idx, 1] += du1
+        still = du0 * du0 + du1 * du1 >= cfg.epsilon**2
+        active_idx = active_idx[still]
+
+    sx = xs + u[:, 0:1]
+    sy = ys + u[:, 1:2]
+    inside = in_bounds(sx, sy, 0.0)
+    newly_out = ok & ~inside
+    reason[newly_out] = "oob"
+    ok &= inside
+    i1 = bilinear(next_f, np.clip(sx, 0, MAP_SIZE - 1), np.clip(sy, 0, MAP_SIZE - 1))
+    mean_resid = np.abs(t - i1).mean(axis=1)
+    gated = ok & (mean_resid > cfg.photometric_gate)
+    reason[gated] = "residual"
+    ok &= ~gated
+    return u, ok, reason
+
+
+def track_one(prev, nxt, point, cfg, guess=(0.0, 0.0)):
+    """``_batch_track`` on a single point: (displacement, ok, reason)."""
+    disp, ok, reason = tk._batch_track(
+        prev.as_float(), nxt.as_float(), np.array([point], dtype=float),
+        np.array([guess], dtype=float), cfg,
+    )
+    return disp[0], bool(ok[0]), reason[0]
+
+
 def exhaustive_ssd(prev, nxt, point, window, search=5):
     """Integer SSD search with parabolic sub-pixel refinement."""
-    du_off, dv_off = tk._window_offsets(window)
+    du_off, dv_off = window_offsets(window)
     xs = point[0] + du_off
     ys = point[1] + dv_off
-    t = tk._bilinear(prev, xs, ys)
+    t = bilinear(prev, xs, ys)
     shifts = np.arange(-search, search + 1)
     ssd = np.zeros((len(shifts), len(shifts)))
     for i, dy in enumerate(shifts):
         for j, dx in enumerate(shifts):
-            v = tk._bilinear(nxt, xs + dx, ys + dy)
+            v = bilinear(nxt, xs + dx, ys + dy)
             ssd[i, j] = ((t - v) ** 2).sum()
     i, j = np.unravel_index(np.argmin(ssd), ssd.shape)
 
@@ -120,6 +229,10 @@ class TestFeather:
         assert out.values.max() <= 128
 
 
+ONE_STEP = TrackerConfig(max_iters=1, epsilon=1e-12, photometric_gate=1e9)
+CONVERGE = TrackerConfig(max_iters=50, epsilon=1e-4, photometric_gate=1e9)
+
+
 class TestKltStep:
     def make_feathered(self, seed=0, density=0.03):
         rng = np.random.default_rng(seed)
@@ -127,17 +240,17 @@ class TestKltStep:
 
     def test_identical_frames_zero_step(self):
         f = self.make_feathered()
-        du, H = klt_step(f, f, np.array([128.0, 128.0]), np.zeros(2), 21)
+        du, ok, _ = track_one(f, f, [128.0, 128.0], ONE_STEP)
+        assert ok
         np.testing.assert_allclose(du, [0.0, 0.0], atol=1e-12)
 
     def test_hessian_symmetric_psd(self):
         f = self.make_feathered(1)
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            pt = rng.uniform(30, 225, size=2)
-            try:
-                _, H = klt_step(f, f, pt, np.zeros(2), 21)
-            except SingularHessian:
+        pts = rng.uniform(30, 225, size=(50, 2))
+        _, gx, gy = tk._template(f.as_float(), pts - 21 // 2, 21)
+        for H in tk._hessian(gx, gy):
+            if tk._min_eigenvalue(H) < tk.MIN_EIGENVALUE:
                 continue
             assert abs(H[0, 1] - H[1, 0]) < 1e-9
             assert np.linalg.eigvalsh(H).min() >= -1e-9
@@ -149,9 +262,8 @@ class TestKltStep:
         checked = 0
         while checked < 10:
             pt = rng.uniform(40, 215, size=2)
-            try:
-                u = tk.iterate_klt(f0, f1, pt, 21, 50, 1e-4)
-            except (SingularHessian, OutOfBounds):
+            u, ok, _ = track_one(f0, f1, pt, CONVERGE)
+            if not ok:
                 continue
             oracle = exhaustive_ssd(f0.as_float(), f1.as_float(), pt, 21)
             if np.linalg.norm(oracle - [2, 0]) > 0.2:
@@ -162,31 +274,84 @@ class TestKltStep:
 
     def test_constant_region_singular(self):
         flat = FeatherMap(np.zeros((256, 256), dtype=np.uint8))
-        with pytest.raises(SingularHessian):
-            klt_step(flat, flat, np.array([128.0, 128.0]), np.zeros(2), 21)
+        _, ok, reason = track_one(flat, flat, [128.0, 128.0], ONE_STEP)
+        assert not ok and reason == "singular"
 
     def test_out_of_bounds(self):
         f = self.make_feathered(3)
-        with pytest.raises(OutOfBounds):
-            klt_step(f, f, np.array([3.0, 128.0]), np.zeros(2), 21)
+        _, ok, reason = track_one(f, f, [3.0, 128.0], ONE_STEP)
+        assert not ok and reason == "oob"
 
     def test_batch_matches_single(self):
         f0 = self.make_feathered(7)
         f1 = FeatherMap(np.roll(f0.values, 1, axis=0))
         rng = np.random.default_rng(8)
         pts = rng.uniform(40, 215, size=(20, 2))
-        cfg = TrackerConfig(max_iters=1, epsilon=1e-12, photometric_gate=1e9)
         disp, ok, _ = tk._batch_track(
-            f0.as_float(), f1.as_float(), pts, np.zeros_like(pts), cfg
+            f0.as_float(), f1.as_float(), pts, np.zeros_like(pts), ONE_STEP
         )
         for i, pt in enumerate(pts):
-            try:
-                du, _ = klt_step(f0, f1, pt, np.zeros(2), cfg.window)
-            except (SingularHessian, OutOfBounds):
+            du, single_ok, _ = track_one(f0, f1, pt, ONE_STEP)
+            if not single_ok:
                 assert not ok[i]
                 continue
             assert ok[i]
             np.testing.assert_allclose(disp[i], du, atol=1e-9)
+
+
+def assert_matches_reference(prev, nxt, points, guesses, cfg):
+    args = (prev.as_float(), nxt.as_float(), np.asarray(points, dtype=float),
+            np.asarray(guesses, dtype=float), cfg)
+    disp, ok, reason = tk._batch_track(*args)
+    ref_disp, ref_ok, ref_reason = reference_batch_track(*args)
+    np.testing.assert_array_equal(ok, ref_ok)
+    np.testing.assert_array_equal(reason, ref_reason)
+    np.testing.assert_allclose(disp[ok], ref_disp[ok], rtol=0, atol=1e-9)
+    return ok
+
+
+class TestPatchSampler:
+    """The patch sampler against the per-sample reference."""
+
+    @settings(max_examples=25)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.002, 0.01, 0.04]),
+        shift=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        gate=st.sampled_from([0.5, 1.0, 20.0]),
+        integer_points=st.booleans(),
+        integer_guesses=st.booleans(),
+    )
+    def test_matches_reference(self, seed, density, shift, gate, integer_points,
+                               integer_guesses):
+        # sparse maps give singular windows, flipped bits in the next map
+        # give residual deaths, points over the whole image give oob deaths
+        rng = np.random.default_rng(seed)
+        bits = random_edge_bits(rng, density)
+        moved = np.roll(bits, shift, axis=(1, 0)) ^ random_edge_bits(rng, 0.003)
+        prev = feather(edge_map(bits), 2.5)
+        nxt = feather(edge_map(moved), 2.5)
+        pts = rng.uniform(0, MAP_SIZE - 1, size=(60, 2))
+        guesses = rng.uniform(-4, 4, size=(60, 2))
+        if integer_points:
+            pts = np.floor(pts)
+        if integer_guesses:
+            guesses = np.rint(guesses)
+        assert_matches_reference(prev, nxt, pts, guesses, TrackerConfig(photometric_gate=gate))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_window_ending_on_last_pixel(self, axis):
+        # the first iteration samples a window whose last column (row) is
+        # exactly 255.0, where the patch origin is clamped and the fraction is 1
+        rng = np.random.default_rng(15)
+        f = feather(edge_map(random_edge_bits(rng, 0.04)), 2.5)
+        point = np.full(2, 128.0)
+        point[axis] = MAP_SIZE - 2 - 10
+        guess = np.zeros(2)
+        guess[axis] = 1.0
+        assert point[axis] + 10 + guess[axis] == MAP_SIZE - 1
+        ok = assert_matches_reference(f, f, [point], [guess], ONE_STEP)
+        assert ok[0]
 
 
 class TestTrackFrame:
@@ -272,15 +437,13 @@ class TestTrackFrame:
         shifted_bits = np.roll(bits, 2, axis=1)
         pts = rng.uniform(40, 215, size=(150, 2))
 
+        cfg = TrackerConfig(max_iters=30, epsilon=0.01, photometric_gate=1e9)
+
         def failure_rate(m0, m1):
             fails = 0
             for pt in pts:
-                try:
-                    u = tk.iterate_klt(m0, m1, pt, 21, 30, 0.01)
-                except (SingularHessian, OutOfBounds):
-                    fails += 1
-                    continue
-                if np.linalg.norm(u - [2.0, 0.0]) > 0.5:
+                u, ok, _ = track_one(m0, m1, pt, cfg)
+                if not ok or np.linalg.norm(u - [2.0, 0.0]) > 0.5:
                     fails += 1
             return fails / len(pts)
 
