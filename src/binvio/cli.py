@@ -30,6 +30,12 @@ from .simgen import InvalidSpec, PRESET_DURATIONS, load_dataset, preset_config, 
 USAGE_ERROR = 2
 PIPELINE_ERROR = 1
 
+# --ablation value -> the config override it stands for
+ABLATIONS = {
+    "feathering=off": ("tracker.feathering_enabled", "false"),
+    "features=shi-tomasi": ("tracker.feature_source", "shi-tomasi"),
+}
+
 
 def _split_overrides(argv):
     """Peel off --section.key value pairs that double config fields."""
@@ -58,14 +64,10 @@ def _build_config(args, overrides) -> PipelineConfig:
         cfg = load_config(args.config)
     else:
         cfg = PipelineConfig()
-    if getattr(args, "ablation", None):
-        for item in args.ablation:
-            if item == "feathering=off":
-                cfg.tracker.feathering_enabled = False
-            elif item == "features=shi-tomasi":
-                cfg.tracker.feature_source = "shi-tomasi"
-            else:
-                raise ConfigInvalid(f"unknown ablation {item!r}")
+    for item in getattr(args, "ablation", None) or []:
+        if item not in ABLATIONS:
+            raise ConfigInvalid(f"unknown ablation {item!r}")
+        cfg.apply_override(*ABLATIONS[item])
     for key, value in overrides:
         cfg.apply_override(key, value)
     return cfg

@@ -1,54 +1,28 @@
 """Pipeline configuration: sectioned defaults, key=value files, overrides.
 
-The on-disk format is flat ``section.key = value`` lines; every field can
-be overridden from a file or from CLI flags of the same dotted name.
+A section is the config type its consumer runs with: ``tracker`` is
+``tracker.TrackerConfig`` and ``filter`` is ``msckf.FilterConfig``, so each
+setting has one definition and one default.  The on-disk format is flat
+``section.key = value`` lines; every field can be overridden from a file or
+from CLI flags of the same dotted name.  A value parses by its field's type
+(bool, int, float, str, or an enum by its value), and the section is rebuilt
+around it, so the section's own validation rejects a bad value as it is read.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .msckf import FilterConfig, UpdateBudget
-from .tracker import FeatureSource, TrackerConfig
+from .msckf import FilterConfig
+from .tracker import TrackerConfig
 
 
 class ConfigInvalid(ValueError):
     """A config file or override failed to parse or validate."""
-
-
-@dataclass
-class TrackerSection:
-    n_points: int = 800
-    sigma_e: float = 2.5
-    window: int = 21
-    epsilon: float = 0.01
-    max_iters: int = 30
-    photometric_gate: float = 20.0
-    min_separation: float = 10.0
-    min_msckf_len: int = 4
-    predict_with_prev_flow: bool = True
-    feathering_enabled: bool = True
-    feature_source: str = "bit-corners"
-
-
-@dataclass
-class FilterSection:
-    max_clones: int = 15
-    max_slam_update: int = 30
-    max_msckf_update: int = 60
-    sigma_px: float = 1.0
-    chi2_confidence: float = 0.95
-    chi2_scale: float = 1.0
-    estimate_calibration: bool = True
-    use_fej: bool = True
-    min_baseline_deg: float = 0.5
-    slam_before_msckf: bool = True
-    paranoid_checks: bool = False
-    # midpoint kills the rectified hold-the-sample bias that instantaneous
-    # synthetic samples exhibit during double-digit body rates
-    integration: str = "midpoint"
 
 
 @dataclass
@@ -75,45 +49,11 @@ class RunSection:
 
 @dataclass
 class PipelineConfig:
-    tracker: TrackerSection = field(default_factory=TrackerSection)
-    filter: FilterSection = field(default_factory=FilterSection)
+    tracker: TrackerConfig = field(default_factory=TrackerConfig)
+    filter: FilterConfig = field(default_factory=FilterConfig)
     emulator: EmulatorSection = field(default_factory=EmulatorSection)
     noise: NoiseSection = field(default_factory=NoiseSection)
     run: RunSection = field(default_factory=RunSection)
-
-    def tracker_config(self) -> TrackerConfig:
-        t = self.tracker
-        return TrackerConfig(
-            sigma_e=t.sigma_e,
-            window=t.window,
-            max_iters=t.max_iters,
-            epsilon=t.epsilon,
-            feathering_enabled=t.feathering_enabled,
-            feature_source=FeatureSource(t.feature_source),
-            photometric_gate=t.photometric_gate,
-            min_separation=t.min_separation,
-            min_msckf_len=t.min_msckf_len,
-            max_tracks=t.n_points,
-            predict_with_prev_flow=t.predict_with_prev_flow,
-        )
-
-    def filter_config(self) -> FilterConfig:
-        f = self.filter
-        return FilterConfig(
-            max_clones=f.max_clones,
-            budget=UpdateBudget(f.max_slam_update, f.max_msckf_update),
-            sigma_px=f.sigma_px,
-            chi2_confidence=f.chi2_confidence,
-            chi2_scale=f.chi2_scale,
-            estimate_calibration=f.estimate_calibration,
-            use_fej=f.use_fej,
-            min_msckf_len=self.tracker.min_msckf_len,
-            min_baseline_deg=f.min_baseline_deg,
-            slam_stale_frames=f.max_clones,
-            slam_before_msckf=f.slam_before_msckf,
-            paranoid_checks=f.paranoid_checks,
-            integration=f.integration,
-        )
 
     def to_text(self) -> str:
         lines = []
@@ -123,6 +63,8 @@ class PipelineConfig:
                 v = getattr(section, f.name)
                 if isinstance(v, bool):
                     v = "true" if v else "false"
+                elif isinstance(v, enum.Enum):
+                    v = v.value
                 lines.append(f"{section_field.name}.{f.name} = {v}")
         return "\n".join(lines) + "\n"
 
@@ -131,28 +73,26 @@ class PipelineConfig:
         if "." not in key:
             raise ConfigInvalid(f"override {dotted_key!r} must be section.key")
         section_name, field_name = key.split(".", 1)
-        section = getattr(self, section_name, None)
-        if section is None or not dataclasses.is_dataclass(section):
+        if section_name not in {f.name for f in dataclasses.fields(self)}:
             raise ConfigInvalid(f"unknown config section {section_name!r}")
-        matches = [f for f in dataclasses.fields(section) if f.name == field_name]
-        if not matches:
+        section = getattr(self, section_name)
+        types = typing.get_type_hints(type(section))
+        if field_name not in types:
             raise ConfigInvalid(f"unknown config key {dotted_key!r}")
-        f = matches[0]
         try:
-            if f.type in ("bool", bool):
-                low = raw_value.strip().lower()
-                if low not in ("true", "false", "1", "0", "yes", "no", "on", "off"):
-                    raise ValueError(f"not a boolean: {raw_value!r}")
-                value = low in ("true", "1", "yes", "on")
-            elif f.type in ("int", int):
-                value = int(raw_value)
-            elif f.type in ("float", float):
-                value = float(raw_value)
-            else:
-                value = raw_value.strip()
+            value = _parse_value(types[field_name], raw_value.strip())
+            setattr(self, section_name, dataclasses.replace(section, **{field_name: value}))
         except ValueError as e:
             raise ConfigInvalid(f"bad value for {dotted_key!r}: {e}") from e
-        setattr(section, f.name, value)
+
+
+def _parse_value(kind: type, raw: str):
+    if kind is bool:
+        low = raw.lower()
+        if low not in ("true", "false", "1", "0", "yes", "no", "on", "off"):
+            raise ValueError(f"not a boolean: {raw!r}")
+        return low in ("true", "1", "yes", "on")
+    return kind(raw)  # int, float and str by construction, an enum by its value
 
 
 def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:

@@ -253,11 +253,6 @@ class UnitQuaternion:
         return 2.0 * float(np.arctan2(np.linalg.norm(rel[:3]), abs(rel[3])))
 
 
-def quat_integrate(q: UnitQuaternion, omega: np.ndarray, dt: float) -> UnitQuaternion:
-    """Integrate the attitude kinematics for a constant body rate over ``dt``."""
-    return UnitQuaternion(quat_integrate_array(q.xyzw, omega, dt))
-
-
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform: ``orientation`` maps G into the frame, ``position`` in G."""

@@ -119,20 +119,6 @@ class NoiseParams:
         return np.array([0.0, 0.0, -self.gravity])
 
 
-def correct_measurement(
-    sample: ImuSample, state: NavState, noise: NoiseParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bias- and gravity-corrected body rates and kinematic acceleration.
-
-    White noise is not (and cannot be) subtracted; it is accounted for in
-    the propagated covariance.
-    """
-    omega_true = sample.omega - state.bias_gyro
-    R = state.orientation.to_matrix()
-    accel_true = sample.accel + R @ noise.gravity_vector() - state.bias_accel
-    return omega_true, accel_true
-
-
 def state_transition_jacobian(
     state: NavState, sample: ImuSample, dt: float
 ) -> np.ndarray:
@@ -235,28 +221,3 @@ def propagate_block(
         Phi_total = Phi @ Phi_total
         Q_total = Phi @ Q_total @ Phi.T + Qd
     return cur, Phi_total, Q_total
-
-
-def propagate(
-    state: NavState,
-    cov: np.ndarray,
-    samples: list[ImuSample],
-    noise: NoiseParams,
-    integration: str = "zoh",
-) -> tuple[NavState, np.ndarray]:
-    """Propagate mean and 15x15 covariance across ``samples``.
-
-    The covariance is symmetrized after the step and its eigenvalues are
-    floored at -1e-9 (clamped to zero when marginally negative).
-    """
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (ERROR_STATE_DIM, ERROR_STATE_DIM):
-        raise ValueError("cov must be 15x15")
-    new_state, Phi, Q = propagate_block(state, samples, noise, integration)
-    new_cov = Phi @ cov @ Phi.T + Q
-    new_cov = 0.5 * (new_cov + new_cov.T)
-    evals, evecs = np.linalg.eigh(new_cov)
-    if evals.min() < -1e-9:
-        new_cov = evecs @ np.diag(np.clip(evals, 0.0, None)) @ evecs.T
-        new_cov = 0.5 * (new_cov + new_cov.T)
-    return new_state, new_cov

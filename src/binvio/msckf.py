@@ -19,7 +19,7 @@ gain along unobservable directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr as scipy_qr
@@ -58,20 +58,24 @@ class NoConvergence(RuntimeError):
     """Landmark refinement failed to converge."""
 
 
-@dataclass(frozen=True)
-class UpdateBudget:
-    max_slam: int = 30
-    max_msckf: int = 60
-
-    def __post_init__(self):
-        if self.max_slam <= 0 or self.max_msckf <= 0:
-            raise ValueError("budgets must be positive")
+# initial standard deviations of the navigation error
+INIT_ATT_SIGMA = 1e-3
+INIT_POS_SIGMA = 1e-4
+INIT_VEL_SIGMA = 1e-2
+INIT_BG_SIGMA = 1e-3
+INIT_BA_SIGMA = 1e-2
+# initial variances of the calibration error
+EXT_ROT_VAR = 1e-3
+EXT_POS_VAR = 1e-4
+INTR_VAR = 1.0
+DIST_VAR = 1e-4
 
 
 @dataclass
 class FilterConfig:
     max_clones: int = 15
-    budget: UpdateBudget = field(default_factory=UpdateBudget)
+    max_slam_update: int = 30
+    max_msckf_update: int = 60
     sigma_px: float = 1.0
     chi2_confidence: float = 0.95
     chi2_scale: float = 1.0
@@ -79,20 +83,16 @@ class FilterConfig:
     use_fej: bool = True
     min_msckf_len: int = 4
     min_baseline_deg: float = 0.5
-    slam_stale_frames: int = 15
-    slam_before_msckf: bool = True
     paranoid_checks: bool = False
-    integration: str = "zoh"
-    # initial standard deviations
-    init_att_sigma: float = 1e-3
-    init_pos_sigma: float = 1e-4
-    init_vel_sigma: float = 1e-2
-    init_bg_sigma: float = 1e-3
-    init_ba_sigma: float = 1e-2
-    ext_rot_var: float = 1e-3
-    ext_pos_var: float = 1e-4
-    intr_var: float = 1.0
-    dist_var: float = 1e-4
+    # midpoint kills the rectified hold-the-sample bias that instantaneous
+    # synthetic samples exhibit during double-digit body rates
+    integration: str = "midpoint"
+
+    def __post_init__(self):
+        if self.max_slam_update <= 0 or self.max_msckf_update <= 0:
+            raise ValueError("update budgets must be positive")
+        if self.integration not in ("zoh", "midpoint"):
+            raise ValueError("integration must be 'zoh' or 'midpoint'")
 
 
 @dataclass
@@ -141,17 +141,17 @@ class FilterState:
         self.slam: dict[int, SlamLandmark] = {}
         d = self.dim_formula(0, 0)
         self.cov = np.zeros((d, d))
-        self.cov[0:3, 0:3] = np.eye(3) * cfg.init_att_sigma**2
-        self.cov[3:6, 3:6] = np.eye(3) * cfg.init_pos_sigma**2
-        self.cov[6:9, 6:9] = np.eye(3) * cfg.init_vel_sigma**2
-        self.cov[9:12, 9:12] = np.eye(3) * cfg.init_bg_sigma**2
-        self.cov[12:15, 12:15] = np.eye(3) * cfg.init_ba_sigma**2
+        self.cov[0:3, 0:3] = np.eye(3) * INIT_ATT_SIGMA**2
+        self.cov[3:6, 3:6] = np.eye(3) * INIT_POS_SIGMA**2
+        self.cov[6:9, 6:9] = np.eye(3) * INIT_VEL_SIGMA**2
+        self.cov[9:12, 9:12] = np.eye(3) * INIT_BG_SIGMA**2
+        self.cov[12:15, 12:15] = np.eye(3) * INIT_BA_SIGMA**2
         if cfg.estimate_calibration:
             c = ERROR_STATE_DIM
-            self.cov[c:c + 3, c:c + 3] = np.eye(3) * cfg.ext_rot_var
-            self.cov[c + 3:c + 6, c + 3:c + 6] = np.eye(3) * cfg.ext_pos_var
-            self.cov[c + 6:c + 10, c + 6:c + 10] = np.eye(4) * cfg.intr_var
-            self.cov[c + 10:c + 14, c + 10:c + 14] = np.eye(4) * cfg.dist_var
+            self.cov[c:c + 3, c:c + 3] = np.eye(3) * EXT_ROT_VAR
+            self.cov[c + 3:c + 6, c + 3:c + 6] = np.eye(3) * EXT_POS_VAR
+            self.cov[c + 6:c + 10, c + 6:c + 10] = np.eye(4) * INTR_VAR
+            self.cov[c + 10:c + 14, c + 10:c + 14] = np.eye(4) * DIST_VAR
         self.checks = RunningChecks()
 
     # -- layout ---------------------------------------------------------
@@ -501,16 +501,14 @@ def _ekf_update(state: FilterState, H: np.ndarray, r: np.ndarray) -> None:
     state.check_dimensions()
 
 
-def msckf_update(
-    state: FilterState, dead_tracks: list[FeatureTrack], budget: UpdateBudget
-) -> FilterState:
+def msckf_update(state: FilterState, dead_tracks: list[FeatureTrack]) -> FilterState:
     """Consume out-of-state tracks via left null-space projection."""
     used = 0
     H_rows = []
     r_rows = []
     cam_poses = camera_poses_now(state.clones, state.calib)
     for track in sorted(dead_tracks, key=lambda t: t.id):
-        if used >= budget.max_msckf:
+        if used >= state.cfg.max_msckf_update:
             break
         try:
             lm = triangulate(
@@ -542,10 +540,7 @@ def msckf_update(
 
 
 def slam_update(
-    state: FilterState,
-    in_state_tracks: list[FeatureTrack],
-    budget: UpdateBudget,
-    frame_index: int,
+    state: FilterState, in_state_tracks: list[FeatureTrack], frame_index: int
 ) -> FilterState:
     """Update existing in-state landmarks, then initialize promotions."""
     # (a) per-feature EKF rows for landmarks observed this frame, all from
@@ -576,7 +571,7 @@ def slam_update(
         d = state.dim()
         off_c = state.clone_offset(frame_index)
     for i, (tid, track) in enumerate(seen):
-        if participating >= budget.max_slam:
+        if participating >= state.cfg.max_slam_update:
             break
         if not in_front[i]:
             # a claimed observation of a landmark behind the camera is
@@ -605,7 +600,7 @@ def slam_update(
         state.remove_landmark(tid)
 
     # (b) delayed initialization of newly promoted tracks
-    capacity = budget.max_slam - len(state.slam)
+    capacity = state.cfg.max_slam_update - len(state.slam)
     for track in sorted(in_state_tracks, key=lambda t: t.id):
         if capacity <= 0:
             break
@@ -724,19 +719,16 @@ def process_frame(
         t2 for t2 in table.live() if t2.status is TrackStatus.IN_STATE
     ] + promotions
 
-    if cfg.slam_before_msckf:
-        slam_update(state, in_state_live, cfg.budget, frame_index)
-        msckf_update(state, dead_tracks, cfg.budget)
-    else:
-        msckf_update(state, dead_tracks, cfg.budget)
-        slam_update(state, in_state_live, cfg.budget, frame_index)
+    slam_update(state, in_state_live, frame_index)
+    msckf_update(state, dead_tracks)
 
     while len(state.clones) > cfg.max_clones:
         state.marginalize_clone(min(state.clones))
     state.checks.max_clone_count = max(state.checks.max_clone_count, len(state.clones))
 
+    # a landmark unseen for a whole window is stale
     for tid in [k for k, lm in state.slam.items()
-                if lm.last_seen_frame < frame_index - cfg.slam_stale_frames]:
+                if lm.last_seen_frame < frame_index - cfg.max_clones]:
         state.remove_landmark(tid)
         if tid in table.tracks:
             table.tracks[tid].mark_dead("stale")

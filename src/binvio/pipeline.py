@@ -95,7 +95,7 @@ def initial_state_from_gt(dataset: Dataset, config: PipelineConfig) -> FilterSta
         row[1:4].copy(),
         row[8:11].copy() if dataset.gt.shape[1] >= 11 else np.zeros(3),
     )
-    return FilterState(nav, dataset.calib, config.filter_config())
+    return FilterState(nav, dataset.calib, config.filter)
 
 
 def dataset_noise_params(dataset: Dataset, config: PipelineConfig) -> NoiseParams:
@@ -117,7 +117,7 @@ def run_pipeline(
     tracks_path=None,
 ) -> PipelineResult:
     config = config if config is not None else PipelineConfig()
-    tracker_cfg = config.tracker_config()
+    tracker_cfg = config.tracker
     noise = dataset_noise_params(dataset, config)
 
     state = initial_state_from_gt(dataset, config)
@@ -134,7 +134,7 @@ def run_pipeline(
         if isinstance(payload, GrayFrame):
             edges = detect_edges(payload, config.emulator.edge_threshold)
             corners = detect_corners(
-                payload, config.emulator.fast_threshold, tracker_cfg.max_tracks
+                payload, config.emulator.fast_threshold, tracker_cfg.n_points
             )
         else:
             corners, edges = payload
@@ -149,7 +149,7 @@ def run_pipeline(
             feathered = binary_to_intensity(edges)
 
         if tracker_cfg.feature_source is FeatureSource.SHI_TOMASI_ON_EDGES:
-            pts = shi_tomasi_on_edges(feathered, tracker_cfg.max_tracks)
+            pts = shi_tomasi_on_edges(feathered, tracker_cfg.n_points)
             corners = corners_from_points(pts, t)
 
         track_frame(table, prev_feather, feathered, corners, tracker_cfg, k)

@@ -66,17 +66,16 @@ class FeatherMap:
 
 @dataclass
 class TrackerConfig:
+    n_points: int = 800  # cap on live tracks and on corners detected per frame
     sigma_e: float = 2.5
     window: int = 21
-    max_iters: int = 30
     epsilon: float = 0.01
-    feathering_enabled: bool = True
-    feature_source: FeatureSource = FeatureSource.BIT_CORNERS
+    max_iters: int = 30
     photometric_gate: float = 20.0
     min_separation: float = 10.0
-    min_msckf_len: int = 4
-    max_tracks: int = 800
     predict_with_prev_flow: bool = True
+    feathering_enabled: bool = True
+    feature_source: FeatureSource = FeatureSource.BIT_CORNERS
 
     def __post_init__(self):
         if self.window % 2 == 0 or self.window < 3:
@@ -319,7 +318,7 @@ def track_frame(
     Tracks that fail (window out of bounds, degenerate gradients, or final
     photometric residual above the gate) are marked dead.  New tracks are
     seeded at corner pixels at least ``min_separation`` away from live
-    tracks, in (row, col) order, up to ``max_tracks`` live tracks.
+    tracks, in (row, col) order, up to ``n_points`` live tracks.
     """
     table.just_died = []
     live = table.live()
@@ -359,7 +358,7 @@ def _spawn_tracks(
     frame_index: int,
     initial_flow: np.ndarray | None = None,
 ) -> None:
-    budget = cfg.max_tracks - table.live_count()
+    budget = cfg.n_points - table.live_count()
     if budget <= 0:
         return
     rows, cols = np.nonzero(corners.bits)

@@ -1,7 +1,12 @@
+import dataclasses
+import enum
 import shutil
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from binvio.cli import main
 from binvio.config import (
@@ -15,6 +20,43 @@ from binvio.io import read_manifest, read_pose_csv
 from binvio.simgen import load_dataset
 
 
+# fields whose section validation limits their values; every other field is
+# drawn from its whole type
+CONSTRAINED = {
+    ("tracker", "window"): st.integers(1, 1000).map(lambda k: 2 * k + 1),
+    ("tracker", "sigma_e"): st.floats(min_value=0.0, exclude_min=True),
+    ("filter", "max_slam_update"): st.integers(min_value=1),
+    ("filter", "max_msckf_update"): st.integers(min_value=1),
+    ("filter", "integration"): st.sampled_from(["zoh", "midpoint"]),
+}
+
+
+def values_of(section, field, kind):
+    if (section, field) in CONSTRAINED:
+        return CONSTRAINED[section, field]
+    if kind is bool:
+        return st.booleans()
+    if kind is int:
+        return st.integers()
+    if kind is float:
+        return st.floats(allow_nan=False)
+    if issubclass(kind, enum.Enum):
+        return st.sampled_from(list(kind))
+    raise TypeError(f"no strategy for {kind}")
+
+
+@st.composite
+def pipeline_configs(draw):
+    sections = {}
+    for name, section_type in typing.get_type_hints(PipelineConfig).items():
+        hints = typing.get_type_hints(section_type)
+        sections[name] = section_type(**{
+            f.name: draw(values_of(name, f.name, hints[f.name]))
+            for f in dataclasses.fields(section_type)
+        })
+    return PipelineConfig(**sections)
+
+
 class TestConfig:
     def test_table_defaults(self):
         cfg = PipelineConfig()
@@ -26,6 +68,7 @@ class TestConfig:
         assert cfg.tracker.window == 21
 
     def test_shipped_default_file_matches_table(self):
+        assert default_config_path().read_text() == PipelineConfig().to_text()
         cfg = load_config(default_config_path())
         assert cfg == PipelineConfig()
         assert cfg.tracker.n_points == 800
@@ -34,6 +77,10 @@ class TestConfig:
         assert cfg.filter.max_msckf_update == 60
         assert cfg.tracker.sigma_e == 2.5
         assert cfg.tracker.window == 21
+
+    @given(pipeline_configs())
+    def test_round_trip_any_valid_config(self, cfg):
+        assert parse_config_text(cfg.to_text()) == cfg
 
     def test_round_trip(self):
         cfg = PipelineConfig()
@@ -50,6 +97,8 @@ class TestConfig:
         assert cfg.filter.use_fej is False
         cfg.apply_override("tracker.n_points", "400")
         assert cfg.tracker.n_points == 400
+        cfg.apply_override("filter.min_msckf_len", "6")
+        assert cfg.filter.min_msckf_len == 6
 
     def test_bad_overrides(self):
         cfg = PipelineConfig()
@@ -61,6 +110,11 @@ class TestConfig:
             cfg.apply_override("tracker.sigma_e", "abc")
         with pytest.raises(ConfigInvalid):
             cfg.apply_override("filter.use_fej", "maybe")
+        # keys the file format no longer has
+        with pytest.raises(ConfigInvalid):
+            cfg.apply_override("tracker.min_msckf_len", "4")
+        with pytest.raises(ConfigInvalid):
+            cfg.apply_override("filter.slam_before_msckf", "true")
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +218,19 @@ class TestCli:
             "--tracker.bogus", "1",
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tracker.window", "20"),
+        ("--filter.max_slam_update", "0"),
+        ("--tracker.feature_source", "bogus"),
+        ("--tracker.sigma_e", "-1"),
+        ("--filter.integration", "bogus"),
+    ])
+    def test_run_invalid_value_exit_2(self, tiny_dataset, tmp_path, flag, value):
+        pose = tmp_path / "pose.csv"
+        rc = main(["run", "--dataset", str(tiny_dataset), "--out", str(pose), flag, value])
+        assert rc == 2
+        assert not pose.exists()
 
     def test_run_missing_dataset_exit_2(self, tmp_path):
         rc = main(["run", "--dataset", str(tmp_path / "none"),

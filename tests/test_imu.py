@@ -12,8 +12,6 @@ from binvio.imu import (
     NavState,
     NoiseParams,
     TimestampGap,
-    correct_measurement,
-    propagate,
     propagate_block,
     state_transition_jacobian,
 )
@@ -23,12 +21,31 @@ NO_NOISE = NoiseParams(0.0, 0.0, 0.0, 0.0, 9.81)
 NO_NOISE_NO_G = NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def correct_measurement(sample, state, noise):
+    """Bias- and gravity-corrected body rates and kinematic acceleration.
+
+    The measurement model of ``binvio.imu`` solved for the truth; white
+    noise is not (and cannot be) subtracted.
+    """
+    omega_true = sample.omega - state.bias_gyro
+    R = state.orientation.to_matrix()
+    accel_true = sample.accel + R @ noise.gravity_vector() - state.bias_accel
+    return omega_true, accel_true
+
+
 def forward_model(omega_true, accel_true, state, noise):
     """Noise-free measurement synthesis (inverse of correct_measurement)."""
     R = state.orientation.to_matrix()
     omega_m = omega_true + state.bias_gyro
     accel_m = accel_true - R @ noise.gravity_vector() + state.bias_accel
     return omega_m, accel_m
+
+
+def propagate(state, cov, samples, noise):
+    """Mean and 15x15 covariance across ``samples``, formed as ``process_frame`` forms them."""
+    new_state, Phi, Q = propagate_block(state, samples, noise)
+    new_cov = Phi @ cov @ Phi.T + Q
+    return new_state, 0.5 * (new_cov + new_cov.T)
 
 
 def make_stream(t0, t1, rate, omega_fn, accel_fn):

@@ -8,7 +8,6 @@ from binvio.msckf import (
     FilterConfig,
     FilterState,
     InsufficientBaseline,
-    UpdateBudget,
     _inverse_depth_rows,
     msckf_update,
     slam_update,
@@ -170,7 +169,7 @@ class TestMsckfUpdate:
         pos_before = state.nav.position.copy()
         q_before = state.nav.orientation
         clone_pos = {k: c.pose.position.copy() for k, c in state.clones.items()}
-        msckf_update(state, tracks, UpdateBudget())
+        msckf_update(state, tracks)
         assert np.linalg.norm(state.nav.position - pos_before) < 1e-9
         assert state.nav.orientation.angle_to(q_before) < 1e-9
         for k, c in state.clones.items():
@@ -182,7 +181,7 @@ class TestMsckfUpdate:
             make_track(state, np.array([3.0, 0.2 * i, 0.1]), range(10), tid=i)
             for i in range(8)
         ]
-        msckf_update(state, tracks, UpdateBudget())
+        msckf_update(state, tracks)
         assert state.checks.max_nullspace_residual < 1e-9
         assert state.checks.max_nullspace_residual > 0.0  # updates actually ran
 
@@ -194,7 +193,7 @@ class TestMsckfUpdate:
             )
             for i in range(200)
         ]
-        msckf_update(state, tracks, UpdateBudget())
+        msckf_update(state, tracks)
         assert state.checks.max_msckf_in_update == 60
 
     def test_covariance_trace_never_increases(self):
@@ -204,7 +203,7 @@ class TestMsckfUpdate:
             for i in range(6)
         ]
         tr_before = np.trace(state.cov)
-        msckf_update(state, tracks, UpdateBudget())
+        msckf_update(state, tracks)
         assert np.trace(state.cov) <= tr_before + 1e-12
 
     def test_chi2_gate_monotonicity(self):
@@ -219,7 +218,7 @@ class TestMsckfUpdate:
                     tr.add_observation(f, z + rng.normal(scale=3.0, size=2))
                 tr.status = TrackStatus.DEAD
                 tracks.append(tr)
-            msckf_update(state, tracks, UpdateBudget())
+            msckf_update(state, tracks)
             return state.checks.max_msckf_in_update
 
         assert run(np.inf) == 5      # everything accepted
@@ -230,7 +229,7 @@ class TestMsckfUpdate:
         tracks = [
             make_track(state, np.array([3.0, 0.3, 0.2]), range(10), tid=0)
         ]
-        msckf_update(state, tracks, UpdateBudget())
+        msckf_update(state, tracks)
         assert np.abs(state.cov - state.cov.T).max() < 1e-10
         assert np.linalg.eigvalsh(state.cov).min() >= -1e-9
 
@@ -247,7 +246,7 @@ class TestSlamUpdate:
         landmark = np.array([3.0, 0.1, -0.2])
         self.add_landmark(state, landmark, tid=7)
         tr = make_track(state, landmark, range(10), tid=7, status=TrackStatus.IN_STATE)
-        slam_update(state, [tr], UpdateBudget(), frame_index=9)
+        slam_update(state, [tr], frame_index=9)
         assert np.linalg.norm(state.slam[7].position - landmark) < 1e-9
 
     def test_landmark_behind_camera_retired(self):
@@ -260,7 +259,7 @@ class TestSlamUpdate:
         for f in range(10):
             tr_bad.add_observation(f, np.array([128.0, 128.0]))
         tr_bad.status = TrackStatus.IN_STATE
-        slam_update(state, [tr_good, tr_bad], UpdateBudget(), frame_index=9)
+        slam_update(state, [tr_good, tr_bad], frame_index=9)
         assert 8 not in state.slam
         assert state.slam[7].last_seen_frame == 9
         state.check_dimensions()
@@ -271,7 +270,7 @@ class TestSlamUpdate:
         tr = make_track(
             state, landmark, range(15), tid=3, status=TrackStatus.OUT_OF_STATE
         )
-        slam_update(state, [tr], UpdateBudget(), frame_index=14)
+        slam_update(state, [tr], frame_index=14)
         assert 3 in state.slam
         assert tr.status is TrackStatus.IN_STATE
         assert np.linalg.norm(state.slam[3].position - landmark) < 1e-6
@@ -285,7 +284,7 @@ class TestSlamUpdate:
             tracks.append(
                 make_track(state, lm, range(15), tid=i, status=TrackStatus.OUT_OF_STATE)
             )
-        slam_update(state, tracks, UpdateBudget(), frame_index=14)
+        slam_update(state, tracks, frame_index=14)
         assert len(state.slam) <= 30
         assert state.checks.max_slam_in_update <= 30
 
@@ -295,7 +294,7 @@ class TestSlamUpdate:
         tr = make_track(
             state, landmark, range(15), tid=11, status=TrackStatus.OUT_OF_STATE
         )
-        slam_update(state, [tr], UpdateBudget(), frame_index=14)
+        slam_update(state, [tr], frame_index=14)
         off = state.slam_offset(11)
         block = state.cov[off:off + 3, off:off + 3]
         assert np.linalg.eigvalsh(block).min() > 0.0

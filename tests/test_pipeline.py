@@ -6,6 +6,7 @@ from binvio.config import PipelineConfig
 from binvio.evaluate import TrajectorySeries, associate, compute_ate_rte
 from binvio.imu import NoiseParams
 from binvio.pipeline import run_pipeline
+from binvio.tracker import FeatureSource
 
 
 def noise_free(cfg: sg.SimConfig) -> sg.SimConfig:
@@ -92,7 +93,8 @@ class TestAblationPaths:
     def test_shi_tomasi_source_runs(self):
         ds = sg.build_dataset(sg.preset_config("hostile", duration=0.5, seed=3))
         cfg = PipelineConfig()
-        cfg.tracker.feature_source = "shi-tomasi"
+        cfg.apply_override("tracker.feature_source", "shi-tomasi")
+        assert cfg.tracker.feature_source is FeatureSource.SHI_TOMASI_ON_EDGES
         res = run_pipeline(ds, cfg)
         assert res.mean_live_tracks() > 10
 

@@ -3,7 +3,7 @@ import pytest
 
 from binvio import simgen as sg
 from binvio.geometry import Pose, UnitQuaternion, project, so3_log
-from binvio.imu import NavState, NoiseParams, propagate
+from binvio.imu import NavState, NoiseParams, propagate_block
 
 NO_NOISE = NoiseParams(0.0, 0.0, 0.0, 0.0, 9.81)
 
@@ -80,7 +80,7 @@ class TestSynthesizeImu:
         state = NavState(
             g0.pose.orientation, g0.pose.position.copy(), g0.velocity.copy()
         )
-        out, _ = propagate(state, np.zeros((15, 15)), samples, NO_NOISE)
+        out, _, _ = propagate_block(state, samples, NO_NOISE)
         gT = sg.sample_ground_truth(spec, spec.duration)
         assert np.linalg.norm(out.position - gT.pose.position) < 1e-4
         assert out.orientation.angle_to(gT.pose.orientation) < 1e-5
