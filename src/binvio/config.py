@@ -113,7 +113,3 @@ def load_config(path) -> PipelineConfig:
     if not p.exists():
         raise ConfigInvalid(f"config file not found: {p}")
     return parse_config_text(p.read_text())
-
-
-def default_config_path() -> Path:
-    return Path(__file__).parent / "data" / "default.cfg"

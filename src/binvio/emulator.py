@@ -10,7 +10,7 @@ models analog readout corruption.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,14 +61,6 @@ class BinaryMap:
             raise ValueError(f"map must be {MAP_SIZE}x{MAP_SIZE}, got {bits.shape}")
         self.bits = (bits != 0).astype(np.uint8)
 
-    def count(self) -> int:
-        return int(self.bits.sum())
-
-    def coordinates(self) -> np.ndarray:
-        """Set-bit locations as an (N, 2) array of (u, v) = (col, row)."""
-        rows, cols = np.nonzero(self.bits)
-        return np.column_stack([cols, rows]).astype(float)
-
 
 def sobel_magnitude(pixels: np.ndarray) -> np.ndarray:
     """|Gx| + |Gy| of the 3x3 Sobel operator; border ring left at zero."""
@@ -94,39 +86,50 @@ def detect_edges(frame: GrayFrame, threshold: float = 80.0) -> BinaryMap:
     return BinaryMap(bits, MapKind.EDGE, frame.timestamp)
 
 
+def _arc_table() -> np.ndarray:
+    """Whether each 16-bit ring code holds FAST_ARC_LENGTH contiguous set bits."""
+    # the codes with a run from bit s: the run and any other 7 bits, rotated left by s
+    run = (1 << FAST_ARC_LENGTH) - 1
+    codes = run | (np.arange(1 << (16 - FAST_ARC_LENGTH)) << FAST_ARC_LENGTH)
+    table = np.zeros(1 << 16, dtype=bool)
+    for s in range(16):
+        table[((codes << s) | (codes >> (16 - s))) & 0xFFFF] = True
+    return table
+
+
+_ARC_TABLE = _arc_table()
+
+
 def _fast_pass_and_score(pixels: np.ndarray, threshold: float):
     """Segment test over the whole frame.
 
     Returns (passes, score): boolean map of pixels with a contiguous arc of
     at least FAST_ARC_LENGTH circle pixels all brighter than center+t or all
     darker than center-t, and a contrast score used for suppression.
+
+    One pass over the 16 ring offsets sets bit i of a uint16 "brighter" and
+    a uint16 "darker" code per pixel, and adds that offset's score terms.
+    Whether a code has its arc (wrapping around the ring) is one lookup in
+    ``_ARC_TABLE``, built at import from the 16 rotations of a 9-bit run.
     """
     img = pixels.astype(np.int32)
     h, w = img.shape
     m = 3
     center = img[m:h - m, m:w - m]
-    shape = (16,) + center.shape
-    brighter = np.zeros(shape, dtype=bool)
-    darker = np.zeros(shape, dtype=bool)
-    diffs = np.zeros(shape, dtype=np.int32)
+    bright_code = np.zeros(center.shape, dtype=np.uint16)
+    dark_code = np.zeros(center.shape, dtype=np.uint16)
+    score_b = score_d = 0
     for i, (dr, dc) in enumerate(FAST_CIRCLE):
-        ring = img[m + dr:h - m + dr, m + dc:w - m + dc]
-        diffs[i] = ring - center
-        brighter[i] = diffs[i] > threshold
-        darker[i] = diffs[i] < -threshold
+        diff = img[m + dr:h - m + dr, m + dc:w - m + dc] - center
+        brighter = diff > threshold
+        darker = diff < -threshold
+        bright_code |= brighter.astype(np.uint16) << i
+        dark_code |= darker.astype(np.uint16) << i
+        score_b = score_b + (diff - threshold) * brighter
+        score_d = score_d - (diff + threshold) * darker
 
-    def has_arc(flags):
-        doubled = np.concatenate([flags, flags[: FAST_ARC_LENGTH - 1]], axis=0)
-        hit = np.zeros(center.shape, dtype=bool)
-        for s in range(16):
-            hit |= np.logical_and.reduce(doubled[s:s + FAST_ARC_LENGTH], axis=0)
-        return hit
-
-    bright_corner = has_arc(brighter)
-    dark_corner = has_arc(darker)
-
-    score_b = np.where(brighter, diffs - threshold, 0).sum(axis=0)
-    score_d = np.where(darker, -diffs - threshold, 0).sum(axis=0)
+    bright_corner = _ARC_TABLE[bright_code]
+    dark_corner = _ARC_TABLE[dark_code]
     score_inner = np.where(bright_corner, score_b, 0) + np.where(dark_corner, score_d, 0)
 
     passes = np.zeros((h, w), dtype=bool)
@@ -134,12 +137,6 @@ def _fast_pass_and_score(pixels: np.ndarray, threshold: float):
     passes[m:h - m, m:w - m] = bright_corner | dark_corner
     score[m:h - m, m:w - m] = score_inner
     return passes, score
-
-
-def fast_segment_test(pixels: np.ndarray, threshold: float) -> np.ndarray:
-    """Raw segment-test map without suppression (exposed for verification)."""
-    passes, _ = _fast_pass_and_score(np.asarray(pixels, dtype=np.uint8), threshold)
-    return passes
 
 
 def suppress_non_maxima(passes: np.ndarray, score: np.ndarray) -> np.ndarray:

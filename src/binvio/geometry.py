@@ -23,11 +23,10 @@ polynomial is written once, in ``_distort``.  :func:`project_points` is the
 model on (N, 3) camera-frame arrays; on request it also returns
 d(pixel)/d(point) as (N, 2, 3) and d(pixel)/d(fx, fy, cx, cy, k1, k2, p1, p2)
 as (N, 2, 8), in the order of :meth:`CameraCalibration.intrinsic_vector`.
-It does not check depth: callers guarantee ``Z > 0``.  :func:`project`
-raises NonPositiveDepth at or below ``MIN_PROJECTION_DEPTH``;
-:func:`project_batch`, the renderer's path, flags such points invalid and
-shares the normalized radius with its culling.  :func:`undistort` inverts
-the distortion by fixed-point iteration.
+It does not check depth: callers guarantee ``Z > 0``.  :func:`project_batch`,
+the renderer's path, flags points below its ``min_depth`` invalid and shares
+the normalized radius with its culling.  :func:`undistort` inverts the
+distortion by fixed-point iteration.
 """
 
 from __future__ import annotations
@@ -124,10 +123,6 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([-q[0], -q[1], -q[2], q[3]])
-
-
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrix mapping global vectors into the local frame."""
     x, y, z, w = q
@@ -206,51 +201,15 @@ class UnitQuaternion:
         q = quat_normalize(np.asarray(self.xyzw, dtype=float))
         object.__setattr__(self, "xyzw", q)
 
-    @property
-    def x(self) -> float:
-        return float(self.xyzw[0])
-
-    @property
-    def y(self) -> float:
-        return float(self.xyzw[1])
-
-    @property
-    def z(self) -> float:
-        return float(self.xyzw[2])
-
-    @property
-    def w(self) -> float:
-        return float(self.xyzw[3])
-
     @staticmethod
     def identity() -> "UnitQuaternion":
         return UnitQuaternion()
-
-    @staticmethod
-    def from_axis_angle(phi: np.ndarray) -> "UnitQuaternion":
-        return UnitQuaternion(quat_from_axis_angle(np.asarray(phi, dtype=float)))
-
-    @staticmethod
-    def from_matrix(R: np.ndarray) -> "UnitQuaternion":
-        return UnitQuaternion(quat_from_matrix(np.asarray(R, dtype=float)))
 
     def to_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.xyzw)
 
     def multiply(self, other: "UnitQuaternion") -> "UnitQuaternion":
         return UnitQuaternion(quat_multiply(self.xyzw, other.xyzw))
-
-    def conjugate(self) -> "UnitQuaternion":
-        return UnitQuaternion(quat_conjugate(self.xyzw))
-
-    def rotate(self, v: np.ndarray) -> np.ndarray:
-        """Express a global vector in the local frame."""
-        return self.to_matrix() @ np.asarray(v, dtype=float)
-
-    def angle_to(self, other: "UnitQuaternion") -> float:
-        """Geodesic angle in radians between the two rotations."""
-        rel = quat_multiply(self.xyzw, quat_conjugate(other.xyzw))
-        return 2.0 * float(np.arctan2(np.linalg.norm(rel[:3]), abs(rel[3])))
 
 
 @dataclass(frozen=True)
@@ -273,10 +232,6 @@ class Pose:
         """Coordinates of a global point in this pose's frame."""
         return self.rotation() @ (np.asarray(p_global, dtype=float) - self.position)
 
-    def inverse_transform_point(self, p_local: np.ndarray) -> np.ndarray:
-        """Global coordinates of a point given in this pose's frame."""
-        return self.rotation().T @ np.asarray(p_local, dtype=float) + self.position
-
     def compose(self, inner: "Pose") -> "Pose":
         """Pose mapping global coords through ``inner`` then ``self``.
 
@@ -286,10 +241,6 @@ class Pose:
         q = self.orientation.multiply(inner.orientation)
         p = inner.position + inner.rotation().T @ self.position
         return Pose(q, p)
-
-    def inverse(self) -> "Pose":
-        q_inv = self.orientation.conjugate()
-        return Pose(q_inv, -self.rotation() @ self.position)
 
 
 @dataclass(frozen=True)
@@ -395,15 +346,6 @@ def project_points(p_cam: np.ndarray, calib: CameraCalibration, jacobians: bool 
     J_intr[:, 0, 4:8] = fx * np.column_stack([x * r2, x * r2 * r2, xy2, r2 + 2.0 * x * x])
     J_intr[:, 1, 4:8] = fy * np.column_stack([y * r2, y * r2 * r2, r2 + 2.0 * y * y, xy2])
     return px, J_point, J_intr
-
-
-def project(point: Landmark3D | np.ndarray, cam_pose: Pose, calib: CameraCalibration) -> np.ndarray:
-    """Pixel of one global point; raises NonPositiveDepth at or behind the camera."""
-    p = point.position if isinstance(point, Landmark3D) else np.asarray(point, dtype=float)
-    p_cam = cam_pose.transform_point(p)
-    if p_cam[2] <= MIN_PROJECTION_DEPTH:
-        raise NonPositiveDepth(f"camera-frame depth {p_cam[2]:.3e} <= {MIN_PROJECTION_DEPTH}")
-    return project_points(p_cam[None, :], calib)[0]
 
 
 def undistort(pixels: np.ndarray, calib: CameraCalibration, iters: int = 20) -> np.ndarray:

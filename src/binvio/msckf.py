@@ -89,8 +89,14 @@ class FilterConfig:
     integration: str = "midpoint"
 
     def __post_init__(self):
+        if self.max_clones < 1:
+            raise ValueError("max_clones must be >= 1")
         if self.max_slam_update <= 0 or self.max_msckf_update <= 0:
             raise ValueError("update budgets must be positive")
+        if not self.sigma_px > 0.0:
+            raise ValueError("sigma_px must be positive")
+        if not 0.0 < self.chi2_confidence < 1.0:
+            raise ValueError("chi2_confidence must be in (0, 1)")
         if self.integration not in ("zoh", "midpoint"):
             raise ValueError("integration must be 'zoh' or 'midpoint'")
 
@@ -120,14 +126,6 @@ class RunningChecks:
     max_clone_count: int = 0
     max_slam_in_update: int = 0
     max_msckf_in_update: int = 0
-
-    def absorb_update(self, other: "RunningChecks"):
-        self.max_nullspace_residual = max(self.max_nullspace_residual, other.max_nullspace_residual)
-        self.max_asymmetry = max(self.max_asymmetry, other.max_asymmetry)
-        self.min_eigenvalue = min(self.min_eigenvalue, other.min_eigenvalue)
-        self.max_clone_count = max(self.max_clone_count, other.max_clone_count)
-        self.max_slam_in_update = max(self.max_slam_in_update, other.max_slam_in_update)
-        self.max_msckf_in_update = max(self.max_msckf_in_update, other.max_msckf_in_update)
 
 
 class FilterState:
@@ -188,12 +186,6 @@ class FilterState:
             raise AssertionError(
                 f"covariance {self.cov.shape} does not match bookkeeping dim {d}"
             )
-
-    # -- camera geometry -------------------------------------------------
-
-    def camera_pose(self, clone: CloneEntry, fej: bool = False) -> Pose:
-        imu_pose = clone.fej if fej else clone.pose
-        return self.calib.extrinsic.compose(imu_pose)
 
     # -- structural ops ---------------------------------------------------
 

@@ -2,20 +2,16 @@ import dataclasses
 import enum
 import shutil
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from binvio import config
 from binvio.cli import main
-from binvio.config import (
-    ConfigInvalid,
-    PipelineConfig,
-    default_config_path,
-    load_config,
-    parse_config_text,
-)
+from binvio.config import ConfigInvalid, PipelineConfig, load_config, parse_config_text
 from binvio.io import read_manifest, read_pose_csv
 from binvio.simgen import load_dataset
 
@@ -25,8 +21,11 @@ from binvio.simgen import load_dataset
 CONSTRAINED = {
     ("tracker", "window"): st.integers(1, 1000).map(lambda k: 2 * k + 1),
     ("tracker", "sigma_e"): st.floats(min_value=0.0, exclude_min=True),
+    ("filter", "max_clones"): st.integers(min_value=1),
     ("filter", "max_slam_update"): st.integers(min_value=1),
     ("filter", "max_msckf_update"): st.integers(min_value=1),
+    ("filter", "sigma_px"): st.floats(min_value=0.0, exclude_min=True),
+    ("filter", "chi2_confidence"): st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     ("filter", "integration"): st.sampled_from(["zoh", "midpoint"]),
 }
 
@@ -68,8 +67,9 @@ class TestConfig:
         assert cfg.tracker.window == 21
 
     def test_shipped_default_file_matches_table(self):
-        assert default_config_path().read_text() == PipelineConfig().to_text()
-        cfg = load_config(default_config_path())
+        shipped = Path(config.__file__).parent / "data" / "default.cfg"
+        assert shipped.read_text() == PipelineConfig().to_text()
+        cfg = load_config(shipped)
         assert cfg == PipelineConfig()
         assert cfg.tracker.n_points == 800
         assert cfg.filter.max_clones == 15
@@ -225,6 +225,9 @@ class TestCli:
         ("--tracker.feature_source", "bogus"),
         ("--tracker.sigma_e", "-1"),
         ("--filter.integration", "bogus"),
+        ("--filter.max_clones", "0"),
+        ("--filter.sigma_px", "0"),
+        ("--filter.chi2_confidence", "1.5"),
     ])
     def test_run_invalid_value_exit_2(self, tiny_dataset, tmp_path, flag, value):
         pose = tmp_path / "pose.csv"

@@ -1,16 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from binvio import simgen
 from binvio.emulator import (
     FAST_ARC_LENGTH,
     FAST_CIRCLE,
     BinaryMap,
     GrayFrame,
     MapKind,
+    _budgeted_selection,
+    _fast_pass_and_score,
     detect_corners,
     detect_edges,
-    fast_segment_test,
     inject_analog_noise,
+    suppress_non_maxima,
 )
 
 SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.int64)
@@ -31,18 +38,74 @@ def brute_force_sobel_edges(pixels, threshold):
     return out
 
 
-def brute_force_segment_test(pixels, r, c, threshold):
-    """Exhaustive check of all 16 arc start positions at one pixel."""
+def ring_arcs(pixels, r, c, threshold):
+    """(bright, dark) arcs at one pixel, by checking all 16 arc start positions."""
     img = pixels.astype(np.int64)
     center = img[r, c]
     ring = np.array([img[r + dr, c + dc] for dr, dc in FAST_CIRCLE])
-    for mode in ("bright", "dark"):
-        flags = ring > center + threshold if mode == "bright" else ring < center - threshold
+    arcs = []
+    for flags in (ring > center + threshold, ring < center - threshold):
         doubled = np.concatenate([flags, flags])
+        arcs.append(any(doubled[s:s + FAST_ARC_LENGTH].all() for s in range(16)))
+    return tuple(arcs)
+
+
+def brute_force_segment_test(pixels, r, c, threshold):
+    return any(ring_arcs(pixels, r, c, threshold))
+
+
+def brute_force_score(pixels, r, c, threshold):
+    """Sum of |diff| - threshold over the ring pixels of each arc that exists."""
+    img = pixels.astype(np.int64)
+    diffs = [img[r + dr, c + dc] - img[r, c] for dr, dc in FAST_CIRCLE]
+    bright, dark = ring_arcs(pixels, r, c, threshold)
+    score = 0
+    if bright:
+        score += sum(d - threshold for d in diffs if d > threshold)
+    if dark:
+        score += sum(-d - threshold for d in diffs if d < -threshold)
+    return int(score)
+
+
+def plane_stack_pass_and_score(pixels, threshold):
+    """The segment test as 16 difference planes and 32 nine-deep reductions.
+
+    Kept as the reference that the ring-code implementation must match
+    bit for bit.
+    """
+    img = pixels.astype(np.int32)
+    h, w = img.shape
+    m = 3
+    center = img[m:h - m, m:w - m]
+    shape = (16,) + center.shape
+    brighter = np.zeros(shape, dtype=bool)
+    darker = np.zeros(shape, dtype=bool)
+    diffs = np.zeros(shape, dtype=np.int32)
+    for i, (dr, dc) in enumerate(FAST_CIRCLE):
+        ring = img[m + dr:h - m + dr, m + dc:w - m + dc]
+        diffs[i] = ring - center
+        brighter[i] = diffs[i] > threshold
+        darker[i] = diffs[i] < -threshold
+
+    def has_arc(flags):
+        doubled = np.concatenate([flags, flags[: FAST_ARC_LENGTH - 1]], axis=0)
+        hit = np.zeros(center.shape, dtype=bool)
         for s in range(16):
-            if doubled[s:s + FAST_ARC_LENGTH].all():
-                return True
-    return False
+            hit |= np.logical_and.reduce(doubled[s:s + FAST_ARC_LENGTH], axis=0)
+        return hit
+
+    bright_corner = has_arc(brighter)
+    dark_corner = has_arc(darker)
+
+    score_b = np.where(brighter, diffs - threshold, 0).sum(axis=0)
+    score_d = np.where(darker, -diffs - threshold, 0).sum(axis=0)
+    score_inner = np.where(bright_corner, score_b, 0) + np.where(dark_corner, score_d, 0)
+
+    passes = np.zeros((h, w), dtype=bool)
+    score = np.zeros((h, w), dtype=np.int64)
+    passes[m:h - m, m:w - m] = bright_corner | dark_corner
+    score[m:h - m, m:w - m] = score_inner
+    return passes, score
 
 
 def frame_from(pixels, t=0.0):
@@ -52,7 +115,7 @@ def frame_from(pixels, t=0.0):
 class TestDetectEdges:
     def test_uniform_frame_all_zero(self):
         out = detect_edges(frame_from(np.full((256, 256), 77)), threshold=80)
-        assert out.count() == 0
+        assert out.bits.sum() == 0
         assert out.kind is MapKind.EDGE
 
     def test_vertical_step_edge(self):
@@ -108,14 +171,14 @@ class TestDetectEdges:
 class TestDetectCorners:
     def test_uniform_frame_empty(self):
         out = detect_corners(frame_from(np.full((256, 256), 128)))
-        assert out.count() == 0
+        assert out.bits.sum() == 0
         assert out.kind is MapKind.CORNER
 
     def test_bright_square_corners_pass_segment_test(self):
         pixels = np.full((256, 256), 20, dtype=np.uint8)
         r0, c0 = 100, 100
         pixels[r0:r0 + 3, c0:c0 + 3] = 220
-        passes = fast_segment_test(pixels, 20)
+        passes, _ = _fast_pass_and_score(pixels, 20)
         corners = [(r0, c0), (r0, c0 + 2), (r0 + 2, c0), (r0 + 2, c0 + 2)]
         for r, c in corners:
             assert brute_force_segment_test(pixels, r, c, 20), "oracle disagrees"
@@ -124,7 +187,7 @@ class TestDetectCorners:
     def test_segment_test_matches_oracle_on_random_patches(self):
         rng = np.random.default_rng(3)
         pixels = rng.integers(0, 256, size=(256, 256), dtype=np.uint8)
-        passes = fast_segment_test(pixels, 25)
+        passes, _ = _fast_pass_and_score(pixels, 25)
         check = rng.integers(3, 253, size=(300, 2))
         for r, c in check:
             assert passes[r, c] == brute_force_segment_test(pixels, r, c, 25)
@@ -133,9 +196,9 @@ class TestDetectCorners:
         rng = np.random.default_rng(4)
         pixels = rng.integers(0, 256, size=(256, 256), dtype=np.uint8)
         out = detect_corners(frame_from(pixels), fast_threshold=5, max_points=800)
-        assert out.count() <= 800
+        assert out.bits.sum() <= 800
         out_small = detect_corners(frame_from(pixels), fast_threshold=5, max_points=50)
-        assert out_small.count() <= 50
+        assert out_small.bits.sum() <= 50
 
     def test_max_points_validation(self):
         with pytest.raises(ValueError):
@@ -145,7 +208,7 @@ class TestDetectCorners:
         rng = np.random.default_rng(5)
         pixels = rng.integers(0, 256, size=(256, 256), dtype=np.uint8)
         out = detect_corners(frame_from(pixels), fast_threshold=15)
-        passes = fast_segment_test(pixels, 15)
+        passes, _ = _fast_pass_and_score(pixels, 15)
         assert np.all(passes[out.bits.astype(bool)])
 
     def test_translation_equivariance(self):
@@ -170,6 +233,44 @@ class TestDetectCorners:
         a = detect_corners(frame_from(pixels), 10, 300)
         b = detect_corners(frame_from(pixels), 10, 300)
         np.testing.assert_array_equal(a.bits, b.bits)
+
+    @given(
+        st.integers(7, 24).flatmap(
+            lambda n: st.lists(st.integers(0, 255), min_size=n * n, max_size=n * n).map(
+                lambda v: np.array(v, dtype=np.uint8).reshape(n, n)
+            )
+        ),
+        st.one_of(st.integers(0, 60), st.integers(0, 240).map(lambda k: k / 4)),
+    )
+    def test_ring_code_matches_brute_force(self, pixels, threshold):
+        passes, score = _fast_pass_and_score(pixels, threshold)
+        ref_passes, ref_score = plane_stack_pass_and_score(pixels, threshold)
+        assert passes.tobytes() == ref_passes.tobytes()
+        assert score.tobytes() == ref_score.tobytes()
+        n = pixels.shape[0]
+        assert not passes[:3].any() and not passes[n - 3:].any()
+        assert not passes[:, :3].any() and not passes[:, n - 3:].any()
+        for r in range(3, n - 3):
+            for c in range(3, n - 3):
+                assert passes[r, c] == brute_force_segment_test(pixels, r, c, threshold)
+                assert score[r, c] == brute_force_score(pixels, r, c, threshold)
+
+    def test_maps_match_plane_stack_on_gentle_frames(self):
+        cfg = replace(simgen.preset_config("gentle", seed=4, duration=0.06), mode="grayscale")
+        frames = [frame for _, frame in simgen.build_dataset(cfg).iter_frames()]
+        assert len(frames) == 15
+        for frame in frames:
+            for threshold in (20.0, 20.5, 25):
+                passes, score = plane_stack_pass_and_score(frame.pixels, threshold)
+                got_passes, got_score = _fast_pass_and_score(frame.pixels, threshold)
+                np.testing.assert_array_equal(got_passes, passes)
+                np.testing.assert_array_equal(got_score, score)
+                assert got_score.dtype == score.dtype
+                keep = suppress_non_maxima(passes, score)
+                for cap in (800, 100):
+                    expected = _budgeted_selection(keep, score, cap).astype(np.uint8)
+                    got = detect_corners(frame, threshold, cap).bits
+                    assert got.tobytes() == expected.tobytes()
 
 
 class TestInjectAnalogNoise:

@@ -11,7 +11,7 @@ from binvio.evaluate import (
     compute_ate_rte,
     feature_error_correlation,
 )
-from binvio.geometry import UnitQuaternion, quat_from_axis_angle, quat_multiply
+from binvio.geometry import UnitQuaternion, quat_from_axis_angle, quat_from_matrix, quat_multiply
 
 
 def make_series(t, positions, quats=None):
@@ -125,7 +125,7 @@ class TestAteRte:
         t = rng.normal(size=3)
         est_pos = gt.positions @ R.T + t
         est_q = np.array(
-            [quat_multiply(gt.quaternions[i], UnitQuaternion.from_matrix(R).xyzw)
+            [quat_multiply(gt.quaternions[i], quat_from_matrix(R))
              for i in range(len(gt))]
         )
         est = TrajectorySeries(gt.t, est_pos, est_q)
