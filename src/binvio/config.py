@@ -17,6 +17,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .emulator import MAX_EDGE_THRESHOLD, MAX_FLIP_RATE
 from .msckf import FilterConfig
 from .tracker import TrackerConfig
 
@@ -30,6 +31,14 @@ class EmulatorSection:
     edge_threshold: float = 80.0
     fast_threshold: float = 20.0
     noise_flip_rate: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 < self.edge_threshold <= MAX_EDGE_THRESHOLD:
+            raise ValueError(f"edge_threshold must be in (0, {MAX_EDGE_THRESHOLD}]")
+        if not self.fast_threshold >= 0.0:
+            raise ValueError("fast_threshold must be >= 0")
+        if not 0.0 <= self.noise_flip_rate <= MAX_FLIP_RATE:
+            raise ValueError(f"noise_flip_rate must be in [0, {MAX_FLIP_RATE}]")
 
 
 @dataclass

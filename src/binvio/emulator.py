@@ -27,6 +27,8 @@ FAST_CIRCLE = np.array(
 FAST_ARC_LENGTH = 9
 MAX_CORNER_POINTS = 800
 CORNER_GRID_CELLS = 8
+MAX_EDGE_THRESHOLD = 255 * 8  # largest Sobel |Gx| + |Gy| of 8-bit pixels
+MAX_FLIP_RATE = 0.05
 
 
 class MapKind(enum.Enum):
@@ -80,8 +82,8 @@ def sobel_magnitude(pixels: np.ndarray) -> np.ndarray:
 
 def detect_edges(frame: GrayFrame, threshold: float = 80.0) -> BinaryMap:
     """Binary edge map: set where Sobel |Gx|+|Gy| reaches ``threshold``."""
-    if not 0.0 < threshold <= 255 * 8:
-        raise ValueError("threshold must be in (0, 2040]")
+    if not 0.0 < threshold <= MAX_EDGE_THRESHOLD:
+        raise ValueError(f"threshold must be in (0, {MAX_EDGE_THRESHOLD}]")
     bits = (sobel_magnitude(frame.pixels) >= threshold).astype(np.uint8)
     return BinaryMap(bits, MapKind.EDGE, frame.timestamp)
 
@@ -202,8 +204,8 @@ def detect_corners(
 
 def inject_analog_noise(bmap: BinaryMap, flip_rate: float, seed: int) -> BinaryMap:
     """Flip each bit independently with probability ``flip_rate`` (seeded)."""
-    if not 0.0 <= flip_rate <= 0.05:
-        raise ValueError("flip_rate must be in [0, 0.05]")
+    if not 0.0 <= flip_rate <= MAX_FLIP_RATE:
+        raise ValueError(f"flip_rate must be in [0, {MAX_FLIP_RATE}]")
     if flip_rate == 0.0:
         return BinaryMap(bmap.bits.copy(), bmap.kind, bmap.timestamp)
     rng = np.random.default_rng(seed)

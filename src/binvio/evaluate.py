@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import UnitQuaternion, quat_to_matrix, so3_log
+from .geometry import quat_to_matrix, so3_log
 
 
 class NoOverlap(RuntimeError):

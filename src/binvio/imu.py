@@ -11,8 +11,11 @@ Measurements model specific force: with the gravity acceleration vector
     a_m     = R(q) (a_global - g) + b_a + n_a
 
 so the body-frame kinematic acceleration is ``a_m + R(q) g - b_a``.
-Samples are integrated zeroth-order-hold: sample k's measurement is held
-over [t_k, t_{k+1}); the final sample only closes the interval.
+``propagate_block`` holds one measurement over each interval [t_k, t_{k+1}).
+With ``integration="zoh"`` that is sample k's, and the final sample only
+closes the interval.  With ``"midpoint"``, which the filter runs by default
+(``FilterConfig.integration``), it is the mean of samples k and k + 1, and
+the translational integrals use the half-step attitude.
 """
 
 from __future__ import annotations

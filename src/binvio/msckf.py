@@ -13,8 +13,8 @@ calibration when estimated).  In-state landmarks get plain EKF updates and
 delayed initialization with the QR-split Jacobian construction.
 
 Measurement Jacobians are evaluated at first-estimate values for clones
-and in-state landmarks (toggle ``use_fej``) to avoid spurious information
-gain along unobservable directions.
+and in-state landmarks (``FilterConfig.use_fej``, on by default) to avoid
+spurious information gain along unobservable directions.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .geometry import (
     undistort,
 )
 from .imu import ERROR_STATE_DIM, NavState, NoiseParams, propagate_block
-from .tracker import FeatureTrack, TrackStatus, TrackTable, classify_tracks
+from .tracker import FeatureTrack, TrackStatus, TrackTable
 
 CLONE_DIM = 6
 LANDMARK_DIM = 3
@@ -129,7 +129,12 @@ class RunningChecks:
 
 
 class FilterState:
-    """Joint estimate plus covariance with dimension bookkeeping."""
+    """Joint estimate plus covariance, with the offset of every block in it.
+
+    ``clone_at`` and ``slam_at`` map a clone's frame index and a landmark's
+    track id to the first row of its block in ``cov``.  They are rebuilt
+    after each structural op, which all go through ``_grow`` and ``_shrink``.
+    """
 
     def __init__(self, nav: NavState, calib: CameraCalibration, cfg: FilterConfig):
         self.nav = nav
@@ -137,7 +142,7 @@ class FilterState:
         self.cfg = cfg
         self.clones: dict[int, CloneEntry] = {}
         self.slam: dict[int, SlamLandmark] = {}
-        d = self.dim_formula(0, 0)
+        d = ERROR_STATE_DIM + self.calib_dim()
         self.cov = np.zeros((d, d))
         self.cov[0:3, 0:3] = np.eye(3) * INIT_ATT_SIGMA**2
         self.cov[3:6, 3:6] = np.eye(3) * INIT_POS_SIGMA**2
@@ -151,105 +156,78 @@ class FilterState:
             self.cov[c + 6:c + 10, c + 6:c + 10] = np.eye(4) * INTR_VAR
             self.cov[c + 10:c + 14, c + 10:c + 14] = np.eye(4) * DIST_VAR
         self.checks = RunningChecks()
+        self._reindex()
 
     # -- layout ---------------------------------------------------------
 
     def calib_dim(self) -> int:
         return CALIB_DIM if self.cfg.estimate_calibration else 0
 
-    def dim_formula(self, n_clones: int, n_slam: int) -> int:
-        return ERROR_STATE_DIM + self.calib_dim() + CLONE_DIM * n_clones + LANDMARK_DIM * n_slam
-
     def dim(self) -> int:
-        return self.dim_formula(len(self.clones), len(self.slam))
+        return self.cov.shape[0]
 
-    def calib_offset(self) -> int:
-        return ERROR_STATE_DIM
+    def _reindex(self) -> None:
+        """Rebuild ``clone_at`` and ``slam_at``; clones are kept in frame order."""
+        at = ERROR_STATE_DIM + self.calib_dim()
+        self.clone_at: dict[int, int] = {}
+        for frame_index in self.clones:
+            self.clone_at[frame_index] = at
+            at += CLONE_DIM
+        self.slam_at: dict[int, int] = {}
+        for track_id in self.slam:
+            self.slam_at[track_id] = at
+            at += LANDMARK_DIM
+        if self.cov.shape != (at, at):
+            raise AssertionError(f"covariance {self.cov.shape} does not match layout dim {at}")
 
-    def clone_offset(self, frame_index: int) -> int:
-        base = ERROR_STATE_DIM + self.calib_dim()
-        for i, k in enumerate(sorted(self.clones)):
-            if k == frame_index:
-                return base + CLONE_DIM * i
-        raise KeyError(f"no clone for frame {frame_index}")
+    def _grow(self, at: int, cross: np.ndarray, block: np.ndarray) -> None:
+        """Insert a block at row ``at``: ``cross`` (k, d) against the old state, ``block`` (k, k)."""
+        k, d = cross.shape
+        b = at + k
+        P = self.cov
+        new = np.empty((d + k, d + k))
+        new[:at, :at], new[:at, b:] = P[:at, :at], P[:at, at:]
+        new[b:, :at], new[b:, b:] = P[at:, :at], P[at:, at:]
+        new[at:b, :at], new[at:b, b:] = cross[:, :at], cross[:, at:]
+        new[:at, at:b], new[b:, at:b] = cross[:, :at].T, cross[:, at:].T
+        new[at:b, at:b] = block
+        self.cov = new
+        self._reindex()
 
-    def slam_offset(self, track_id: int) -> int:
-        base = ERROR_STATE_DIM + self.calib_dim() + CLONE_DIM * len(self.clones)
-        for i, k in enumerate(self.slam):
-            if k == track_id:
-                return base + LANDMARK_DIM * i
-        raise KeyError(f"no landmark for track {track_id}")
-
-    def check_dimensions(self) -> None:
-        d = self.dim()
-        if self.cov.shape != (d, d):
-            raise AssertionError(
-                f"covariance {self.cov.shape} does not match bookkeeping dim {d}"
-            )
+    def _shrink(self, at: int, k: int) -> None:
+        """Marginalize the ``k`` error dims starting at row ``at``."""
+        idx = np.arange(at, at + k)
+        self.cov = np.delete(np.delete(self.cov, idx, axis=0), idx, axis=1)
+        self._reindex()
 
     # -- structural ops ---------------------------------------------------
 
-    def clone_pose(self, frame_index: int, defer_marginalization: bool = False) -> None:
-        """Append the current IMU pose as a clone, augmenting covariance."""
-        if frame_index in self.clones:
-            raise ValueError(f"frame {frame_index} already cloned")
+    def clone_pose(self, frame_index: int) -> None:
+        """Append the current IMU pose as the newest clone, augmenting covariance."""
+        if self.clones and frame_index <= max(self.clones):
+            raise ValueError(f"frame {frame_index} is not newer than every clone")
         pose = Pose(self.nav.orientation, self.nav.position.copy())
-        insert_at = ERROR_STATE_DIM + self.calib_dim() + CLONE_DIM * len(self.clones)
+        at = ERROR_STATE_DIM + self.calib_dim() + CLONE_DIM * len(self.clones)
         self.clones[frame_index] = CloneEntry(pose, pose, frame_index)
-
-        d_old = self.cov.shape[0]
-        new = np.zeros((d_old + CLONE_DIM, d_old + CLONE_DIM))
-        pre = slice(0, insert_at)
-        post_old = slice(insert_at, d_old)
-        post_new = slice(insert_at + CLONE_DIM, d_old + CLONE_DIM)
-        ins = slice(insert_at, insert_at + CLONE_DIM)
-        new[pre, pre] = self.cov[pre, pre]
-        new[pre, post_new] = self.cov[pre, post_old]
-        new[post_new, pre] = self.cov[post_old, pre]
-        new[post_new, post_new] = self.cov[post_old, post_old]
         # the clone error is an exact copy of the nav attitude/position error
-        nav_rows = np.r_[0:3, 3:6]
-        new[ins, pre] = self.cov[nav_rows, :][:, pre]
-        new[ins, post_new] = self.cov[nav_rows, :][:, post_old]
-        new[pre, ins] = new[ins, pre].T
-        new[post_new, ins] = new[ins, post_new].T
-        new[ins, ins] = self.cov[np.ix_(nav_rows, nav_rows)]
-        self.cov = new
-        self.check_dimensions()
-
-        if not defer_marginalization:
-            while len(self.clones) > self.cfg.max_clones:
-                self.marginalize_clone(min(self.clones))
+        self._grow(at, self.cov[0:6], self.cov[0:6, 0:6])
 
     def marginalize_clone(self, frame_index: int) -> None:
-        off = self.clone_offset(frame_index)
-        idx = np.arange(off, off + CLONE_DIM)
-        self.cov = np.delete(np.delete(self.cov, idx, axis=0), idx, axis=1)
         del self.clones[frame_index]
-        self.check_dimensions()
+        self._shrink(self.clone_at[frame_index], CLONE_DIM)
 
     def add_landmark(self, track_id: int, position, fej, cov_ff, cov_fx, frame_index: int):
-        d_old = self.cov.shape[0]
-        new = np.zeros((d_old + LANDMARK_DIM, d_old + LANDMARK_DIM))
-        new[:d_old, :d_old] = self.cov
-        new[d_old:, :d_old] = cov_fx
-        new[:d_old, d_old:] = cov_fx.T
-        new[d_old:, d_old:] = cov_ff
-        self.cov = new
         self.slam[track_id] = SlamLandmark(
             np.asarray(position, dtype=float).copy(),
             np.asarray(fej, dtype=float).copy(),
             track_id,
             frame_index,
         )
-        self.check_dimensions()
+        self._grow(self.dim(), cov_fx, cov_ff)
 
     def remove_landmark(self, track_id: int) -> None:
-        off = self.slam_offset(track_id)
-        idx = np.arange(off, off + LANDMARK_DIM)
-        self.cov = np.delete(np.delete(self.cov, idx, axis=0), idx, axis=1)
         del self.slam[track_id]
-        self.check_dimensions()
+        self._shrink(self.slam_at[track_id], LANDMARK_DIM)
 
     # -- corrections ------------------------------------------------------
 
@@ -258,7 +236,7 @@ class FilterState:
             raise ValueError("correction has wrong dimension")
         self.nav.apply_error(dx[0:ERROR_STATE_DIM])
         if self.cfg.estimate_calibration:
-            c = self.calib_offset()
+            c = ERROR_STATE_DIM
             dq = quat_from_axis_angle(dx[c:c + 3])
             ext = self.calib.extrinsic
             new_ext = Pose(
@@ -267,15 +245,14 @@ class FilterState:
             )
             vec = self.calib.intrinsic_vector() + dx[c + 6:c + 14]
             self.calib = CameraCalibration.from_intrinsic_vector(vec, new_ext)
-        for frame_index in sorted(self.clones):
-            off = self.clone_offset(frame_index)
-            entry = self.clones[frame_index]
+        for frame_index, entry in self.clones.items():
+            off = self.clone_at[frame_index]
             dq = quat_from_axis_angle(dx[off:off + 3])
             q = UnitQuaternion(quat_normalize(quat_multiply(dq, entry.pose.orientation.xyzw)))
             entry.pose = Pose(q, entry.pose.position + dx[off + 3:off + 6])
-        for tid in self.slam:
-            off = self.slam_offset(tid)
-            self.slam[tid].position = self.slam[tid].position + dx[off:off + 3]
+        for tid, lm in self.slam.items():
+            off = self.slam_at[tid]
+            lm.position = lm.position + dx[off:off + 3]
 
     def symmetrize(self) -> None:
         asym = float(np.abs(self.cov - self.cov.T).max())
@@ -431,7 +408,7 @@ def _observation_jacobians(
 def _stack_track_rows(
     state: FilterState, track: FeatureTrack, p_global: np.ndarray, cam_poses: dict[int, Pose]
 ):
-    """Residuals and Jacobians for all of a track's in-window observations."""
+    """Residuals (2m,) and Jacobians (2m, d) and (2m, 3) of a track's in-window observations."""
     obs = [(f, z) for f, z in track.observations if f in state.clones]
     frames = [f for f, _ in obs]
     m = len(obs)
@@ -442,12 +419,29 @@ def _stack_track_rows(
         raise NonPositiveDepth("landmark at or behind an observing camera")
     r = (np.array([z for _, z in obs], dtype=float) - pred).ravel()
     H_x = np.zeros((2 * m, state.dim()))
-    cols = np.repeat([state.clone_offset(f) for f in frames], 2)[:, None] + np.arange(CLONE_DIM)
+    cols = np.repeat([state.clone_at[f] for f in frames], 2)[:, None] + np.arange(CLONE_DIM)
     H_x[np.arange(2 * m)[:, None], cols] = H_clone.reshape(2 * m, CLONE_DIM)
     if H_calib is not None:
-        c = state.calib_offset()
-        H_x[:, c:c + CALIB_DIM] = H_calib.reshape(2 * m, CALIB_DIM)
-    return r, H_x, H_f.reshape(2 * m, 3), m
+        H_x[:, ERROR_STATE_DIM:ERROR_STATE_DIM + CALIB_DIM] = H_calib.reshape(2 * m, CALIB_DIM)
+    return r, H_x, H_f.reshape(2 * m, 3)
+
+
+def _track_system(state: FilterState, track: FeatureTrack, cam_poses: dict[int, Pose]):
+    """Triangulate a track and stack its rows; None when its geometry fails.
+
+    Returns ``(position, r, H_x, H_f, Q, R)``, with ``Q R = H_f`` the full QR
+    of the landmark Jacobian.  A track that triangulates has at least two
+    in-window observations, so ``H_f`` has at least four rows.
+    """
+    try:
+        lm = triangulate(
+            track, state.clones, state.calib, state.cfg.min_baseline_deg, cam_poses=cam_poses
+        )
+        r, H_x, H_f = _stack_track_rows(state, track, lm.position, cam_poses)
+    except (InsufficientBaseline, BehindCamera, NoConvergence, NonPositiveDepth):
+        return None
+    Q, R = scipy_qr(H_f, mode="full")
+    return lm.position, r, H_x, H_f, Q, R
 
 
 _CHI2_TABLE: dict[tuple[float, int], float] = {}
@@ -490,7 +484,6 @@ def _ekf_update(state: FilterState, H: np.ndarray, r: np.ndarray) -> None:
     state.cov = IKH @ state.cov @ IKH.T + sigma2 * (K @ K.T)
     state.symmetrize()
     state.apply_correction(dx)
-    state.check_dimensions()
 
 
 def msckf_update(state: FilterState, dead_tracks: list[FeatureTrack]) -> FilterState:
@@ -502,25 +495,17 @@ def msckf_update(state: FilterState, dead_tracks: list[FeatureTrack]) -> FilterS
     for track in sorted(dead_tracks, key=lambda t: t.id):
         if used >= state.cfg.max_msckf_update:
             break
-        try:
-            lm = triangulate(
-                track, state.clones, state.calib, state.cfg.min_baseline_deg,
-                cam_poses=cam_poses,
-            )
-            r, H_x, H_f, m = _stack_track_rows(state, track, lm.position, cam_poses)
-        except (InsufficientBaseline, BehindCamera, NoConvergence, NonPositiveDepth):
+        system = _track_system(state, track, cam_poses)
+        if system is None:
             continue
-        if m < 2:
-            continue
-        Q, _ = scipy_qr(H_f, mode="full")
+        _, r, H_x, H_f, Q, _ = system
         N = Q[:, 3:]
-        ns_residual = float(np.linalg.norm(N.T @ H_f))
         state.checks.max_nullspace_residual = max(
-            state.checks.max_nullspace_residual, ns_residual
+            state.checks.max_nullspace_residual, float(np.linalg.norm(N.T @ H_f))
         )
         H_o = N.T @ H_x
         r_o = N.T @ r
-        if not _chi2_gate(state, H_o, r_o, 2 * m - 3):
+        if not _chi2_gate(state, H_o, r_o, r.size - 3):
             continue
         H_rows.append(H_o)
         r_rows.append(r_o)
@@ -561,7 +546,7 @@ def slam_update(
             c_now[~in_front, 2] = 1.0
             pred = project_points(c_now, state.calib)
         d = state.dim()
-        off_c = state.clone_offset(frame_index)
+        off_c = state.clone_at[frame_index]
     for i, (tid, track) in enumerate(seen):
         if participating >= state.cfg.max_slam_update:
             break
@@ -574,11 +559,10 @@ def slam_update(
         r = np.asarray(track.last_position(), dtype=float) - pred[i]
         H = np.zeros((2, d))
         H[:, off_c:off_c + CLONE_DIM] = H_clone[i]
-        off_f = state.slam_offset(tid)
+        off_f = state.slam_at[tid]
         H[:, off_f:off_f + LANDMARK_DIM] = H_f[i]
         if H_calib is not None:
-            c = state.calib_offset()
-            H[:, c:c + CALIB_DIM] = H_calib[i]
+            H[:, ERROR_STATE_DIM:ERROR_STATE_DIM + CALIB_DIM] = H_calib[i]
         if not _chi2_gate(state, H, r, 2):
             continue
         H_rows.append(H)
@@ -596,22 +580,14 @@ def slam_update(
     for track in sorted(in_state_tracks, key=lambda t: t.id):
         if capacity <= 0:
             break
-        if track.id in state.slam or track.status is not TrackStatus.OUT_OF_STATE:
+        # a track with a landmark is in state, or dead until the landmark goes
+        if track.status is not TrackStatus.OUT_OF_STATE or frame_index < track.retry_after:
             continue
-        if frame_index < track.retry_after:
-            continue
-        try:
-            lm = triangulate(
-                track, state.clones, state.calib, state.cfg.min_baseline_deg,
-                cam_poses=cam_poses,
-            )
-            r, H_x, H_f, m = _stack_track_rows(state, track, lm.position, cam_poses)
-        except (InsufficientBaseline, BehindCamera, NoConvergence, NonPositiveDepth):
+        system = _track_system(state, track, cam_poses)
+        if system is None:
             track.retry_after = frame_index + 5
             continue
-        if m < 2:
-            continue
-        Q, R_full = scipy_qr(H_f, mode="full")
+        p_tri, r, H_x, _, Q, R_full = system
         R1 = R_full[:3, :]
         if np.abs(np.diag(R1)).min() < 1e-9 * max(1.0, np.abs(R1).max()):
             continue
@@ -622,17 +598,16 @@ def slam_update(
         sigma2 = state.cfg.sigma_px**2
         cov_ff = M @ state.cov @ M.T + sigma2 * (R1_inv @ R1_inv.T)
         cov_fx = M @ state.cov
-        position = lm.position + R1_inv @ r1
+        position = p_tri + R1_inv @ r1
         state.add_landmark(track.id, position, position, cov_ff, cov_fx, frame_index)
         track.mark_in_state()
         capacity -= 1
-        # leftover rows are landmark-free: consume them as a plain update
-        if 2 * m > 3:
-            N = Q[:, 3:]
-            H_o = np.hstack([N.T @ H_x, np.zeros((2 * m - 3, LANDMARK_DIM))])
-            r_o = N.T @ r
-            if _chi2_gate(state, H_o, r_o, 2 * m - 3):
-                _ekf_update(state, H_o, r_o)
+        # the other 2m - 3 rows are landmark-free: consume them as a plain update
+        N = Q[:, 3:]
+        H_o = np.hstack([N.T @ H_x, np.zeros((r.size - 3, LANDMARK_DIM))])
+        r_o = N.T @ r
+        if _chi2_gate(state, H_o, r_o, r.size - 3):
+            _ekf_update(state, H_o, r_o)
     return state
 
 
@@ -650,11 +625,28 @@ class FrameResult:
 
 
 def _paranoid(state: FilterState) -> None:
-    state.check_dimensions()
     asym = float(np.abs(state.cov - state.cov.T).max())
     state.checks.max_asymmetry = max(state.checks.max_asymmetry, asym)
     evals = np.linalg.eigvalsh(0.5 * (state.cov + state.cov.T))
     state.checks.min_eigenvalue = min(state.checks.min_eigenvalue, float(evals.min()))
+
+
+def route_tracks(table: TrackTable, cfg: FilterConfig):
+    """This frame's promotion candidates and MSCKF tracks, each sorted by id.
+
+    Live out-of-state tracks seen for ``cfg.max_clones`` frames are promoted
+    to in-state landmarks; tracks that just died with at least
+    ``cfg.min_msckf_len`` observations feed the MSCKF update.
+    """
+    promote = [
+        t for t in table.tracks.values()
+        if t.status is TrackStatus.OUT_OF_STATE and t.length() >= cfg.max_clones
+    ]
+    dead = [
+        table.tracks[tid] for tid in table.just_died
+        if table.tracks[tid].length() >= cfg.min_msckf_len
+    ]
+    return sorted(promote, key=lambda t: t.id), sorted(dead, key=lambda t: t.id)
 
 
 def process_frame(
@@ -683,30 +675,9 @@ def process_frame(
         P[n:, :n] = P[:n, n:].T
         state.symmetrize()
 
-    state.clone_pose(frame_index, defer_marginalization=True)
+    state.clone_pose(frame_index)
 
-    promote_ids, msckf_ids = classify_tracks(table, cfg.max_clones, cfg.min_msckf_len)
-    # dead tracks at or beyond the window length are equally usable
-    msckf_ids = set(msckf_ids)
-    for tid in table.just_died:
-        if table.tracks[tid].length() >= cfg.max_clones:
-            msckf_ids.add(tid)
-    # live unpromoted tracks about to lose their oldest observation are
-    # consumed now and retired (standard window-exit behavior)
-    oldest_frame = min(state.clones)
-    promote_set = set(promote_ids)
-    for tr in table.live():
-        if (
-            tr.status is TrackStatus.OUT_OF_STATE
-            and tr.id not in promote_set
-            and tr.length() >= cfg.max_clones
-            and tr.observations[0][0] <= oldest_frame
-        ):
-            tr.mark_dead("window-exit")
-            msckf_ids.add(tr.id)
-
-    promotions = [table.tracks[tid] for tid in promote_ids]
-    dead_tracks = [table.tracks[tid] for tid in sorted(msckf_ids)]
+    promotions, dead_tracks = route_tracks(table, cfg)
     in_state_live = [
         t2 for t2 in table.live() if t2.status is TrackStatus.IN_STATE
     ] + promotions
@@ -718,17 +689,14 @@ def process_frame(
         state.marginalize_clone(min(state.clones))
     state.checks.max_clone_count = max(state.checks.max_clone_count, len(state.clones))
 
-    # a landmark unseen for a whole window is stale
-    for tid in [k for k, lm in state.slam.items()
-                if lm.last_seen_frame < frame_index - cfg.max_clones]:
-        state.remove_landmark(tid)
-        if tid in table.tracks:
-            table.tracks[tid].mark_dead("stale")
-
-    # tracks promoted to landmarks that died stop updating; drop their state
-    for tid in [k for k in state.slam if k in table.tracks
-                and table.tracks[k].status is TrackStatus.DEAD]:
-        state.remove_landmark(tid)
+    # retire landmarks whose track died or that went unseen for a whole window
+    # (stale); prune_dead keeps every landmark's track in the table
+    for tid in list(state.slam):
+        track = table.tracks[tid]
+        if state.slam[tid].last_seen_frame < frame_index - cfg.max_clones:
+            track.mark_dead("stale")
+        if track.status is TrackStatus.DEAD:
+            state.remove_landmark(tid)
 
     table.prune_dead(keep_ids=state.slam.keys())
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .emulator import GrayFrame, detect_corners, detect_edges, inject_analog_noi
 from .evaluate import TrajectorySeries
 from .geometry import UnitQuaternion
 from .imu import ImuSample, NavState, NoiseParams, TimestampGap
-from .msckf import FilterState, FrameResult, process_frame
+from .msckf import FilterState, process_frame
 from .simgen import Dataset
 from .tracker import (
     FeatureSource,

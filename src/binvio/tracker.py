@@ -399,28 +399,6 @@ def _spawn_tracks(
         budget -= 1
 
 
-def classify_tracks(table: TrackTable, n_clones: int, min_msckf_len: int = 4):
-    """Split tracks into in-state promotion and dead-track update candidates.
-
-    Live tracks observed for at least ``n_clones`` frames are promotion
-    candidates; tracks that just died with between ``min_msckf_len`` and
-    ``n_clones - 1`` observations go to the multi-view update path.
-    """
-    if n_clones < 1:
-        raise ValueError("n_clones must be >= 1")
-    in_state = [
-        t.id
-        for t in table.tracks.values()
-        if t.status is TrackStatus.OUT_OF_STATE and t.length() >= n_clones
-    ]
-    out_of_state = [
-        tid
-        for tid in table.just_died
-        if min_msckf_len <= table.tracks[tid].length() < n_clones
-    ]
-    return sorted(in_state), sorted(out_of_state)
-
-
 def shi_tomasi_on_edges(feathered: FeatherMap, max_points: int) -> np.ndarray:
     """Minimum-eigenvalue corners of the feathered image, strongest first.
 

@@ -27,6 +27,9 @@ CONSTRAINED = {
     ("filter", "sigma_px"): st.floats(min_value=0.0, exclude_min=True),
     ("filter", "chi2_confidence"): st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     ("filter", "integration"): st.sampled_from(["zoh", "midpoint"]),
+    ("emulator", "edge_threshold"): st.floats(0.0, 2040.0, exclude_min=True),
+    ("emulator", "fast_threshold"): st.floats(min_value=0.0),
+    ("emulator", "noise_flip_rate"): st.floats(0.0, 0.05),
 }
 
 
@@ -228,6 +231,9 @@ class TestCli:
         ("--filter.max_clones", "0"),
         ("--filter.sigma_px", "0"),
         ("--filter.chi2_confidence", "1.5"),
+        ("--emulator.edge_threshold", "0"),
+        ("--emulator.noise_flip_rate", "0.2"),
+        ("--emulator.fast_threshold", "-5"),
     ])
     def test_run_invalid_value_exit_2(self, tiny_dataset, tmp_path, flag, value):
         pose = tmp_path / "pose.csv"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from binvio.geometry import Pose, UnitQuaternion, project_points, quat_from_axis_angle
-from binvio.imu import NavState
+from binvio.imu import NavState, NoiseParams
 from binvio.msckf import (
     BehindCamera,
     FilterConfig,
@@ -10,11 +12,13 @@ from binvio.msckf import (
     InsufficientBaseline,
     _inverse_depth_rows,
     msckf_update,
+    process_frame,
+    route_tracks,
     slam_update,
     triangulate,
 )
 from binvio.simgen import default_calibration
-from binvio.tracker import FeatureTrack, TrackStatus
+from binvio.tracker import FeatureTrack, TrackStatus, TrackTable
 
 
 def make_state(n_clones=10, estimate_calib=False, spacing=0.12, **cfg_kw):
@@ -28,7 +32,7 @@ def make_state(n_clones=10, estimate_calib=False, spacing=0.12, **cfg_kw):
             UnitQuaternion(quat_from_axis_angle(np.array([0.0, 0.0, 0.02 * k]))),
             np.array([0.05 * np.sin(k), spacing * k, 0.03 * np.cos(k)]),
         )
-        state.clone_pose(k, defer_marginalization=True)
+        state.clone_pose(k)
     return state
 
 
@@ -66,7 +70,7 @@ class TestClonePose:
         state = FilterState(NavState(), calib, cfg)
         P0 = state.cov.copy()
         state.clone_pose(0)
-        off = state.clone_offset(0)
+        off = state.clone_at[0]
         nav_rows = np.r_[0:3, 3:6]
         np.testing.assert_array_equal(
             state.cov[off:off + 6, off:off + 6], P0[np.ix_(nav_rows, nav_rows)]
@@ -76,17 +80,20 @@ class TestClonePose:
         )
 
     def test_window_cap(self):
+        # the cap runs in process_frame, after the updates of the frame
         calib = default_calibration()
         state = FilterState(NavState(), calib, FilterConfig(estimate_calibration=False))
+        noise = NoiseParams(2e-4, 2e-3, 2e-6, 3e-5, 9.81)
         for k in range(20):
-            state.clone_pose(k)
+            process_frame(state, TrackTable(), [], noise, k, k / 250.0)
         assert len(state.clones) == 15
         assert sorted(state.clones) == list(range(5, 20))
-        state.check_dimensions()
+        assert state.dim() == 15 + 6 * 15
+        assert state.checks.max_clone_count == 15
 
     def test_marginalization_preserves_remaining_marginals(self):
         state = make_state(5)
-        oldest = state.clone_offset(0)
+        oldest = state.clone_at[0]
         keep = np.r_[0:oldest, oldest + 6:state.dim()]
         expected = state.cov[np.ix_(keep, keep)].copy()
         state.marginalize_clone(0)
@@ -97,7 +104,162 @@ class TestClonePose:
         assert state.dim() == 15 + 14 + 6 * 7
         state.marginalize_clone(0)
         assert state.dim() == 15 + 14 + 6 * 6
-        state.check_dimensions()
+        assert state.clone_at == {k: 15 + 14 + 6 * (k - 1) for k in range(1, 7)}
+
+
+class LayoutReference:
+    """The error state rebuilt from scratch: covariance entries keyed by (row, column) label.
+
+    A label is ``("nav", i)``, ``("calib", i)``, ``("clone", frame, i)`` or
+    ``("slam", track_id, i)``; the layout orders clones by frame and
+    landmarks by insertion.
+    """
+
+    def __init__(self, cov, calib_dim):
+        self.base = [("nav", i) for i in range(15)] + [("calib", i) for i in range(calib_dim)]
+        self.clones, self.slam = [], []
+        self.entries = {
+            (a, b): cov[i, j] for i, a in enumerate(self.base) for j, b in enumerate(self.base)
+        }
+
+    def labels(self):
+        return (self.base
+                + [("clone", f, i) for f in sorted(self.clones) for i in range(6)]
+                + [("slam", t, i) for t in self.slam for i in range(3)])
+
+    def cov(self):
+        labels = self.labels()
+        return np.array([[self.entries[a, b] for b in labels] for a in labels])
+
+    def offsets(self, kind):
+        labels = self.labels()
+        return {lab[1]: k for k, lab in enumerate(labels) if lab[0] == kind and lab[2] == 0}
+
+    def insert(self, new, cross, block):
+        old = self.labels()
+        for i, a in enumerate(new):
+            for j, b in enumerate(old):
+                self.entries[a, b] = self.entries[b, a] = cross[i, j]
+            for j, b in enumerate(new):
+                self.entries[a, b] = block[i, j]
+
+    def clone(self, frame):
+        nav = [("nav", i) for i in range(6)]
+        cross = np.array([[self.entries[a, b] for b in self.labels()] for a in nav])
+        block = np.array([[self.entries[a, b] for b in nav] for a in nav])
+        self.insert([("clone", frame, i) for i in range(6)], cross, block)
+        self.clones.append(frame)
+
+    def add_landmark(self, tid, cross, block):
+        self.insert([("slam", tid, i) for i in range(3)], cross, block)
+        self.slam.append(tid)
+
+    def drop(self, kind, key):
+        (self.clones if kind == "clone" else self.slam).remove(key)
+        self.entries = {
+            (a, b): v for (a, b), v in self.entries.items()
+            if (a[0], a[1]) != (kind, key) and (b[0], b[1]) != (kind, key)
+        }
+
+
+class TestLayout:
+    @given(
+        estimate_calib=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(st.tuples(st.sampled_from(["clone", "add", "marg", "remove"]),
+                               st.integers(0, 99)), max_size=14),
+    )
+    def test_structural_ops_match_rebuilt_layout(self, estimate_calib, seed, ops):
+        rng = np.random.default_rng(seed)
+        state = FilterState(NavState(), default_calibration(),
+                            FilterConfig(estimate_calibration=estimate_calib))
+        A = rng.normal(size=state.cov.shape)
+        state.cov = A @ A.T
+        ref = LayoutReference(state.cov, state.calib_dim())
+        next_frame = next_tid = 0
+        for op, pick in ops:
+            if op == "clone":
+                state.clone_pose(next_frame)
+                ref.clone(next_frame)
+                next_frame += 1
+            elif op == "add":
+                cross, block = rng.normal(size=(3, state.dim())), rng.normal(size=(3, 3))
+                state.add_landmark(next_tid, np.zeros(3), np.zeros(3), block, cross, 0)
+                ref.add_landmark(next_tid, cross, block)
+                next_tid += 1
+            elif op == "marg" and state.clones:
+                frame = sorted(state.clones)[pick % len(state.clones)]
+                state.marginalize_clone(frame)
+                ref.drop("clone", frame)
+            elif op == "remove" and state.slam:
+                tid = list(state.slam)[pick % len(state.slam)]
+                state.remove_landmark(tid)
+                ref.drop("slam", tid)
+            assert state.clone_at == ref.offsets("clone")
+            assert state.slam_at == ref.offsets("slam")
+            np.testing.assert_array_equal(state.cov, ref.cov())
+
+    def test_clone_must_be_newest(self):
+        state = make_state(3)
+        with pytest.raises(ValueError):
+            state.clone_pose(2)
+        with pytest.raises(ValueError):
+            state.clone_pose(1)
+
+
+class TestRouteTracks:
+    def make_track(self, table, n_obs, start=0, dead=False):
+        t = table.spawn(start, np.array([50.0, 50.0]))
+        for k in range(1, n_obs):
+            t.add_observation(start + k, np.array([50.0 + k, 50.0]))
+        if dead:
+            t.mark_dead("test")
+            table.just_died.append(t.id)
+        return t
+
+    def route(self, table, max_clones=15, min_msckf_len=4):
+        cfg = FilterConfig(max_clones=max_clones, min_msckf_len=min_msckf_len)
+        promote, msckf = route_tracks(table, cfg)
+        return [t.id for t in promote], [t.id for t in msckf]
+
+    def test_boundary_promotion(self):
+        table = TrackTable()
+        t15 = self.make_track(table, 15)
+        t14 = self.make_track(table, 14)
+        promote, msckf = self.route(table)
+        assert t15.id in promote
+        assert t14.id not in promote
+        assert msckf == []
+
+    def test_dead_tracks_to_msckf(self):
+        table = TrackTable()
+        t_short = self.make_track(table, 3, dead=True)
+        t_ok = self.make_track(table, 7, dead=True)
+        t_long = self.make_track(table, 14, dead=True)
+        promote, msckf = self.route(table, min_msckf_len=4)
+        assert promote == []
+        assert t_ok.id in msckf and t_long.id in msckf
+        assert t_short.id not in msckf
+
+    def test_empty_table(self):
+        assert self.route(TrackTable()) == ([], [])
+
+    def test_dead_track_longer_than_window_to_msckf(self):
+        table = TrackTable()
+        t = self.make_track(table, 20, dead=True)
+        assert self.route(table) == ([], [t.id])
+
+    def test_live_track_longer_than_window_promoted_never_retired(self):
+        # a promotion that fails leaves the track live and out of state
+        table = TrackTable()
+        t = self.make_track(table, 20, start=1)
+        assert self.route(table) == ([t.id], [])
+        state = FilterState(NavState(), default_calibration(), FilterConfig())
+        noise = NoiseParams(2e-4, 2e-3, 2e-6, 3e-5, 9.81)
+        process_frame(state, table, [], noise, 20, 0.08)
+        assert t.status is TrackStatus.OUT_OF_STATE
+        assert t.death_reason == ""
+        assert t.id not in state.slam
 
 
 class TestTriangulate:
@@ -267,7 +429,8 @@ class TestSlamUpdate:
         slam_update(state, [tr_good, tr_bad], frame_index=9)
         assert 8 not in state.slam
         assert state.slam[7].last_seen_frame == 9
-        state.check_dimensions()
+        assert state.slam_at == {7: 15 + 6 * 10}
+        assert state.dim() == 15 + 6 * 10 + 3
 
     def test_promotion_initializes_landmark(self):
         state = make_state(15)
@@ -279,7 +442,7 @@ class TestSlamUpdate:
         assert 3 in state.slam
         assert tr.status is TrackStatus.IN_STATE
         assert np.linalg.norm(state.slam[3].position - landmark) < 1e-6
-        state.check_dimensions()
+        assert state.dim() == 15 + 6 * 15 + 3
 
     def test_in_state_cap(self):
         state = make_state(15)
@@ -300,7 +463,7 @@ class TestSlamUpdate:
             state, landmark, range(15), tid=11, status=TrackStatus.OUT_OF_STATE
         )
         slam_update(state, [tr], frame_index=14)
-        off = state.slam_offset(11)
+        off = state.slam_at[11]
         block = state.cov[off:off + 3, off:off + 3]
         assert np.linalg.eigvalsh(block).min() > 0.0
 
@@ -309,7 +472,7 @@ class TestCalibrationJacobians:
     def test_full_measurement_jacobian_fd(self):
         # perturb clone pose, landmark, and calibration; compare row blocks
         from binvio.msckf import _observation_jacobians
-        from binvio.geometry import CameraCalibration, quat_multiply, quat_normalize
+        from binvio.geometry import CameraCalibration
 
         rng = np.random.default_rng(2)
         state = make_state(4, estimate_calib=True, use_fej=False)

@@ -72,6 +72,20 @@ class TestClosedLoop:
         assert len(res.pose_rows) == 500
 
 
+class TestParanoidChecks:
+    def test_paranoid_checks_watch_without_changing_poses(self):
+        ds = sg.build_dataset(sg.preset_config("hostile", duration=0.2, seed=1))
+        res_off = run_pipeline(ds)
+        cfg = PipelineConfig()
+        cfg.filter.paranoid_checks = True
+        res_on = run_pipeline(ds, cfg)
+        assert res_off.checks.min_eigenvalue == np.inf  # not computed when off
+        assert np.isfinite(res_on.checks.min_eigenvalue)
+        assert res_on.checks.min_eigenvalue >= -1e-9
+        assert res_on.diagnostics[:, 5].max() > 0  # landmarks entered the state
+        np.testing.assert_array_equal(res_on.pose_rows, res_off.pose_rows)
+
+
 class TestLowRateImu:
     def test_100hz_imu_at_30fps_runs_every_frame(self):
         cfg = sg.preset_config("hostile", seed=1, duration=0.3, fps=30.0, imu_rate=100.0)

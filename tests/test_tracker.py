@@ -10,7 +10,6 @@ from binvio.tracker import (
     TrackerConfig,
     TrackStatus,
     TrackTable,
-    classify_tracks,
     feather,
     shi_tomasi_on_edges,
     track_frame,
@@ -457,41 +456,10 @@ class TestTrackFrame:
         assert rate_raw > rate_feathered
 
 
-class TestClassifyTracks:
-    def make_track(self, table, n_obs, start=0, dead=False):
-        t = table.spawn(start, np.array([50.0, 50.0]))
-        for k in range(1, n_obs):
-            t.add_observation(start + k, np.array([50.0 + k, 50.0]))
-        if dead:
-            t.mark_dead("test")
-            table.just_died.append(t.id)
-        return t
-
-    def test_boundary_promotion(self):
-        table = TrackTable()
-        t15 = self.make_track(table, 15)
-        t14 = self.make_track(table, 14)
-        promote, msckf = classify_tracks(table, 15)
-        assert t15.id in promote
-        assert t14.id not in promote
-        assert msckf == []
-
-    def test_dead_tracks_to_msckf(self):
-        table = TrackTable()
-        t_short = self.make_track(table, 3, dead=True)
-        t_ok = self.make_track(table, 7, dead=True)
-        t_long = self.make_track(table, 14, dead=True)
-        promote, msckf = classify_tracks(table, 15, min_msckf_len=4)
-        assert promote == []
-        assert t_ok.id in msckf and t_long.id in msckf
-        assert t_short.id not in msckf
-
-    def test_empty_table(self):
-        assert classify_tracks(TrackTable(), 15) == ([], [])
-
+class TestTrackStatus:
     def test_status_transitions(self):
         table = TrackTable()
-        t = self.make_track(table, 20)
+        t = table.spawn(0, np.array([50.0, 50.0]))
         t.mark_in_state()
         assert t.status is TrackStatus.IN_STATE
         with pytest.raises(ValueError):
