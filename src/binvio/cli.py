@@ -127,7 +127,8 @@ def cmd_eval(args, overrides) -> int:
     write_series_csv(report, args.out_series, counts)
     line = (
         f"ate_rmse={report.ate_rmse:.4f} ate_median={report.ate_median:.4f} "
-        f"rte_rmse={report.rte_rmse:.4f} rte_median={report.rte_median:.4f}"
+        f"rte_rmse={report.rte_rmse:.4f} rte_median={report.rte_median:.4f} "
+        f"alignment={report.alignment}"
     )
     if counts is not None and np.std(counts) > 1e-12:
         corr = feature_error_correlation(counts, report.series_ate)

@@ -1,12 +1,13 @@
 """Pipeline configuration: sectioned defaults, key=value files, overrides.
 
 A section is the config type its consumer runs with: ``tracker`` is
-``tracker.TrackerConfig`` and ``filter`` is ``msckf.FilterConfig``, so each
-setting has one definition and one default.  The on-disk format is flat
-``section.key = value`` lines; every field can be overridden from a file or
-from CLI flags of the same dotted name.  A value parses by its field's type
-(bool, int, float, str, or an enum by its value), and the section is rebuilt
-around it, so the section's own validation rejects a bad value as it is read.
+``tracker.TrackerConfig``, ``filter`` is ``msckf.FilterConfig`` and ``noise``
+is an ``imu.NoiseParams``, so each setting has one definition and one
+default.  The on-disk format is flat ``section.key = value`` lines; every
+field can be overridden from a file or from CLI flags of the same dotted
+name.  A value parses by its field's type (bool, int, float, str, or an enum
+by its value), and the section is rebuilt around it, so the section's own
+validation rejects a bad value as it is read.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .emulator import MAX_EDGE_THRESHOLD, MAX_FLIP_RATE
+from .imu import NoiseParams
 from .msckf import FilterConfig
 from .tracker import TrackerConfig
 
@@ -41,14 +43,11 @@ class EmulatorSection:
             raise ValueError(f"noise_flip_rate must be in [0, {MAX_FLIP_RATE}]")
 
 
-@dataclass
-class NoiseSection:
+@dataclass(frozen=True)
+class NoiseSection(NoiseParams):
+    """The IMU noise the filter assumes, unless the dataset's manifest states its own."""
+
     from_manifest: bool = True
-    gyro_noise: float = 2e-4
-    accel_noise: float = 2e-3
-    gyro_walk: float = 2e-6
-    accel_walk: float = 3e-5
-    gravity: float = 9.81
 
 
 @dataclass

@@ -80,7 +80,7 @@ def sobel_magnitude(pixels: np.ndarray) -> np.ndarray:
     return out
 
 
-def detect_edges(frame: GrayFrame, threshold: float = 80.0) -> BinaryMap:
+def detect_edges(frame: GrayFrame, threshold: float) -> BinaryMap:
     """Binary edge map: set where Sobel |Gx|+|Gy| reaches ``threshold``."""
     if not 0.0 < threshold <= MAX_EDGE_THRESHOLD:
         raise ValueError(f"threshold must be in (0, {MAX_EDGE_THRESHOLD}]")
@@ -191,11 +191,11 @@ def _budgeted_selection(keep: np.ndarray, score: np.ndarray, max_points: int) ->
 
 
 def detect_corners(
-    frame: GrayFrame, fast_threshold: float = 20.0, max_points: int = MAX_CORNER_POINTS
+    frame: GrayFrame, fast_threshold: float, max_points: int = MAX_CORNER_POINTS
 ) -> BinaryMap:
     """FAST corner map, suppressed and capped at ``max_points`` set bits."""
-    if max_points > MAX_CORNER_POINTS:
-        raise ValueError(f"max_points must be <= {MAX_CORNER_POINTS}")
+    if not 1 <= max_points <= MAX_CORNER_POINTS:
+        raise ValueError(f"max_points must be in [1, {MAX_CORNER_POINTS}]")
     passes, score = _fast_pass_and_score(frame.pixels, fast_threshold)
     keep = suppress_non_maxima(passes, score)
     keep = _budgeted_selection(keep, score, max_points)

@@ -1,9 +1,10 @@
 """Trajectory evaluation: association, rigid alignment, ATE/RTE metrics.
 
 Estimates are associated to ground truth by nearest timestamp, aligned
-with a least-squares rigid transform on positions, and reduced to RMSE and
-median of absolute and relative errors, plus per-axis and rotation error
-series for plotting.
+with a least-squares rigid transform on positions (or by translation alone
+when the positions are too few or collinear to fix a rotation), and reduced
+to RMSE and median of absolute and relative errors, plus per-axis and
+rotation error series for plotting.
 """
 
 from __future__ import annotations
@@ -114,6 +115,7 @@ class ErrorReport:
     rte_median: float
     per_axis_rmse: np.ndarray
     rotation_rmse: float
+    alignment: str  # "se3", or "translation" when align_se3 found the path degenerate
     series_t: np.ndarray = field(repr=False, default=None)
     series_axis_error: np.ndarray = field(repr=False, default=None)
     series_rotation_error: np.ndarray = field(repr=False, default=None)
@@ -127,10 +129,19 @@ def _body_to_world(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def compute_ate_rte(pairs: PairedSamples, rte_delta: int = 250) -> ErrorReport:
     """Absolute and relative errors after rigid alignment.
 
-    RTE compares the relative motion over ``rte_delta`` paired frames, so it
-    is invariant to the alignment; ``rte_delta=0`` is identically zero.
+    A path that ``align_se3`` finds degenerate (a straight line, a point, or
+    fewer than three pairs) is aligned by translation alone: R = I, and t
+    moves the estimate's centroid onto ground truth's.  RTE compares the
+    relative motion over ``rte_delta`` paired frames, so it is invariant to
+    the alignment; ``rte_delta=0`` is identically zero.
     """
-    R, t = align_se3(pairs)
+    alignment = "se3"
+    try:
+        R, t = align_se3(pairs)
+    except Degenerate:
+        alignment = "translation"
+        R = np.eye(3)
+        t = pairs.gt_positions.mean(axis=0) - pairs.est_positions.mean(axis=0)
     est_aligned = pairs.est_positions @ R.T + t
     diff = est_aligned - pairs.gt_positions
     ate = np.linalg.norm(diff, axis=1)
@@ -169,6 +180,7 @@ def compute_ate_rte(pairs: PairedSamples, rte_delta: int = 250) -> ErrorReport:
         rte_median=median(rte),
         per_axis_rmse=np.sqrt(np.mean(diff**2, axis=0)),
         rotation_rmse=rmse(rot_err),
+        alignment=alignment,
         series_t=pairs.t,
         series_axis_error=diff,
         series_rotation_error=rot_err,

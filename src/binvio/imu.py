@@ -11,11 +11,12 @@ Measurements model specific force: with the gravity acceleration vector
     a_m     = R(q) (a_global - g) + b_a + n_a
 
 so the body-frame kinematic acceleration is ``a_m + R(q) g - b_a``.
-``propagate_block`` holds one measurement over each interval [t_k, t_{k+1}).
-With ``integration="zoh"`` that is sample k's, and the final sample only
-closes the interval.  With ``"midpoint"``, which the filter runs by default
-(``FilterConfig.integration``), it is the mean of samples k and k + 1, and
-the translational integrals use the half-step attitude.
+``propagate_block`` integrates each interval [t_k, t_{k+1}) with the mean of
+samples k and k + 1, and evaluates the translational integrals at the
+half-step attitude.  Holding sample k over the interval instead would
+rectify the rotation across it into a phantom acceleration: a bias that
+instantaneous samples, like the synthetic ones, show at double-digit body
+rates.  The error transition Phi is the Jacobian of this same step.
 """
 
 from __future__ import annotations
@@ -122,62 +123,39 @@ class NoiseParams:
         return np.array([0.0, 0.0, -self.gravity])
 
 
-def state_transition_jacobian(
-    state: NavState, sample: ImuSample, dt: float
-) -> np.ndarray:
-    """Discrete error-state transition over one held sample."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    omega_hat = sample.omega - state.bias_gyro
-    force_hat = sample.accel - state.bias_accel  # specific force, gravity included
-    R = state.orientation.to_matrix()
-    A = omega_hat * dt
+def _discrete_noise(noise: NoiseParams, dt: float) -> np.ndarray:
+    """Discrete process noise of one step.
 
-    Phi = np.eye(ERROR_STATE_DIM)
-    Phi[TH, TH] = so3_exp(-A)
-    Phi[TH, BG] = -so3_right_jacobian(A) * dt
-    Phi[P, V] = np.eye(3) * dt
-    Phi[P, TH] = -0.5 * R.T @ skew(force_hat) * dt * dt
-    Phi[P, BA] = -0.5 * R.T * dt * dt
-    Phi[V, TH] = -R.T @ skew(force_hat) * dt
-    Phi[V, BA] = -R.T * dt
-    return Phi
-
-
-def _discrete_noise(state: NavState, noise: NoiseParams, dt: float) -> np.ndarray:
-    R = state.orientation.to_matrix()
-    G = np.zeros((ERROR_STATE_DIM, 12))
-    G[TH, 0:3] = -np.eye(3)
-    G[V, 3:6] = -R.T
-    G[BG, 6:9] = np.eye(3)
-    G[BA, 9:12] = np.eye(3)
-    Qc = np.diag(
+    The densities are isotropic, so the accelerometer noise rotated into G
+    is the same diagonal as in the body frame; position has none of its own.
+    """
+    return np.diag(
         np.repeat(
-            [noise.gyro_noise**2, noise.accel_noise**2, noise.gyro_walk**2, noise.accel_walk**2],
+            [noise.gyro_noise**2, 0.0, noise.accel_noise**2, noise.gyro_walk**2,
+             noise.accel_walk**2],
             3,
         )
+        * dt
     )
-    return G @ Qc @ G.T * dt
 
 
-def _step_mean(
-    state: NavState, omega_m, accel_m, noise: NoiseParams, dt: float,
-    midpoint_attitude: bool = False,
-) -> NavState:
-    """Advance the mean over one interval with held measurements.
+def _step(
+    state: NavState, omega_m, accel_m, noise: NoiseParams, dt: float
+) -> tuple[NavState, np.ndarray]:
+    """Advance the mean over one interval, and return the step's error transition Phi.
 
-    With ``midpoint_attitude`` the translational integrals are evaluated at
-    the half-step attitude, removing the first-order rotation-hold error
-    that otherwise rectifies into a phantom acceleration at high rates.
+    Velocity and position are integrated with the half-step attitude
+    ``R_mid = E R``, ``E = exp(-[omega_hat dt / 2]x)``, and Phi is the
+    Jacobian of exactly this step.  With ``f = a_m - b_a`` its velocity rows
+    are ``-R^T [E^T f]x dt`` for attitude, ``R_mid^T [f]x J_r(omega_hat dt / 2)
+    dt^2 / 2`` for gyro bias and ``-R_mid^T dt`` for accel bias; each
+    position row is ``dt / 2`` times its velocity row.
     """
     omega_hat = omega_m - state.bias_gyro
-    if midpoint_attitude:
-        q_mid = quat_integrate_array(state.orientation.xyzw, omega_hat, 0.5 * dt)
-        R = quat_to_matrix(q_mid)
-    else:
-        R = state.orientation.to_matrix()
-    accel_body = accel_m + R @ noise.gravity_vector() - state.bias_accel
-    accel_global = R.T @ accel_body
+    force_hat = accel_m - state.bias_accel  # specific force, gravity included
+    R = state.orientation.to_matrix()
+    R_mid = quat_to_matrix(quat_integrate_array(state.orientation.xyzw, omega_hat, 0.5 * dt))
+    accel_global = R_mid.T @ (accel_m + R_mid @ noise.gravity_vector() - state.bias_accel)
 
     out = state.copy()
     out.position = state.position + state.velocity * dt + 0.5 * accel_global * dt * dt
@@ -185,42 +163,38 @@ def _step_mean(
     out.orientation = UnitQuaternion(
         quat_integrate_array(state.orientation.xyzw, omega_hat, dt)
     )
-    return out
+
+    A = omega_hat * dt
+    Phi = np.eye(ERROR_STATE_DIM)
+    Phi[TH, TH] = so3_exp(-A)
+    Phi[TH, BG] = -so3_right_jacobian(A) * dt
+    Phi[V, TH] = -skew(R_mid.T @ force_hat) @ R.T * dt  # = -R^T [E^T f]x dt
+    Phi[V, BG] = 0.5 * R_mid.T @ skew(force_hat) @ so3_right_jacobian(0.5 * A) * dt * dt
+    Phi[V, BA] = -R_mid.T * dt
+    Phi[P, V] = np.eye(3) * dt
+    for col in (TH, BG, BA):
+        Phi[P, col] = 0.5 * dt * Phi[V, col]
+    return out, Phi
 
 
 def propagate_block(
-    state: NavState,
-    samples: list[ImuSample],
-    noise: NoiseParams,
-    integration: str = "zoh",
+    state: NavState, samples: list[ImuSample], noise: NoiseParams
 ) -> tuple[NavState, np.ndarray, np.ndarray]:
     """Integrate over the sample stream; also return (Phi_total, Q_total).
 
     The returned transition and noise cover the 15-dim navigation error and
     are what a joint filter applies to its nav block and cross terms.
     """
-    if integration not in ("zoh", "midpoint"):
-        raise ValueError("integration must be 'zoh' or 'midpoint'")
     Phi_total = np.eye(ERROR_STATE_DIM)
     Q_total = np.zeros((ERROR_STATE_DIM, ERROR_STATE_DIM))
     cur = state.copy()
-    for k in range(len(samples) - 1):
-        s0, s1 = samples[k], samples[k + 1]
+    for s0, s1 in zip(samples, samples[1:]):
         dt = s1.t - s0.t
         if dt <= 0:
             raise ValueError("sample timestamps must be strictly increasing")
-        if integration == "midpoint":
-            omega_m = 0.5 * (s0.omega + s1.omega)
-            accel_m = 0.5 * (s0.accel + s1.accel)
-        else:
-            omega_m, accel_m = s0.omega, s0.accel
-        held = ImuSample(s0.t, omega_m, accel_m)
-        Phi = state_transition_jacobian(cur, held, dt)
-        Qd = _discrete_noise(cur, noise, dt)
-        cur = _step_mean(
-            cur, omega_m, accel_m, noise, dt,
-            midpoint_attitude=(integration == "midpoint"),
+        cur, Phi = _step(
+            cur, 0.5 * (s0.omega + s1.omega), 0.5 * (s0.accel + s1.accel), noise, dt
         )
         Phi_total = Phi @ Phi_total
-        Q_total = Phi @ Q_total @ Phi.T + Qd
+        Q_total = Phi @ Q_total @ Phi.T + _discrete_noise(noise, dt)
     return cur, Phi_total, Q_total

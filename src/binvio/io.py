@@ -25,36 +25,18 @@ class DatasetCorrupt(RuntimeError):
 
 
 def encode_binary_map(bmap: BinaryMap) -> bytes:
-    bits = bmap.bits
-    flat = bits.ravel()
-    # run boundaries: value changes, plus forced breaks at row starts
-    change = np.nonzero(np.diff(flat.astype(np.int8)))[0] + 1
-    row_starts = np.arange(1, MAP_SIZE) * MAP_SIZE
-    bounds = np.unique(np.concatenate([[0], change, row_starts, [flat.size]]))
-    lengths = np.diff(bounds).astype(np.uint16)
-    starts = bounds[:-1]
-    row_of_run = starts // MAP_SIZE
-    runs_per_row = np.bincount(row_of_run, minlength=MAP_SIZE).astype(np.uint16)
-    # a run of zeros is implied first; if a row starts with a one, emit a
-    # zero-length zero run so parity always encodes the value
-    first_vals = flat[starts]
-    out = bytearray()
-    out += BINARY_MAP_MAGIC
-    out += struct.pack("<Bd", _KIND_CODE[bmap.kind], bmap.timestamp)
-    out += struct.pack("<H", MAP_SIZE)
-    idx = 0
-    for r in range(MAP_SIZE):
-        n = int(runs_per_row[r])
-        row_lengths = lengths[idx:idx + n]
-        leading_one = first_vals[idx] == 1
-        idx += n
-        if leading_one:
-            row = np.concatenate([[0], row_lengths]).astype(np.uint16)
-        else:
-            row = row_lengths
-        out += struct.pack("<H", len(row))
-        out += row.astype("<u2").tobytes()
-    return bytes(out)
+    # runs alternate zero, one, zero, ... from the start of each row, so a
+    # row that starts with a one gets a zero-length zero run first
+    prev = np.zeros((MAP_SIZE, MAP_SIZE + 1), dtype=np.int8)
+    prev[:, 1:] = bmap.bits
+    rows, cols = np.nonzero(np.diff(prev, axis=1))  # where each run after a row's first starts
+    n = np.bincount(rows, minlength=MAP_SIZE)
+    above = np.cumsum(n) - n  # such starts in the rows above
+    lengths = np.insert(cols, above + n, MAP_SIZE) - np.insert(cols, above, 0)
+    # each row is a u16 run count followed by that many u16 run lengths
+    words = np.insert(lengths, above + np.arange(MAP_SIZE), n + 1).astype("<u2")
+    header = struct.pack("<BdH", _KIND_CODE[bmap.kind], bmap.timestamp, MAP_SIZE)
+    return BINARY_MAP_MAGIC + header + words.tobytes()
 
 
 def decode_binary_map(data: bytes) -> BinaryMap:

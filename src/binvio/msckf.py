@@ -44,6 +44,7 @@ from .tracker import FeatureTrack, TrackStatus, TrackTable
 CLONE_DIM = 6
 LANDMARK_DIM = 3
 CALIB_DIM = 14  # 3 extrinsic rotation + 3 extrinsic translation + 8 intrinsics
+TRIANGULATION_MAX_ITERS = 20  # Gauss-Newton steps of the landmark refinement
 
 
 class InsufficientBaseline(RuntimeError):
@@ -78,15 +79,11 @@ class FilterConfig:
     max_msckf_update: int = 60
     sigma_px: float = 1.0
     chi2_confidence: float = 0.95
-    chi2_scale: float = 1.0
     estimate_calibration: bool = True
     use_fej: bool = True
     min_msckf_len: int = 4
     min_baseline_deg: float = 0.5
     paranoid_checks: bool = False
-    # midpoint kills the rectified hold-the-sample bias that instantaneous
-    # synthetic samples exhibit during double-digit body rates
-    integration: str = "midpoint"
 
     def __post_init__(self):
         if self.max_clones < 1:
@@ -97,8 +94,6 @@ class FilterConfig:
             raise ValueError("sigma_px must be positive")
         if not 0.0 < self.chi2_confidence < 1.0:
             raise ValueError("chi2_confidence must be in (0, 1)")
-        if self.integration not in ("zoh", "midpoint"):
-            raise ValueError("integration must be 'zoh' or 'midpoint'")
 
 
 @dataclass
@@ -298,20 +293,18 @@ def triangulate(
     track: FeatureTrack,
     clones: dict[int, CloneEntry],
     calib: CameraCalibration,
-    min_baseline_deg: float = 0.5,
-    max_iters: int = 20,
-    cam_poses: dict[int, Pose] | None = None,
+    min_baseline_deg: float,
+    cam_poses: dict[int, Pose],
 ) -> Landmark3D:
     """Multi-view point from a track: linear midpoint then GN refinement.
 
     Refinement runs on an inverse-depth parameterization anchored in the
     first observing camera and minimizes pixel reprojection error.
+    ``cam_poses`` holds the camera pose of each clone in ``clones``.
     """
     obs = [(f, z) for f, z in track.observations if f in clones]
     if len(obs) < 2:
         raise InsufficientBaseline("need at least two observations in the window")
-    if cam_poses is None:
-        cam_poses = camera_poses_now(clones, calib)
     m = len(obs)
     pixels = np.array([z for _, z in obs], dtype=float)
     Rs = np.stack([cam_poses[f].rotation() for f, _ in obs])
@@ -343,7 +336,7 @@ def triangulate(
     R_ga = R_a.T
 
     converged = False
-    for _ in range(max_iters):
+    for _ in range(TRIANGULATION_MAX_ITERS):
         r, J = _inverse_depth_rows(w, R_ga, c_a, Rs, centers, pixels, calib)
         try:
             delta = np.linalg.solve(J.T @ J, J.T @ r)
@@ -356,7 +349,7 @@ def triangulate(
             converged = True
             break
     if not converged:
-        raise NoConvergence(f"no convergence in {max_iters} iterations")
+        raise NoConvergence(f"no convergence in {TRIANGULATION_MAX_ITERS} iterations")
 
     pg = _anchored_point(w, R_ga, c_a)
     _points_in_cameras(Rs, centers, pg)  # raises if behind any camera
@@ -434,9 +427,7 @@ def _track_system(state: FilterState, track: FeatureTrack, cam_poses: dict[int, 
     in-window observations, so ``H_f`` has at least four rows.
     """
     try:
-        lm = triangulate(
-            track, state.clones, state.calib, state.cfg.min_baseline_deg, cam_poses=cam_poses
-        )
+        lm = triangulate(track, state.clones, state.calib, state.cfg.min_baseline_deg, cam_poses)
         r, H_x, H_f = _stack_track_rows(state, track, lm.position, cam_poses)
     except (InsufficientBaseline, BehindCamera, NoConvergence, NonPositiveDepth):
         return None
@@ -455,14 +446,9 @@ def _chi2_threshold(confidence: float, dof: int) -> float:
 
 
 def _chi2_gate(state: FilterState, H: np.ndarray, r: np.ndarray, dof: int) -> bool:
-    if state.cfg.chi2_scale == np.inf:
-        return True
-    if state.cfg.chi2_scale <= 0.0:
-        return False
     S = H @ state.cov @ H.T + state.cfg.sigma_px**2 * np.eye(H.shape[0])
     gamma = float(r @ np.linalg.solve(S, r))
-    threshold = _chi2_threshold(state.cfg.chi2_confidence, max(dof, 1)) * state.cfg.chi2_scale
-    return gamma < threshold
+    return gamma < _chi2_threshold(state.cfg.chi2_confidence, max(dof, 1))
 
 
 def _ekf_update(state: FilterState, H: np.ndarray, r: np.ndarray) -> None:
@@ -664,10 +650,7 @@ def process_frame(
     """
     cfg = state.cfg
     if len(imu_segment) >= 2:
-        new_nav, Phi, Q = propagate_block(
-            state.nav, imu_segment, noise, integration=cfg.integration
-        )
-        state.nav = new_nav
+        state.nav, Phi, Q = propagate_block(state.nav, imu_segment, noise)
         n = ERROR_STATE_DIM
         P = state.cov
         P[:n, :n] = Phi @ P[:n, :n] @ Phi.T + Q

@@ -104,8 +104,7 @@ def dataset_noise_params(dataset: Dataset, config: PipelineConfig) -> NoiseParam
             float(m["gyro_noise"]), float(m["accel_noise"]),
             float(m["gyro_walk"]), float(m["accel_walk"]), float(m["gravity"]),
         )
-    n = config.noise
-    return NoiseParams(n.gyro_noise, n.accel_noise, n.gyro_walk, n.accel_walk, n.gravity)
+    return config.noise
 
 
 def run_pipeline(

@@ -576,7 +576,7 @@ def _preset_trajectory(name: str, duration: float, seed: int) -> TrajectorySpec:
     if name == "static":
         return TrajectorySpec(duration=duration, seed=seed)
     if name == "gentle":
-        # z-only rotation and z-only translation commute with the held-sample
+        # z-only rotation and z-only translation commute with the midpoint
         # integrator: gravity and lever terms stay on the rotation axis, so
         # truncation cancels over whole periods instead of rectifying
         return TrajectorySpec(

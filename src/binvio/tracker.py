@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .emulator import MAP_SIZE, BinaryMap, MapKind
+from .emulator import MAP_SIZE, MAX_CORNER_POINTS, BinaryMap, MapKind
 
 EDGE_INTENSITY = 128
 MIN_EIGENVALUE = 1e-6
@@ -73,11 +73,12 @@ class TrackerConfig:
     max_iters: int = 30
     photometric_gate: float = 20.0
     min_separation: float = 10.0
-    predict_with_prev_flow: bool = True
     feathering_enabled: bool = True
     feature_source: FeatureSource = FeatureSource.BIT_CORNERS
 
     def __post_init__(self):
+        if not 1 <= self.n_points <= MAX_CORNER_POINTS:
+            raise ValueError(f"n_points must be in [1, {MAX_CORNER_POINTS}]")
         if self.window % 2 == 0 or self.window < 3:
             raise ValueError("window must be odd and >= 3")
         if self.sigma_e <= 0:
@@ -157,7 +158,7 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def feather(edges: BinaryMap, sigma_e: float = 2.5) -> FeatherMap:
+def feather(edges: BinaryMap, sigma_e: float) -> FeatherMap:
     """Blur the 128-valued edge image with a normalized Gaussian.
 
     The separable pass is identical to convolving with the 2-D product
@@ -325,10 +326,7 @@ def track_frame(
     median_flow = np.zeros(2)
     if prev is not None and live:
         points = np.array([t.last_position() for t in live])
-        if cfg.predict_with_prev_flow:
-            guesses = np.array([t.last_flow for t in live])
-        else:
-            guesses = np.zeros_like(points)
+        guesses = np.array([t.last_flow for t in live])
         disp, ok, reason = _batch_track(
             prev.as_float(), next_map.as_float(), points, guesses, cfg
         )
@@ -339,7 +337,7 @@ def track_frame(
             else:
                 tr.mark_dead(str(reason[i]))
                 table.just_died.append(tr.id)
-        if ok.any() and cfg.predict_with_prev_flow:
+        if ok.any():
             median_flow = np.median(disp[ok], axis=0)
     elif prev is None and live:
         raise ValueError("live tracks but no previous frame")

@@ -19,6 +19,7 @@ from binvio.simgen import load_dataset
 # fields whose section validation limits their values; every other field is
 # drawn from its whole type
 CONSTRAINED = {
+    ("tracker", "n_points"): st.integers(1, 800),
     ("tracker", "window"): st.integers(1, 1000).map(lambda k: 2 * k + 1),
     ("tracker", "sigma_e"): st.floats(min_value=0.0, exclude_min=True),
     ("filter", "max_clones"): st.integers(min_value=1),
@@ -26,10 +27,14 @@ CONSTRAINED = {
     ("filter", "max_msckf_update"): st.integers(min_value=1),
     ("filter", "sigma_px"): st.floats(min_value=0.0, exclude_min=True),
     ("filter", "chi2_confidence"): st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    ("filter", "integration"): st.sampled_from(["zoh", "midpoint"]),
     ("emulator", "edge_threshold"): st.floats(0.0, 2040.0, exclude_min=True),
     ("emulator", "fast_threshold"): st.floats(min_value=0.0),
     ("emulator", "noise_flip_rate"): st.floats(0.0, 0.05),
+    ("noise", "gyro_noise"): st.floats(min_value=0.0),
+    ("noise", "accel_noise"): st.floats(min_value=0.0),
+    ("noise", "gyro_walk"): st.floats(min_value=0.0),
+    ("noise", "accel_walk"): st.floats(min_value=0.0),
+    ("noise", "gravity"): st.one_of(st.just(0.0), st.floats(9.31, 10.31)),
 }
 
 
@@ -72,6 +77,7 @@ class TestConfig:
     def test_shipped_default_file_matches_table(self):
         shipped = Path(config.__file__).parent / "data" / "default.cfg"
         assert shipped.read_text() == PipelineConfig().to_text()
+        assert len(shipped.read_text().splitlines()) == 29
         cfg = load_config(shipped)
         assert cfg == PipelineConfig()
         assert cfg.tracker.n_points == 800
@@ -118,6 +124,9 @@ class TestConfig:
             cfg.apply_override("tracker.min_msckf_len", "4")
         with pytest.raises(ConfigInvalid):
             cfg.apply_override("filter.slam_before_msckf", "true")
+        for gone in ("filter.integration", "filter.chi2_scale", "tracker.predict_with_prev_flow"):
+            with pytest.raises(ConfigInvalid):
+                cfg.apply_override(gone, "1")
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +205,19 @@ class TestCli:
         assert float(values["ate_rmse"]) < 1e-9
         assert float(values["rte_rmse"]) < 1e-9
 
+    def test_eval_static_path_exit_0(self, tmp_path, capsys):
+        # a path at rest gives align_se3 nothing to fit a rotation to
+        data = tmp_path / "static"
+        assert main(["simulate", "--preset", "static", "--duration", "0.1",
+                     "--out", str(data)]) == 0
+        rc = main([
+            "eval", "--est", str(data / "gt.csv"), "--gt", str(data / "gt.csv"),
+            "--out-report", str(tmp_path / "r.csv"),
+            "--out-series", str(tmp_path / "s.csv"),
+        ])
+        assert rc == 0
+        assert "alignment=translation" in capsys.readouterr().out
+
     def test_eval_missing_gt_exit_2(self, tiny_dataset, tmp_path):
         rc = main([
             "eval", "--est", str(tiny_dataset / "gt.csv"),
@@ -234,6 +256,10 @@ class TestCli:
         ("--emulator.edge_threshold", "0"),
         ("--emulator.noise_flip_rate", "0.2"),
         ("--emulator.fast_threshold", "-5"),
+        ("--tracker.n_points", "0"),
+        ("--tracker.n_points", "1000"),
+        ("--noise.gravity", "50"),
+        ("--noise.gyro_noise", "-1"),
     ])
     def test_run_invalid_value_exit_2(self, tiny_dataset, tmp_path, flag, value):
         pose = tmp_path / "pose.csv"

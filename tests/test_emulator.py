@@ -170,7 +170,7 @@ class TestDetectEdges:
 
 class TestDetectCorners:
     def test_uniform_frame_empty(self):
-        out = detect_corners(frame_from(np.full((256, 256), 128)))
+        out = detect_corners(frame_from(np.full((256, 256), 128)), 20)
         assert out.bits.sum() == 0
         assert out.kind is MapKind.CORNER
 
@@ -201,8 +201,9 @@ class TestDetectCorners:
         assert out_small.bits.sum() <= 50
 
     def test_max_points_validation(self):
-        with pytest.raises(ValueError):
-            detect_corners(frame_from(np.zeros((256, 256))), max_points=801)
+        for bad in (801, 0, -1):
+            with pytest.raises(ValueError):
+                detect_corners(frame_from(np.zeros((256, 256))), 20, max_points=bad)
 
     def test_output_subset_of_segment_test(self):
         rng = np.random.default_rng(5)

@@ -171,6 +171,32 @@ class TestAteRte:
         a = compute_ate_rte(pairs, rte_delta=25)
         b = compute_ate_rte(pairs, rte_delta=25)
         assert a.ate_rmse == b.ate_rmse and a.rte_rmse == b.rte_rmse
+        assert a.alignment == "se3"
+
+    def test_collinear_path_aligned_by_translation(self):
+        # a straight path fixes no rotation about itself: align_se3 raises,
+        # and the centroid shift absorbs the offset but not the zero-mean error
+        n = 50
+        t = np.arange(n) * 0.004
+        gt_pos = np.outer(np.arange(n), [0.01, 0.02, 0.03])
+        err = np.random.default_rng(11).normal(scale=0.01, size=(n, 3))
+        err -= err.mean(axis=0)
+        est = make_series(t, gt_pos + np.array([0.5, -1.0, 2.0]) + err)
+        pairs = associate(est, make_series(t, gt_pos), max_dt=1e-6)
+        with pytest.raises(Degenerate):
+            align_se3(pairs)
+        rep = compute_ate_rte(pairs, rte_delta=10)
+        assert rep.alignment == "translation"
+        np.testing.assert_allclose(rep.series_axis_error, err, atol=1e-12)
+        assert abs(rep.ate_rmse - np.sqrt((err**2).sum(axis=1).mean())) < 1e-12
+        assert rep.rotation_rmse == 0.0
+
+    def test_single_pair_aligned_by_translation(self):
+        est = make_series([0.0], [[1.0, 2.0, 3.0]])
+        gt = make_series([0.0], [[0.0, 0.0, 0.0]])
+        rep = compute_ate_rte(associate(est, gt, max_dt=1e-6), rte_delta=250)
+        assert rep.alignment == "translation"
+        assert rep.ate_rmse == 0.0 and rep.rte_rmse == 0.0
 
 
 class TestCorrelation:

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from binvio.geometry import UnitQuaternion, quat_from_axis_angle, quat_multiply
-from binvio.imu import (
-    ImuSample,
-    NavState,
-    NoiseParams,
-    TimestampGap,
-    propagate_block,
-    state_transition_jacobian,
-)
+from binvio.geometry import UnitQuaternion, quat_from_axis_angle, quat_multiply, so3_exp
+from binvio.imu import ImuSample, NavState, NoiseParams, TimestampGap, propagate_block
 from binvio.pipeline import _ImuSlicer
 
 NO_NOISE = NoiseParams(0.0, 0.0, 0.0, 0.0, 9.81)
@@ -117,7 +110,7 @@ class TestPropagateMean:
         samples = make_stream(
             0.0, 1.0, 400, lambda t: w, lambda t: np.array([0.0, 0.0, 9.81])
         )
-        # 400 steps of held constant rate
+        # 400 steps at a constant rate
         out, _ = propagate(state, np.zeros((15, 15)), samples, NO_NOISE)
         expected = UnitQuaternion(quat_from_axis_angle(w * 1.0))
         np.testing.assert_allclose(out.orientation.to_matrix(), expected.to_matrix(), atol=1e-6)
@@ -133,6 +126,22 @@ class TestPropagateMean:
         out, _ = propagate(state, np.zeros((15, 15)), samples, NO_NOISE)
         np.testing.assert_allclose(out.position, [0.5, 0.0, 0.0], atol=1e-9)
         np.testing.assert_allclose(out.velocity, [1.0, 0.0, 0.0], atol=1e-9)
+
+    def test_rotating_body_force_matches_closed_form(self):
+        # a body spinning at w about z under a body-frame force (1, 0, 0) sees
+        # the global acceleration (cos wt, sin wt, 0); holding each sample
+        # over its interval instead of using the half-step attitude misses
+        # by 1.3e-3 m and 2.4e-3 m/s here
+        w = 10.0
+        samples = make_stream(
+            0.0, 1.0, 400, lambda t: np.array([0.0, 0.0, w]), lambda t: np.array([1.0, 0.0, 0.0])
+        )
+        out, _ = propagate(NavState(), np.zeros((15, 15)), samples, NO_NOISE_NO_G)
+        t = 1.0
+        p = [(1.0 - np.cos(w * t)) / w**2, t / w - np.sin(w * t) / w**2, 0.0]
+        v = [np.sin(w * t) / w, (1.0 - np.cos(w * t)) / w, 0.0]
+        np.testing.assert_allclose(out.position, p, atol=1e-5)
+        np.testing.assert_allclose(out.velocity, v, atol=1e-5)
 
     def test_timestamp_gap_raises(self):
         # one dropped sample is a 2x gap, inside the 3x bound; three are a 4x gap
@@ -201,14 +210,16 @@ class TestCovariance:
         np.testing.assert_allclose(cov1, Phi @ cov0 @ Phi.T, atol=1e-18)
 
 
-class TestStateTransitionJacobian:
-    def one_step_map(self, state, sample, dt, noise):
-        samples = [sample, ImuSample(sample.t + dt, sample.omega, sample.accel)]
-        out, _, _ = propagate_block(state, samples, noise)
-        return out
+def one_step(state, sample, dt, noise=NO_NOISE):
+    """Mean and Phi of one ``propagate_block`` step holding ``sample``'s readings."""
+    samples = [sample, ImuSample(sample.t + dt, sample.omega, sample.accel)]
+    out, Phi, _ = propagate_block(state, samples, noise)
+    return out, Phi
 
+
+class TestStateTransitionJacobian:
     def fd_jacobian(self, state, sample, dt, noise, eps=1e-6):
-        nominal = self.one_step_map(state, sample, dt, noise)
+        nominal, _ = one_step(state, sample, dt, noise)
         J = np.zeros((15, 15))
         for i in range(15):
             d = np.zeros(15)
@@ -217,15 +228,15 @@ class TestStateTransitionJacobian:
             sp.apply_error(d)
             sm = state.copy()
             sm.apply_error(-d)
-            xp = error_state_between(self.one_step_map(sp, sample, dt, noise), nominal)
-            xm = error_state_between(self.one_step_map(sm, sample, dt, noise), nominal)
+            xp = error_state_between(one_step(sp, sample, dt, noise)[0], nominal)
+            xm = error_state_between(one_step(sm, sample, dt, noise)[0], nominal)
             J[:, i] = (xp - xm) / (2 * eps)
         return J
 
     def test_dt_to_zero_limit(self):
         state = NavState()
         sample = ImuSample(0.0, np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5, 9.0]))
-        Phi = state_transition_jacobian(state, sample, 1e-12)
+        _, Phi = one_step(state, sample, 1e-12)
         np.testing.assert_allclose(Phi, np.eye(15), atol=1e-9)
 
     def test_matches_finite_differences(self):
@@ -237,22 +248,25 @@ class TestStateTransitionJacobian:
                 0.0, rng.normal(scale=5.0, size=3), rng.normal(scale=4.0, size=3)
             )
             dt = 0.0025
-            Phi = state_transition_jacobian(state, sample, dt)
+            _, Phi = one_step(state, sample, dt, noise)
             fd = self.fd_jacobian(state, sample, dt, noise)
             rel = np.abs(Phi - fd).max() / max(1.0, np.abs(fd).max())
-            assert rel < 1e-5
+            assert rel < 1e-8
 
     def test_velocity_row_first_order(self):
         # with gravity disabled the corrected acceleration equals the
-        # specific force, making the textbook expression exact
+        # specific force f, and the velocity row is -R^T [E^T f]x dt with
+        # E = exp(-[omega dt / 2]x) the half-step rotation
         rng = np.random.default_rng(6)
         state = random_state(rng)
         sample = ImuSample(0.0, rng.normal(size=3), rng.normal(scale=3.0, size=3))
         dt = 0.0025
-        Phi = state_transition_jacobian(state, sample, dt)
-        _, a_t = correct_measurement(sample, state, NO_NOISE_NO_G)
+        _, Phi = one_step(state, sample, dt, NO_NOISE_NO_G)
+        w_t, a_t = correct_measurement(sample, state, NO_NOISE_NO_G)
+        f = so3_exp(-0.5 * dt * w_t).T @ a_t
         R = state.orientation.to_matrix()
         expected = -R.T @ np.array(
-            [[0, -a_t[2], a_t[1]], [a_t[2], 0, -a_t[0]], [-a_t[1], a_t[0], 0]]
+            [[0, -f[2], f[1]], [f[2], 0, -f[0]], [-f[1], f[0], 0]]
         ) * dt
         np.testing.assert_allclose(Phi[6:9, 0:3], expected, atol=1e-12)
+        np.testing.assert_allclose(Phi[3:6, 0:3], 0.5 * dt * expected, atol=1e-15)

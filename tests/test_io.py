@@ -6,9 +6,37 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from binvio.emulator import MAP_SIZE, BinaryMap, MapKind
-from binvio.io import DatasetCorrupt, decode_binary_map, encode_binary_map
+from binvio.io import BINARY_MAP_MAGIC, DatasetCorrupt, decode_binary_map, encode_binary_map
 
 HEADER_BYTES = 16
+KIND_CODE = {MapKind.CORNER: 0, MapKind.EDGE: 1}
+
+
+def reference_encode(bmap):
+    """Row-by-row encoder: the format written out one row at a time, as a reference."""
+    flat = bmap.bits.ravel()
+    # run boundaries: value changes, plus forced breaks at row starts
+    change = np.nonzero(np.diff(flat.astype(np.int8)))[0] + 1
+    row_starts = np.arange(1, MAP_SIZE) * MAP_SIZE
+    bounds = np.unique(np.concatenate([[0], change, row_starts, [flat.size]]))
+    lengths = np.diff(bounds).astype(np.uint16)
+    starts = bounds[:-1]
+    runs_per_row = np.bincount(starts // MAP_SIZE, minlength=MAP_SIZE)
+    first_vals = flat[starts]
+    out = bytearray(BINARY_MAP_MAGIC)
+    out += struct.pack("<Bd", KIND_CODE[bmap.kind], bmap.timestamp)
+    out += struct.pack("<H", MAP_SIZE)
+    idx = 0
+    for r in range(MAP_SIZE):
+        n = int(runs_per_row[r])
+        row = lengths[idx:idx + n]
+        if first_vals[idx] == 1:
+            # a zero run is implied first: a leading one needs a zero-length one
+            row = np.concatenate([[0], row]).astype(np.uint16)
+        idx += n
+        out += struct.pack("<H", len(row))
+        out += row.astype("<u2").tobytes()
+    return bytes(out)
 
 
 @st.composite
@@ -38,6 +66,10 @@ def sample_encoded(seed=0):
 
 
 class TestBinaryMapCodec:
+    @given(binary_maps())
+    def test_matches_reference_encoder(self, bmap):
+        assert encode_binary_map(bmap) == reference_encode(bmap)
+
     @given(binary_maps())
     def test_round_trip(self, bmap):
         out = decode_binary_map(encode_binary_map(bmap))

@@ -11,6 +11,7 @@ from binvio.msckf import (
     FilterState,
     InsufficientBaseline,
     _inverse_depth_rows,
+    camera_poses_now,
     msckf_update,
     process_frame,
     route_tracks,
@@ -47,6 +48,12 @@ def camera_of(state, frame):
 def observe(state, landmark, frames):
     """Exact pixel observations of a landmark from the given clones."""
     return [(f, pixel_of(landmark, camera_of(state, f), state.calib)) for f in frames]
+
+
+def triangulate_now(state, track):
+    """``triangulate`` as the filter calls it, through the clones' current camera poses."""
+    cam_poses = camera_poses_now(state.clones, state.calib)
+    return triangulate(track, state.clones, state.calib, state.cfg.min_baseline_deg, cam_poses)
 
 
 def make_track(state, landmark, frames, tid=0, status=TrackStatus.DEAD):
@@ -267,7 +274,7 @@ class TestTriangulate:
         state = make_state(10)
         landmark = np.array([3.0, 0.4, 0.2])
         tr = make_track(state, landmark, range(10))
-        out = triangulate(tr, state.clones, state.calib)
+        out = triangulate_now(state, tr)
         assert np.linalg.norm(out.position - landmark) < 1e-6
 
     def test_zero_baseline_rejected(self):
@@ -280,7 +287,7 @@ class TestTriangulate:
         landmark = np.array([3.0, 0.0, 0.0])
         tr = make_track(state, landmark, range(3))
         with pytest.raises(InsufficientBaseline):
-            triangulate(tr, state.clones, state.calib)
+            triangulate_now(state, tr)
 
     def test_behind_camera(self):
         state = make_state(4)
@@ -293,7 +300,7 @@ class TestTriangulate:
             tr.add_observation(f, 2 * center - z)
         tr.status = TrackStatus.DEAD
         with pytest.raises((BehindCamera, InsufficientBaseline)):
-            triangulate(tr, state.clones, state.calib)
+            triangulate_now(state, tr)
 
     def test_gn_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -374,22 +381,26 @@ class TestMsckfUpdate:
         assert np.trace(state.cov) <= tr_before + 1e-12
 
     def test_chi2_gate_monotonicity(self):
-        def run(scale):
-            state = make_state(10, chi2_scale=scale)
+        # pixel noise at the filter's sigma_px: the gate's own confidence
+        # sweeps every track from rejected to accepted
+        def run(confidence):
+            state = make_state(10, chi2_confidence=confidence)
             tracks = []
             rng = np.random.default_rng(1)
             for i in range(5):
                 lm = np.array([3.0, 0.3 * i - 0.6, 0.1])
                 tr = FeatureTrack(i)
                 for f, z in observe(state, lm, range(10)):
-                    tr.add_observation(f, z + rng.normal(scale=3.0, size=2))
+                    tr.add_observation(f, z + rng.normal(scale=1.0, size=2))
                 tr.status = TrackStatus.DEAD
                 tracks.append(tr)
             msckf_update(state, tracks)
             return state.checks.max_msckf_in_update
 
-        assert run(np.inf) == 5      # everything accepted
-        assert run(0.0) == 0         # everything rejected
+        accepted = [run(c) for c in (1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9)]
+        assert accepted[0] == 0       # everything rejected
+        assert accepted[-1] == 5      # everything accepted
+        assert accepted == sorted(accepted)
 
     def test_symmetry_maintained(self):
         state = make_state(10)

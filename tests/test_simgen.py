@@ -72,8 +72,8 @@ class TestSynthesizeImu:
             assert abs(np.linalg.norm(s.accel) - 9.81) < 1e-12
 
     def test_round_trip_through_propagation(self):
-        # integer-period sinusoids keep held-sample truncation from
-        # accumulating; this is the design regime for the integrator
+        # integer-period sinusoids keep the midpoint rule's truncation error
+        # from accumulating; this is the design regime for the integrator
         spec = sg.preset_config("gentle").trajectory
         samples = sg.synthesize_imu(spec, NO_NOISE, 400.0, seed=2)
         g0 = sg.sample_ground_truth(spec, 0.0)
