@@ -100,12 +100,10 @@ def cmd_run(args, overrides) -> int:
         diagnostics_path=args.diagnostics,
         tracks_path=args.tracks,
     )
-    c = result.checks
     print(
         f"{len(result.pose_rows)} frames in {result.elapsed_seconds:.1f}s | "
         f"mean live tracks {result.mean_live_tracks():.1f} | "
-        f"max in-state {int(result.diagnostics[:, 5].max())} | "
-        f"nullspace {c.max_nullspace_residual:.2e}"
+        f"max in-state {int(result.diagnostics[:, 5].max())}"
     )
     return 0
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,7 +101,10 @@ def _parse_value(kind: type, raw: str):
         if low not in ("true", "false", "1", "0", "yes", "no", "on", "off"):
             raise ValueError(f"not a boolean: {raw!r}")
         return low in ("true", "1", "yes", "on")
-    return kind(raw)  # int, float and str by construction, an enum by its value
+    value = kind(raw)  # int, float and str by construction, an enum by its value
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
 
 
 def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:

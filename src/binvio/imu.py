@@ -113,9 +113,9 @@ class NoiseParams:
 
     def __post_init__(self):
         for name in ("gyro_noise", "accel_noise", "gyro_walk", "accel_walk"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.gravity != 0.0 and abs(self.gravity - 9.81) > 0.5:
+        if not (self.gravity == 0.0 or abs(self.gravity - 9.81) <= 0.5):
             raise ValueError("gravity must be 0 or within 9.81 +/- 0.5")
 
     def gravity_vector(self) -> np.ndarray:

@@ -12,6 +12,9 @@ landmark analytically and constrains only the cloned poses (plus
 calibration when estimated).  In-state landmarks get plain EKF updates and
 delayed initialization with the QR-split Jacobian construction.
 
+A track is in state when ``FilterState.slam`` holds a landmark under its
+id; the track table holds live tracks only.
+
 Measurement Jacobians are evaluated at first-estimate values for clones
 and in-state landmarks (``FilterConfig.use_fej``, on by default) to avoid
 spurious information gain along unobservable directions.
@@ -39,7 +42,7 @@ from .geometry import (
     undistort,
 )
 from .imu import ERROR_STATE_DIM, NavState, NoiseParams, propagate_block
-from .tracker import FeatureTrack, TrackStatus, TrackTable
+from .tracker import FeatureTrack, TrackTable
 
 CLONE_DIM = 6
 LANDMARK_DIM = 3
@@ -83,7 +86,6 @@ class FilterConfig:
     use_fej: bool = True
     min_msckf_len: int = 4
     min_baseline_deg: float = 0.5
-    paranoid_checks: bool = False
 
     def __post_init__(self):
         if self.max_clones < 1:
@@ -94,33 +96,23 @@ class FilterConfig:
             raise ValueError("sigma_px must be positive")
         if not 0.0 < self.chi2_confidence < 1.0:
             raise ValueError("chi2_confidence must be in (0, 1)")
+        if self.min_msckf_len < 2:
+            raise ValueError("min_msckf_len must be >= 2")
+        if not 0.0 <= self.min_baseline_deg < 180.0:
+            raise ValueError("min_baseline_deg must be in [0, 180)")
 
 
 @dataclass
 class CloneEntry:
     pose: Pose
     fej: Pose
-    frame_index: int
 
 
 @dataclass
 class SlamLandmark:
     position: np.ndarray
     fej: np.ndarray
-    track_id: int
     last_seen_frame: int
-
-
-@dataclass
-class RunningChecks:
-    """Worst-case numerical diagnostics accumulated over a run."""
-
-    max_nullspace_residual: float = 0.0
-    max_asymmetry: float = 0.0
-    min_eigenvalue: float = np.inf
-    max_clone_count: int = 0
-    max_slam_in_update: int = 0
-    max_msckf_in_update: int = 0
 
 
 class FilterState:
@@ -150,7 +142,6 @@ class FilterState:
             self.cov[c + 3:c + 6, c + 3:c + 6] = np.eye(3) * EXT_POS_VAR
             self.cov[c + 6:c + 10, c + 6:c + 10] = np.eye(4) * INTR_VAR
             self.cov[c + 10:c + 14, c + 10:c + 14] = np.eye(4) * DIST_VAR
-        self.checks = RunningChecks()
         self._reindex()
 
     # -- layout ---------------------------------------------------------
@@ -203,7 +194,7 @@ class FilterState:
             raise ValueError(f"frame {frame_index} is not newer than every clone")
         pose = Pose(self.nav.orientation, self.nav.position.copy())
         at = ERROR_STATE_DIM + self.calib_dim() + CLONE_DIM * len(self.clones)
-        self.clones[frame_index] = CloneEntry(pose, pose, frame_index)
+        self.clones[frame_index] = CloneEntry(pose, pose)
         # the clone error is an exact copy of the nav attitude/position error
         self._grow(at, self.cov[0:6], self.cov[0:6, 0:6])
 
@@ -215,7 +206,6 @@ class FilterState:
         self.slam[track_id] = SlamLandmark(
             np.asarray(position, dtype=float).copy(),
             np.asarray(fej, dtype=float).copy(),
-            track_id,
             frame_index,
         )
         self._grow(self.dim(), cov_fx, cov_ff)
@@ -250,8 +240,6 @@ class FilterState:
             lm.position = lm.position + dx[off:off + 3]
 
     def symmetrize(self) -> None:
-        asym = float(np.abs(self.cov - self.cov.T).max())
-        self.checks.max_asymmetry = max(self.checks.max_asymmetry, asym)
         self.cov = 0.5 * (self.cov + self.cov.T)
 
 
@@ -472,8 +460,8 @@ def _ekf_update(state: FilterState, H: np.ndarray, r: np.ndarray) -> None:
     state.apply_correction(dx)
 
 
-def msckf_update(state: FilterState, dead_tracks: list[FeatureTrack]) -> FilterState:
-    """Consume out-of-state tracks via left null-space projection."""
+def msckf_update(state: FilterState, dead_tracks: list[FeatureTrack]) -> int:
+    """Consume dead tracks via left null-space projection; returns how many were used."""
     used = 0
     H_rows = []
     r_rows = []
@@ -484,11 +472,8 @@ def msckf_update(state: FilterState, dead_tracks: list[FeatureTrack]) -> FilterS
         system = _track_system(state, track, cam_poses)
         if system is None:
             continue
-        _, r, H_x, H_f, Q, _ = system
+        _, r, H_x, _, Q, _ = system
         N = Q[:, 3:]
-        state.checks.max_nullspace_residual = max(
-            state.checks.max_nullspace_residual, float(np.linalg.norm(N.T @ H_f))
-        )
         H_o = N.T @ H_x
         r_o = N.T @ r
         if not _chi2_gate(state, H_o, r_o, r.size - 3):
@@ -496,16 +481,18 @@ def msckf_update(state: FilterState, dead_tracks: list[FeatureTrack]) -> FilterS
         H_rows.append(H_o)
         r_rows.append(r_o)
         used += 1
-    state.checks.max_msckf_in_update = max(state.checks.max_msckf_in_update, used)
     if H_rows:
         _ekf_update(state, np.vstack(H_rows), np.concatenate(r_rows))
-    return state
+    return used
 
 
 def slam_update(
-    state: FilterState, in_state_tracks: list[FeatureTrack], frame_index: int
-) -> FilterState:
-    """Update existing in-state landmarks, then initialize promotions."""
+    state: FilterState,
+    in_state_tracks: list[FeatureTrack],
+    promotions: list[FeatureTrack],
+    frame_index: int,
+) -> None:
+    """Update the landmarks of ``in_state_tracks``, then initialize ``promotions`` in order."""
     # (a) per-feature EKF rows for landmarks observed this frame, all from
     # this frame's clone, built in one batch
     H_rows = []
@@ -555,7 +542,6 @@ def slam_update(
         r_rows.append(r)
         state.slam[tid].last_seen_frame = frame_index
         participating += 1
-    state.checks.max_slam_in_update = max(state.checks.max_slam_in_update, participating)
     if H_rows:
         _ekf_update(state, np.vstack(H_rows), np.concatenate(r_rows))
     for tid in inconsistent:
@@ -563,11 +549,10 @@ def slam_update(
 
     # (b) delayed initialization of newly promoted tracks
     capacity = state.cfg.max_slam_update - len(state.slam)
-    for track in sorted(in_state_tracks, key=lambda t: t.id):
+    for track in promotions:
         if capacity <= 0:
             break
-        # a track with a landmark is in state, or dead until the landmark goes
-        if track.status is not TrackStatus.OUT_OF_STATE or frame_index < track.retry_after:
+        if frame_index < track.retry_after:
             continue
         system = _track_system(state, track, cam_poses)
         if system is None:
@@ -586,7 +571,6 @@ def slam_update(
         cov_fx = M @ state.cov
         position = p_tri + R1_inv @ r1
         state.add_landmark(track.id, position, position, cov_ff, cov_fx, frame_index)
-        track.mark_in_state()
         capacity -= 1
         # the other 2m - 3 rows are landmark-free: consume them as a plain update
         N = Q[:, 3:]
@@ -594,7 +578,6 @@ def slam_update(
         r_o = N.T @ r
         if _chi2_gate(state, H_o, r_o, r.size - 3):
             _ekf_update(state, H_o, r_o)
-    return state
 
 
 @dataclass
@@ -610,34 +593,25 @@ class FrameResult:
     msckf_used: int = 0
 
 
-def _paranoid(state: FilterState) -> None:
-    asym = float(np.abs(state.cov - state.cov.T).max())
-    state.checks.max_asymmetry = max(state.checks.max_asymmetry, asym)
-    evals = np.linalg.eigvalsh(0.5 * (state.cov + state.cov.T))
-    state.checks.min_eigenvalue = min(state.checks.min_eigenvalue, float(evals.min()))
-
-
-def route_tracks(table: TrackTable, cfg: FilterConfig):
+def route_tracks(state: FilterState, table: TrackTable, died: list[FeatureTrack]):
     """This frame's promotion candidates and MSCKF tracks, each sorted by id.
 
-    Live out-of-state tracks seen for ``cfg.max_clones`` frames are promoted
-    to in-state landmarks; tracks that just died with at least
-    ``cfg.min_msckf_len`` observations feed the MSCKF update.
+    Live tracks without a landmark seen for ``max_clones`` frames are
+    promoted to in-state landmarks; tracks in ``died`` with at least
+    ``min_msckf_len`` observations feed the MSCKF update.
     """
     promote = [
         t for t in table.tracks.values()
-        if t.status is TrackStatus.OUT_OF_STATE and t.length() >= cfg.max_clones
+        if t.id not in state.slam and t.length() >= state.cfg.max_clones
     ]
-    dead = [
-        table.tracks[tid] for tid in table.just_died
-        if table.tracks[tid].length() >= cfg.min_msckf_len
-    ]
+    dead = [t for t in died if t.length() >= state.cfg.min_msckf_len]
     return sorted(promote, key=lambda t: t.id), sorted(dead, key=lambda t: t.id)
 
 
 def process_frame(
     state: FilterState,
     table: TrackTable,
+    died: list[FeatureTrack],
     imu_segment,
     noise: NoiseParams,
     frame_index: int,
@@ -646,7 +620,8 @@ def process_frame(
     """One filter cycle: propagate, clone, update, marginalize.
 
     ``imu_segment`` must cover the interval up to ``t``; the track table
-    must already contain this frame's observations.
+    must already contain this frame's observations, and ``died`` holds the
+    tracks that ``track_frame`` retired this frame.
     """
     cfg = state.cfg
     if len(imu_segment) >= 2:
@@ -660,31 +635,22 @@ def process_frame(
 
     state.clone_pose(frame_index)
 
-    promotions, dead_tracks = route_tracks(table, cfg)
-    in_state_live = [
-        t2 for t2 in table.live() if t2.status is TrackStatus.IN_STATE
-    ] + promotions
-
-    slam_update(state, in_state_live, frame_index)
-    msckf_update(state, dead_tracks)
+    promotions, dead_tracks = route_tracks(state, table, died)
+    in_state = [t2 for t2 in table.tracks.values() if t2.id in state.slam]
+    slam_update(state, in_state, promotions, frame_index)
+    msckf_used = msckf_update(state, dead_tracks)
 
     while len(state.clones) > cfg.max_clones:
         state.marginalize_clone(min(state.clones))
-    state.checks.max_clone_count = max(state.checks.max_clone_count, len(state.clones))
 
-    # retire landmarks whose track died or that went unseen for a whole window
-    # (stale); prune_dead keeps every landmark's track in the table
+    # retire landmarks whose track died, or that went unseen for a whole
+    # window (stale), together with their track
     for tid in list(state.slam):
-        track = table.tracks[tid]
-        if state.slam[tid].last_seen_frame < frame_index - cfg.max_clones:
-            track.mark_dead("stale")
-        if track.status is TrackStatus.DEAD:
+        track = table.tracks.get(tid)
+        if track is not None and state.slam[tid].last_seen_frame < frame_index - cfg.max_clones:
+            table.retire(track, "stale")
+        if tid not in table.tracks:
             state.remove_landmark(tid)
-
-    table.prune_dead(keep_ids=state.slam.keys())
-
-    if cfg.paranoid_checks:
-        _paranoid(state)
 
     pos_var = np.trace(state.cov[3:6, 3:6])
     rot_var = np.trace(state.cov[0:3, 0:3])
@@ -695,7 +661,7 @@ def process_frame(
         trace=float(np.trace(state.cov)),
         pos_sigma=float(np.sqrt(max(pos_var, 0.0))),
         rot_sigma=float(np.sqrt(max(rot_var, 0.0))),
-        live_tracks=table.live_count(),
+        live_tracks=len(table.tracks),
         slam_count=len(state.slam),
-        msckf_used=len(dead_tracks),
+        msckf_used=msckf_used,
     )

@@ -8,7 +8,7 @@ run one filter cycle fed with the IMU slice covering the frame interval.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +36,7 @@ from .tracker import (
 class PipelineResult:
     pose_rows: np.ndarray
     diagnostics: np.ndarray        # t, trace, pos_sigma, rot_sigma, live, slam, msckf
-    checks: "object"
     elapsed_seconds: float
-    table: TrackTable = field(repr=False, default=None)
 
     def trajectory(self) -> TrajectorySeries:
         return TrajectorySeries.from_rows(self.pose_rows)
@@ -150,10 +148,10 @@ def run_pipeline(
             pts = shi_tomasi_on_edges(feathered, tracker_cfg.n_points)
             corners = corners_from_points(pts, t)
 
-        track_frame(table, prev_feather, feathered, corners, tracker_cfg, k)
+        died = track_frame(table, prev_feather, feathered, corners, tracker_cfg, k)
 
         segment = slicer.slice(prev_t, t) if k > 0 else []
-        result = process_frame(state, table, segment, noise, k, t)
+        result = process_frame(state, table, died, segment, noise, k, t)
 
         pose_rows.append(
             [t, *result.position, *result.orientation.xyzw]
@@ -180,6 +178,6 @@ def run_pipeline(
                     f"{int(row[4])},{int(row[5])},{int(row[6])}\n"
                 )
     if tracks_path is not None:
-        dump_tracks_csv(table, tracks_path)
+        dump_tracks_csv(table, state.slam, tracks_path)
 
-    return PipelineResult(pose_rows, diag_rows, state.checks, elapsed, table)
+    return PipelineResult(pose_rows, diag_rows, elapsed)

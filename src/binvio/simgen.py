@@ -161,7 +161,6 @@ class WorldModel:
 
     landmarks: np.ndarray            # (N, 3)
     segments: np.ndarray             # (S, 2, 3) endpoint pairs
-    extent: float = 6.0
 
 
 def _wall_frames(size):
@@ -294,7 +293,7 @@ def make_room_world(
         if len(kept) >= n_landmarks:
             break
     landmarks = landmarks[np.sort(np.array(kept, dtype=int))]
-    return WorldModel(landmarks=landmarks, segments=segments, extent=float(max(size)))
+    return WorldModel(landmarks=landmarks, segments=segments)
 
 
 MIN_SEGMENT_SAMPLES = 16
@@ -408,7 +407,6 @@ class SimConfig:
     n_segments: int = 200
     poor_sector: tuple[float, float] | None = None
     poor_density: float = 0.1
-    contrast: float = 1.0    # grayscale-only intensity scale
 
     def world(self) -> WorldModel:
         return make_room_world(

@@ -3,7 +3,8 @@
 The tracker never looks at grayscale imagery.  Binary edges are mapped to
 intensity 128 and blurred with a normalized Gaussian ("feathering"), and
 Lucas-Kanade runs on that smooth field, seeded at the binary corner
-locations.  Track state is kept in a table that the filter consumes.
+locations.  The track table holds live tracks only, and a track is in the
+filter's state when ``FilterState.slam`` holds a landmark under its id.
 
 Coordinates are ``(u, v)`` pixels with ``u`` along columns; map arrays are
 indexed ``[v, u]``.
@@ -37,8 +38,7 @@ MIN_EIGENVALUE = 1e-6
 
 
 class TrackStatus(enum.Enum):
-    OUT_OF_STATE = "out_of_state"
-    IN_STATE = "in_state"
+    LIVE = "live"
     DEAD = "dead"
 
 
@@ -81,8 +81,16 @@ class TrackerConfig:
             raise ValueError(f"n_points must be in [1, {MAX_CORNER_POINTS}]")
         if self.window % 2 == 0 or self.window < 3:
             raise ValueError("window must be odd and >= 3")
-        if self.sigma_e <= 0:
+        if not self.sigma_e > 0:
             raise ValueError("sigma_e must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if not self.epsilon >= 0:
+            raise ValueError("epsilon must be >= 0")
+        if not self.photometric_gate > 0:
+            raise ValueError("photometric_gate must be positive")
+        if not self.min_separation >= 0:
+            raise ValueError("min_separation must be >= 0")
 
 
 @dataclass
@@ -91,7 +99,7 @@ class FeatureTrack:
 
     id: int
     observations: list = field(default_factory=list)  # (frame_index, np.array([u, v]))
-    status: TrackStatus = TrackStatus.OUT_OF_STATE
+    status: TrackStatus = TrackStatus.LIVE
     last_flow: np.ndarray = field(default_factory=lambda: np.zeros(2))
     death_reason: str = ""
     retry_after: int = 0  # promotion backoff after a failed triangulation
@@ -110,31 +118,17 @@ class FeatureTrack:
     def last_frame(self) -> int:
         return self.observations[-1][0]
 
-    def mark_in_state(self) -> None:
-        if self.status is not TrackStatus.OUT_OF_STATE:
-            raise ValueError(f"cannot promote a {self.status.value} track")
-        self.status = TrackStatus.IN_STATE
-
     def mark_dead(self, reason: str = "") -> None:
-        if self.status is TrackStatus.DEAD:
-            return
         self.status = TrackStatus.DEAD
         self.death_reason = reason
 
 
 class TrackTable:
-    """Id-keyed track store; the tracker is the single writer per frame."""
+    """Live tracks by id, in spawn order; a track leaves the table when it dies."""
 
     def __init__(self):
         self.tracks: dict[int, FeatureTrack] = {}
         self.next_id = 0
-        self.just_died: list[int] = []
-
-    def live(self) -> list[FeatureTrack]:
-        return [t for t in self.tracks.values() if t.status is not TrackStatus.DEAD]
-
-    def live_count(self) -> int:
-        return sum(1 for t in self.tracks.values() if t.status is not TrackStatus.DEAD)
 
     def spawn(self, frame_index: int, position: np.ndarray) -> FeatureTrack:
         track = FeatureTrack(self.next_id)
@@ -143,11 +137,10 @@ class TrackTable:
         self.tracks[track.id] = track
         return track
 
-    def prune_dead(self, keep_ids=()) -> None:
-        keep = set(keep_ids)
-        for tid in [t for t, tr in self.tracks.items()
-                    if tr.status is TrackStatus.DEAD and t not in keep]:
-            del self.tracks[tid]
+    def retire(self, track: FeatureTrack, reason: str) -> None:
+        """Mark a live track dead and drop it from the table."""
+        track.mark_dead(reason)
+        del self.tracks[track.id]
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -313,16 +306,17 @@ def track_frame(
     new_corners: BinaryMap | None,
     cfg: TrackerConfig,
     frame_index: int,
-) -> TrackTable:
+) -> list[FeatureTrack]:
     """Advance live tracks into ``next_map`` and spawn new ones at corners.
 
     Tracks that fail (window out of bounds, degenerate gradients, or final
-    photometric residual above the gate) are marked dead.  New tracks are
-    seeded at corner pixels at least ``min_separation`` away from live
-    tracks, in (row, col) order, up to ``n_points`` live tracks.
+    photometric residual above the gate) are retired from the table and
+    returned, in table order.  New tracks are seeded at corner pixels at
+    least ``min_separation`` away from live tracks, in (row, col) order, up
+    to ``n_points`` live tracks.
     """
-    table.just_died = []
-    live = table.live()
+    died = []
+    live = list(table.tracks.values())
     median_flow = np.zeros(2)
     if prev is not None and live:
         points = np.array([t.last_position() for t in live])
@@ -335,8 +329,8 @@ def track_frame(
                 tr.add_observation(frame_index, points[i] + disp[i])
                 tr.last_flow = disp[i].copy()
             else:
-                tr.mark_dead(str(reason[i]))
-                table.just_died.append(tr.id)
+                table.retire(tr, str(reason[i]))
+                died.append(tr)
         if ok.any():
             median_flow = np.median(disp[ok], axis=0)
     elif prev is None and live:
@@ -346,7 +340,7 @@ def track_frame(
         # fresh spawns inherit the crowd's flow so their first advance
         # starts inside the convergence basin even under fast motion
         _spawn_tracks(table, new_corners, cfg, frame_index, median_flow)
-    return table
+    return died
 
 
 def _spawn_tracks(
@@ -356,7 +350,7 @@ def _spawn_tracks(
     frame_index: int,
     initial_flow: np.ndarray | None = None,
 ) -> None:
-    budget = cfg.n_points - table.live_count()
+    budget = cfg.n_points - len(table.tracks)
     if budget <= 0:
         return
     rows, cols = np.nonzero(corners.bits)
@@ -364,7 +358,7 @@ def _spawn_tracks(
         return
     cand = np.column_stack([cols, rows]).astype(float)  # (u, v) in (row, col) order
 
-    live_pos = np.array([t.last_position() for t in table.live()])
+    live_pos = np.array([t.last_position() for t in table.tracks.values()])
     sep2 = cfg.min_separation ** 2
     if live_pos.size:
         d2 = ((cand[:, None, :] - live_pos[None, :, :]) ** 2).sum(axis=2)
@@ -447,11 +441,11 @@ def corners_from_points(points: np.ndarray, timestamp: float = 0.0) -> BinaryMap
     return BinaryMap(bits, MapKind.CORNER, timestamp)
 
 
-def dump_tracks_csv(table: TrackTable, path) -> None:
-    """Write the whole table as ``frame,id,u,v,status`` rows."""
+def dump_tracks_csv(table: TrackTable, landmark_ids, path) -> None:
+    """Write the live tracks as ``frame,id,u,v,status`` rows, ``in_state`` for ``landmark_ids``."""
     with open(path, "w") as f:
         f.write("frame,id,u,v,status\n")
         for tid in sorted(table.tracks):
-            tr = table.tracks[tid]
-            for frame, z in tr.observations:
-                f.write(f"{frame},{tid},{z[0]:.4f},{z[1]:.4f},{tr.status.value}\n")
+            status = "in_state" if tid in landmark_ids else "out_of_state"
+            for frame, z in table.tracks[tid].observations:
+                f.write(f"{frame},{tid},{z[0]:.4f},{z[1]:.4f},{status}\n")

@@ -16,24 +16,35 @@ from binvio.io import read_manifest, read_pose_csv
 from binvio.simgen import load_dataset
 
 
+def nonneg(strict=False):
+    """Finite floats >= 0, or > 0 when ``strict``."""
+    return st.floats(min_value=0.0, exclude_min=strict, allow_infinity=False)
+
+
 # fields whose section validation limits their values; every other field is
-# drawn from its whole type
+# drawn from its whole type (finite, for floats)
 CONSTRAINED = {
     ("tracker", "n_points"): st.integers(1, 800),
     ("tracker", "window"): st.integers(1, 1000).map(lambda k: 2 * k + 1),
-    ("tracker", "sigma_e"): st.floats(min_value=0.0, exclude_min=True),
+    ("tracker", "sigma_e"): nonneg(strict=True),
+    ("tracker", "epsilon"): nonneg(),
+    ("tracker", "max_iters"): st.integers(min_value=1),
+    ("tracker", "photometric_gate"): nonneg(strict=True),
+    ("tracker", "min_separation"): nonneg(),
     ("filter", "max_clones"): st.integers(min_value=1),
     ("filter", "max_slam_update"): st.integers(min_value=1),
     ("filter", "max_msckf_update"): st.integers(min_value=1),
-    ("filter", "sigma_px"): st.floats(min_value=0.0, exclude_min=True),
+    ("filter", "sigma_px"): nonneg(strict=True),
     ("filter", "chi2_confidence"): st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ("filter", "min_msckf_len"): st.integers(min_value=2),
+    ("filter", "min_baseline_deg"): st.floats(0.0, 180.0, exclude_max=True),
     ("emulator", "edge_threshold"): st.floats(0.0, 2040.0, exclude_min=True),
-    ("emulator", "fast_threshold"): st.floats(min_value=0.0),
+    ("emulator", "fast_threshold"): nonneg(),
     ("emulator", "noise_flip_rate"): st.floats(0.0, 0.05),
-    ("noise", "gyro_noise"): st.floats(min_value=0.0),
-    ("noise", "accel_noise"): st.floats(min_value=0.0),
-    ("noise", "gyro_walk"): st.floats(min_value=0.0),
-    ("noise", "accel_walk"): st.floats(min_value=0.0),
+    ("noise", "gyro_noise"): nonneg(),
+    ("noise", "accel_noise"): nonneg(),
+    ("noise", "gyro_walk"): nonneg(),
+    ("noise", "accel_walk"): nonneg(),
     ("noise", "gravity"): st.one_of(st.just(0.0), st.floats(9.31, 10.31)),
 }
 
@@ -46,7 +57,7 @@ def values_of(section, field, kind):
     if kind is int:
         return st.integers()
     if kind is float:
-        return st.floats(allow_nan=False)
+        return st.floats(allow_nan=False, allow_infinity=False)
     if issubclass(kind, enum.Enum):
         return st.sampled_from(list(kind))
     raise TypeError(f"no strategy for {kind}")
@@ -77,7 +88,7 @@ class TestConfig:
     def test_shipped_default_file_matches_table(self):
         shipped = Path(config.__file__).parent / "data" / "default.cfg"
         assert shipped.read_text() == PipelineConfig().to_text()
-        assert len(shipped.read_text().splitlines()) == 29
+        assert len(shipped.read_text().splitlines()) == 28
         cfg = load_config(shipped)
         assert cfg == PipelineConfig()
         assert cfg.tracker.n_points == 800
@@ -124,7 +135,8 @@ class TestConfig:
             cfg.apply_override("tracker.min_msckf_len", "4")
         with pytest.raises(ConfigInvalid):
             cfg.apply_override("filter.slam_before_msckf", "true")
-        for gone in ("filter.integration", "filter.chi2_scale", "tracker.predict_with_prev_flow"):
+        for gone in ("filter.integration", "filter.chi2_scale", "tracker.predict_with_prev_flow",
+                     "filter.paranoid_checks"):
             with pytest.raises(ConfigInvalid):
                 cfg.apply_override(gone, "1")
 
@@ -260,6 +272,16 @@ class TestCli:
         ("--tracker.n_points", "1000"),
         ("--noise.gravity", "50"),
         ("--noise.gyro_noise", "-1"),
+        ("--noise.gravity", "nan"),
+        ("--noise.gyro_noise", "nan"),
+        ("--tracker.sigma_e", "nan"),
+        ("--tracker.max_iters", "-1"),
+        ("--tracker.epsilon", "-1"),
+        ("--tracker.photometric_gate", "nan"),
+        ("--tracker.min_separation", "-5"),
+        ("--filter.min_baseline_deg", "nan"),
+        ("--filter.min_msckf_len", "-3"),
+        ("--filter.sigma_px", "inf"),
     ])
     def test_run_invalid_value_exit_2(self, tiny_dataset, tmp_path, flag, value):
         pose = tmp_path / "pose.csv"

@@ -270,3 +270,13 @@ class TestStateTransitionJacobian:
         ) * dt
         np.testing.assert_allclose(Phi[6:9, 0:3], expected, atol=1e-12)
         np.testing.assert_allclose(Phi[3:6, 0:3], 0.5 * dt * expected, atol=1e-15)
+
+
+class TestNoiseParams:
+    @pytest.mark.parametrize(
+        "name", ["gyro_noise", "accel_noise", "gyro_walk", "accel_walk", "gravity"]
+    )
+    def test_nan_rejected(self, name):
+        # a manifest value reaches NoiseParams without passing the config parser
+        with pytest.raises(ValueError):
+            NoiseParams(**{name: float("nan")})

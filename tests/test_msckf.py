@@ -11,6 +11,7 @@ from binvio.msckf import (
     FilterState,
     InsufficientBaseline,
     _inverse_depth_rows,
+    _track_system,
     camera_poses_now,
     msckf_update,
     process_frame,
@@ -92,11 +93,10 @@ class TestClonePose:
         state = FilterState(NavState(), calib, FilterConfig(estimate_calibration=False))
         noise = NoiseParams(2e-4, 2e-3, 2e-6, 3e-5, 9.81)
         for k in range(20):
-            process_frame(state, TrackTable(), [], noise, k, k / 250.0)
-        assert len(state.clones) == 15
+            process_frame(state, TrackTable(), [], [], noise, k, k / 250.0)
+            assert len(state.clones) == min(k + 1, 15)
         assert sorted(state.clones) == list(range(5, 20))
         assert state.dim() == 15 + 6 * 15
-        assert state.checks.max_clone_count == 15
 
     def test_marginalization_preserves_remaining_marginals(self):
         state = make_state(5)
@@ -215,18 +215,21 @@ class TestLayout:
 
 
 class TestRouteTracks:
-    def make_track(self, table, n_obs, start=0, dead=False):
+    def make_track(self, table, n_obs, start=0, died=None):
+        """A track with ``n_obs`` observations; retired into ``died`` when given."""
         t = table.spawn(start, np.array([50.0, 50.0]))
         for k in range(1, n_obs):
             t.add_observation(start + k, np.array([50.0 + k, 50.0]))
-        if dead:
-            t.mark_dead("test")
-            table.just_died.append(t.id)
+        if died is not None:
+            table.retire(t, "test")
+            died.append(t)
         return t
 
-    def route(self, table, max_clones=15, min_msckf_len=4):
-        cfg = FilterConfig(max_clones=max_clones, min_msckf_len=min_msckf_len)
-        promote, msckf = route_tracks(table, cfg)
+    def route(self, table, died=(), max_clones=15, min_msckf_len=4, state=None):
+        if state is None:
+            cfg = FilterConfig(max_clones=max_clones, min_msckf_len=min_msckf_len)
+            state = FilterState(NavState(), default_calibration(), cfg)
+        promote, msckf = route_tracks(state, table, list(died))
         return [t.id for t in promote], [t.id for t in msckf]
 
     def test_boundary_promotion(self):
@@ -239,11 +242,12 @@ class TestRouteTracks:
         assert msckf == []
 
     def test_dead_tracks_to_msckf(self):
-        table = TrackTable()
-        t_short = self.make_track(table, 3, dead=True)
-        t_ok = self.make_track(table, 7, dead=True)
-        t_long = self.make_track(table, 14, dead=True)
-        promote, msckf = self.route(table, min_msckf_len=4)
+        table, died = TrackTable(), []
+        t_short = self.make_track(table, 3, died=died)
+        t_ok = self.make_track(table, 7, died=died)
+        t_long = self.make_track(table, 14, died=died)
+        assert table.tracks == {}
+        promote, msckf = self.route(table, died, min_msckf_len=4)
         assert promote == []
         assert t_ok.id in msckf and t_long.id in msckf
         assert t_short.id not in msckf
@@ -252,9 +256,9 @@ class TestRouteTracks:
         assert self.route(TrackTable()) == ([], [])
 
     def test_dead_track_longer_than_window_to_msckf(self):
-        table = TrackTable()
-        t = self.make_track(table, 20, dead=True)
-        assert self.route(table) == ([], [t.id])
+        table, died = TrackTable(), []
+        t = self.make_track(table, 20, died=died)
+        assert self.route(table, died) == ([], [t.id])
 
     def test_live_track_longer_than_window_promoted_never_retired(self):
         # a promotion that fails leaves the track live and out of state
@@ -263,10 +267,21 @@ class TestRouteTracks:
         assert self.route(table) == ([t.id], [])
         state = FilterState(NavState(), default_calibration(), FilterConfig())
         noise = NoiseParams(2e-4, 2e-3, 2e-6, 3e-5, 9.81)
-        process_frame(state, table, [], noise, 20, 0.08)
-        assert t.status is TrackStatus.OUT_OF_STATE
+        process_frame(state, table, [], [], noise, 20, 0.08)
+        assert t.status is TrackStatus.LIVE
         assert t.death_reason == ""
+        assert table.tracks == {t.id: t}
         assert t.id not in state.slam
+
+    def test_track_with_landmark_not_promoted(self):
+        # in state means a landmark under the track's id, nothing else
+        table = TrackTable()
+        t_in = self.make_track(table, 15)
+        t_out = self.make_track(table, 15)
+        state = FilterState(NavState(), default_calibration(), FilterConfig())
+        state.add_landmark(t_in.id, np.zeros(3), np.zeros(3), np.eye(3),
+                           np.zeros((3, state.dim())), 0)
+        assert self.route(table, state=state) == ([t_out.id], [])
 
 
 class TestTriangulate:
@@ -355,9 +370,11 @@ class TestMsckfUpdate:
             make_track(state, np.array([3.0, 0.2 * i, 0.1]), range(10), tid=i)
             for i in range(8)
         ]
-        msckf_update(state, tracks)
-        assert state.checks.max_nullspace_residual < 1e-9
-        assert state.checks.max_nullspace_residual > 0.0  # updates actually ran
+        cam_poses = camera_poses_now(state.clones, state.calib)
+        for tr in tracks:
+            _, _, _, H_f, Q, _ = _track_system(state, tr, cam_poses)
+            assert np.linalg.norm(Q[:, 3:].T @ H_f) < 1e-9
+        assert msckf_update(state, tracks) == len(tracks)  # every track was used
 
     def test_budget_cap(self):
         state = make_state(10)
@@ -367,8 +384,7 @@ class TestMsckfUpdate:
             )
             for i in range(200)
         ]
-        msckf_update(state, tracks)
-        assert state.checks.max_msckf_in_update == 60
+        assert msckf_update(state, tracks) == 60
 
     def test_covariance_trace_never_increases(self):
         state = make_state(10)
@@ -394,8 +410,7 @@ class TestMsckfUpdate:
                     tr.add_observation(f, z + rng.normal(scale=1.0, size=2))
                 tr.status = TrackStatus.DEAD
                 tracks.append(tr)
-            msckf_update(state, tracks)
-            return state.checks.max_msckf_in_update
+            return msckf_update(state, tracks)
 
         accepted = [run(c) for c in (1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9)]
         assert accepted[0] == 0       # everything rejected
@@ -423,8 +438,8 @@ class TestSlamUpdate:
         state = make_state(10)
         landmark = np.array([3.0, 0.1, -0.2])
         self.add_landmark(state, landmark, tid=7)
-        tr = make_track(state, landmark, range(10), tid=7, status=TrackStatus.IN_STATE)
-        slam_update(state, [tr], frame_index=9)
+        tr = make_track(state, landmark, range(10), tid=7, status=TrackStatus.LIVE)
+        slam_update(state, [tr], [], frame_index=9)
         assert np.linalg.norm(state.slam[7].position - landmark) < 1e-9
 
     def test_landmark_behind_camera_retired(self):
@@ -432,26 +447,36 @@ class TestSlamUpdate:
         good = np.array([3.0, 0.1, -0.2])
         self.add_landmark(state, good, tid=7)
         self.add_landmark(state, np.array([-3.0, 0.1, -0.2]), tid=8)
-        tr_good = make_track(state, good, range(10), tid=7, status=TrackStatus.IN_STATE)
+        tr_good = make_track(state, good, range(10), tid=7, status=TrackStatus.LIVE)
         tr_bad = FeatureTrack(8)
         for f in range(10):
             tr_bad.add_observation(f, np.array([128.0, 128.0]))
-        tr_bad.status = TrackStatus.IN_STATE
-        slam_update(state, [tr_good, tr_bad], frame_index=9)
+        slam_update(state, [tr_good, tr_bad], [], frame_index=9)
         assert 8 not in state.slam
         assert state.slam[7].last_seen_frame == 9
         assert state.slam_at == {7: 15 + 6 * 10}
         assert state.dim() == 15 + 6 * 10 + 3
 
+    def test_retired_landmark_track_promotable_again(self):
+        # once its landmark is retired, a live track is out of state
+        state = make_state(10, max_clones=10)
+        self.add_landmark(state, np.array([-3.0, 0.1, -0.2]), tid=0)
+        table = TrackTable()
+        tr = table.spawn(0, np.array([128.0, 128.0]))
+        for f in range(1, 10):
+            tr.add_observation(f, np.array([128.0, 128.0]))
+        assert route_tracks(state, table, []) == ([], [])
+        slam_update(state, [tr], [], frame_index=9)
+        assert state.slam == {}
+        assert route_tracks(state, table, []) == ([tr], [])
+
     def test_promotion_initializes_landmark(self):
         state = make_state(15)
         landmark = np.array([3.0, -0.3, 0.25])
-        tr = make_track(
-            state, landmark, range(15), tid=3, status=TrackStatus.OUT_OF_STATE
-        )
-        slam_update(state, [tr], frame_index=14)
+        tr = make_track(state, landmark, range(15), tid=3, status=TrackStatus.LIVE)
+        slam_update(state, [], [tr], frame_index=14)
         assert 3 in state.slam
-        assert tr.status is TrackStatus.IN_STATE
+        assert tr.status is TrackStatus.LIVE
         assert np.linalg.norm(state.slam[3].position - landmark) < 1e-6
         assert state.dim() == 15 + 6 * 15 + 3
 
@@ -461,19 +486,16 @@ class TestSlamUpdate:
         for i in range(40):
             lm = np.array([3.0, 0.05 * i - 1.0, 0.04 * i - 0.8])
             tracks.append(
-                make_track(state, lm, range(15), tid=i, status=TrackStatus.OUT_OF_STATE)
+                make_track(state, lm, range(15), tid=i, status=TrackStatus.LIVE)
             )
-        slam_update(state, tracks, frame_index=14)
+        slam_update(state, [], tracks, frame_index=14)
         assert len(state.slam) <= 30
-        assert state.checks.max_slam_in_update <= 30
 
     def test_landmark_covariance_positive(self):
         state = make_state(15)
         landmark = np.array([3.0, 0.4, -0.1])
-        tr = make_track(
-            state, landmark, range(15), tid=11, status=TrackStatus.OUT_OF_STATE
-        )
-        slam_update(state, [tr], frame_index=14)
+        tr = make_track(state, landmark, range(15), tid=11, status=TrackStatus.LIVE)
+        slam_update(state, [], [tr], frame_index=14)
         off = state.slam_at[11]
         block = state.cov[off:off + 3, off:off + 3]
         assert np.linalg.eigvalsh(block).min() > 0.0

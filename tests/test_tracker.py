@@ -367,11 +367,11 @@ class TestTrackFrame:
         cfg = TrackerConfig()
         table = TrackTable()
         track_frame(table, None, fmap, corners, cfg, 0)
-        first = {t.id: t.last_position().copy() for t in table.live()}
+        first = {t.id: t.last_position().copy() for t in table.tracks.values()}
         assert len(first) > 20
         for k in range(1, 11):
             track_frame(table, fmap, fmap, None, cfg, k)
-        for t in table.live():
+        for t in table.tracks.values():
             assert t.length() == 11
             assert np.linalg.norm(t.last_position() - first[t.id]) < 0.05
 
@@ -388,7 +388,7 @@ class TestTrackFrame:
         for k in range(1, 6):
             track_frame(table, maps[k - 1], maps[k], None, cfg, k)
         flows = []
-        for t in table.live():
+        for t in table.tracks.values():
             if t.length() == 6:
                 obs = [z for _, z in t.observations]
                 steps = np.diff(np.array(obs), axis=0)
@@ -406,7 +406,7 @@ class TestTrackFrame:
         cfg = TrackerConfig(min_separation=1.0)
         table = TrackTable()
         track_frame(table, None, fmap, BinaryMap(corners, MapKind.CORNER), cfg, 0)
-        assert table.live_count() <= 800
+        assert len(table.tracks) <= 800
 
     def test_min_separation_enforced(self):
         fmap, _ = self.static_scene(11)
@@ -416,18 +416,32 @@ class TestTrackFrame:
         corners[100, 140] = 1
         table = TrackTable()
         track_frame(table, None, fmap, BinaryMap(corners, MapKind.CORNER), TrackerConfig(), 0)
-        assert table.live_count() == 2
+        assert len(table.tracks) == 2
 
     def test_observations_append_only(self):
         fmap, corners = self.static_scene(12)
         table = TrackTable()
         cfg = TrackerConfig()
         track_frame(table, None, fmap, corners, cfg, 0)
-        snapshot = {t.id: [z.copy() for _, z in t.observations] for t in table.live()}
+        snapshot = {t.id: [z.copy() for _, z in t.observations] for t in table.tracks.values()}
         track_frame(table, fmap, fmap, None, cfg, 1)
-        for t in table.live():
+        for t in table.tracks.values():
             for old, (_, new) in zip(snapshot[t.id], t.observations):
                 np.testing.assert_array_equal(old, new)
+
+    def test_dead_tracks_leave_table_and_are_returned(self):
+        # every window leaves the image when the map shifts by 300 px
+        fmap, corners = self.static_scene(14)
+        cfg = TrackerConfig()
+        table = TrackTable()
+        assert track_frame(table, None, fmap, corners, cfg, 0) == []
+        spawned = list(table.tracks.values())
+        for t in spawned:
+            t.last_flow = np.array([300.0, 0.0])
+        died = track_frame(table, fmap, fmap, None, cfg, 1)
+        assert died == spawned
+        assert table.tracks == {}
+        assert all(t.status is TrackStatus.DEAD and t.death_reason == "oob" for t in died)
 
     def test_feathering_off_degrades_convergence(self):
         # raw 0/128 edges give near-empty gradients: failure rate must rise
@@ -460,12 +474,11 @@ class TestTrackStatus:
     def test_status_transitions(self):
         table = TrackTable()
         t = table.spawn(0, np.array([50.0, 50.0]))
-        t.mark_in_state()
-        assert t.status is TrackStatus.IN_STATE
-        with pytest.raises(ValueError):
-            t.mark_in_state()
-        t.mark_dead("done")
+        assert t.status is TrackStatus.LIVE
+        table.retire(t, "done")
         assert t.status is TrackStatus.DEAD
+        assert t.death_reason == "done"
+        assert t.id not in table.tracks
 
 
 class TestShiTomasi:
