@@ -10,7 +10,9 @@ Out-of-state features are consumed by projecting their stacked residuals
 onto the left null space of the landmark Jacobian, which removes the
 landmark analytically and constrains only the cloned poses (plus
 calibration when estimated).  In-state landmarks get plain EKF updates and
-delayed initialization with the QR-split Jacobian construction.
+delayed initialization with the QR-split Jacobian construction.  Both
+updates screen their candidates for parallax in batched passes and
+triangulate only those that pass.
 
 A track is in state when ``FilterState.slam`` holds a landmark under its
 id; the track table holds live tracks only.
@@ -22,6 +24,7 @@ spurious information gain along unobservable directions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,6 +280,62 @@ def _inverse_depth_rows(w, R_ga, c_a, Rs, centers, pixels, calib: CameraCalibrat
     return (pixels - pred).ravel(), J
 
 
+def _window_observations(track: FeatureTrack, clones) -> list:
+    """The track's ``(frame, pixel)`` observations of cloned frames, oldest first.
+
+    Observations are frame-ordered, so only the tail from the oldest clone on is read.
+    """
+    if not clones:
+        return []
+    tail = track.observations[bisect_left(track.observations, min(clones), key=lambda o: o[0]):]
+    return [(f, z) for f, z in tail if f in clones]
+
+
+def _bearings(pixels: np.ndarray, Rs: np.ndarray, calib: CameraCalibration) -> np.ndarray:
+    """Unit global-frame rays (m, 3) of pixels (m, 2) seen by cameras of rotation Rs (m, 3, 3)."""
+    xn = undistort(pixels, calib, iters=8)
+    d_cam = np.column_stack([xn, np.ones(len(xn))])
+    d_cam /= np.linalg.norm(d_cam, axis=1, keepdims=True)
+    return np.einsum("mji,mj->mi", Rs, d_cam)  # R^T d per camera
+
+
+def _max_subtended_deg(bearings: np.ndarray) -> np.ndarray:
+    """Largest angle in degrees between two rays of each of T tracks, from rays (T, W, 3).
+
+    Gram entries are summed elementwise, so a track's angle does not depend
+    on the batch it is computed in.
+    """
+    x, y, z = (bearings[:, :, None, k] * bearings[:, None, :, k] for k in range(3))
+    return np.degrees(np.arccos(np.clip((x + y + z).min(axis=(1, 2)), -1.0, 1.0)))
+
+
+def _parallax_screen(
+    tracks: list[FeatureTrack], state: FilterState, cam_poses: dict[int, Pose]
+) -> np.ndarray:
+    """Which ``tracks`` pass ``triangulate``'s baseline tests, from one batched pass.
+
+    A track passes when it has at least two in-window observations whose rays
+    subtend at least ``min_baseline_deg``; ``triangulate`` raises
+    ``InsufficientBaseline`` from those two tests for exactly the others.
+    """
+    windows = [_window_observations(t, state.clones) for t in tracks]
+    lengths = np.array([len(w) for w in windows], dtype=int)
+    passes = lengths >= 2
+    if not passes.any():
+        return passes
+    slot = {f: k for k, f in enumerate(state.clones)}
+    rotations = np.stack([cam_poses[f].rotation() for f in state.clones])
+    obs = [o for w, ok in zip(windows, passes) if ok for o in w]
+    pixels = np.array([z for _, z in obs], dtype=float)
+    bearings = _bearings(pixels, rotations[[slot[f] for f, _ in obs]], state.calib)
+    # pad each track with its first ray, whose products its Gram matrix already holds
+    n = lengths[passes]
+    cols = np.arange(n.max())
+    rows = (np.cumsum(n) - n)[:, None] + np.where(cols < n[:, None], cols, 0)
+    passes[passes] = ~(_max_subtended_deg(bearings[rows]) < state.cfg.min_baseline_deg)
+    return passes
+
+
 def triangulate(
     track: FeatureTrack,
     clones: dict[int, CloneEntry],
@@ -290,7 +349,7 @@ def triangulate(
     first observing camera and minimizes pixel reprojection error.
     ``cam_poses`` holds the camera pose of each clone in ``clones``.
     """
-    obs = [(f, z) for f, z in track.observations if f in clones]
+    obs = _window_observations(track, clones)
     if len(obs) < 2:
         raise InsufficientBaseline("need at least two observations in the window")
     m = len(obs)
@@ -298,12 +357,8 @@ def triangulate(
     Rs = np.stack([cam_poses[f].rotation() for f, _ in obs])
     centers = np.stack([cam_poses[f].position for f, _ in obs])
 
-    xn = undistort(pixels, calib, iters=8)
-    d_cam = np.column_stack([xn, np.ones(m)])
-    d_cam /= np.linalg.norm(d_cam, axis=1, keepdims=True)
-    bearings = np.einsum("mji,mj->mi", Rs, d_cam)  # R^T d per camera
-    cosangles = np.clip(bearings @ bearings.T, -1.0, 1.0)
-    max_angle = float(np.degrees(np.arccos(cosangles.min())))
+    bearings = _bearings(pixels, Rs, calib)
+    max_angle = float(_max_subtended_deg(bearings[None])[0])
     if max_angle < min_baseline_deg:
         raise InsufficientBaseline(f"max subtended angle {max_angle:.3f} deg")
 
@@ -390,7 +445,7 @@ def _stack_track_rows(
     state: FilterState, track: FeatureTrack, p_global: np.ndarray, cam_poses: dict[int, Pose]
 ):
     """Residuals (2m,) and Jacobians (2m, d) and (2m, 3) of a track's in-window observations."""
-    obs = [(f, z) for f, z in track.observations if f in state.clones]
+    obs = _window_observations(track, state.clones)
     frames = [f for f, _ in obs]
     m = len(obs)
     pred, H_f, H_clone, H_calib, in_front = _observation_jacobians(
@@ -466,10 +521,14 @@ def msckf_update(state: FilterState, dead_tracks: list[FeatureTrack]) -> int:
     H_rows = []
     r_rows = []
     cam_poses = camera_poses_now(state.clones, state.calib)
-    for track in sorted(dead_tracks, key=lambda t: t.id):
+    # calibration and camera poses hold until the one update below, so one
+    # screen serves every track
+    tracks = sorted(dead_tracks, key=lambda t: t.id)
+    passes = _parallax_screen(tracks, state, cam_poses)
+    for track, passed in zip(tracks, passes):
         if used >= state.cfg.max_msckf_update:
             break
-        system = _track_system(state, track, cam_poses)
+        system = _track_system(state, track, cam_poses) if passed else None
         if system is None:
             continue
         _, r, H_x, _, Q, _ = system
@@ -547,14 +606,18 @@ def slam_update(
     for tid in inconsistent:
         state.remove_landmark(tid)
 
-    # (b) delayed initialization of newly promoted tracks
+    # (b) delayed initialization of newly promoted tracks that are due
     capacity = state.cfg.max_slam_update - len(state.slam)
-    for track in promotions:
+    due = [t for t in promotions if frame_index >= t.retry_after]
+    verdict = {}  # index in due -> parallax screen verdict under the current state.calib
+    for i, track in enumerate(due):
         if capacity <= 0:
             break
-        if frame_index < track.retry_after:
-            continue
-        system = _track_system(state, track, cam_poses)
+        if i not in verdict:
+            # screen as many candidates as could still be initialized
+            passes = _parallax_screen(due[i:i + capacity], state, cam_poses)
+            verdict = dict(enumerate(passes, start=i))
+        system = _track_system(state, track, cam_poses) if verdict[i] else None
         if system is None:
             track.retry_after = frame_index + 5
             continue
@@ -578,6 +641,7 @@ def slam_update(
         r_o = N.T @ r
         if _chi2_gate(state, H_o, r_o, r.size - 3):
             _ekf_update(state, H_o, r_o)
+            verdict = {}  # the update replaced state.calib, which the screen reads
 
 
 @dataclass

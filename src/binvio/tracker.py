@@ -102,7 +102,7 @@ class FeatureTrack:
     status: TrackStatus = TrackStatus.LIVE
     last_flow: np.ndarray = field(default_factory=lambda: np.zeros(2))
     death_reason: str = ""
-    retry_after: int = 0  # promotion backoff after a failed triangulation
+    retry_after: int = 0  # promotion backoff after a failed parallax screen or triangulation
 
     def add_observation(self, frame_index: int, z: np.ndarray) -> None:
         if self.observations and frame_index <= self.observations[-1][0]:

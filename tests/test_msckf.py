@@ -1,17 +1,26 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binvio.geometry import Pose, UnitQuaternion, project_points, quat_from_axis_angle
+from binvio.geometry import (
+    Pose,
+    UnitQuaternion,
+    project_points,
+    quat_from_axis_angle,
+    undistort,
+)
 from binvio.imu import NavState, NoiseParams
 from binvio.msckf import (
     BehindCamera,
     FilterConfig,
     FilterState,
     InsufficientBaseline,
+    NoConvergence,
     _inverse_depth_rows,
+    _parallax_screen,
     _track_system,
+    _window_observations,
     camera_poses_now,
     msckf_update,
     process_frame,
@@ -344,6 +353,87 @@ class TestTriangulate:
                 d[i] = eps
                 fd[:, i] = (pixel(w + d) - pixel(w - d)) / (2 * eps)
             assert np.abs(J - fd).max() / max(1.0, np.abs(fd).max()) < 1e-4
+
+
+def rejects_for_baseline(state, track, cam_poses) -> bool:
+    """Whether ``triangulate`` raises InsufficientBaseline from its window-count or angle test."""
+    try:
+        triangulate(track, state.clones, state.calib, state.cfg.min_baseline_deg, cam_poses)
+    except InsufficientBaseline as e:
+        return "singular" not in str(e)
+    except (BehindCamera, NoConvergence):
+        pass
+    return False
+
+
+def ray_angle_deg(state, track, cam_poses) -> float:
+    """Largest angle between a track's in-window rays, computed here from scratch."""
+    obs = [(f, z) for f, z in track.observations if f in state.clones]
+    xn = undistort(np.array([z for _, z in obs]), state.calib, iters=8)
+    d = np.column_stack([xn, np.ones(len(obs))])
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    rays = np.stack([cam_poses[f].rotation().T @ di for (f, _), di in zip(obs, d)])
+    return float(np.degrees(np.arccos(np.clip(rays @ rays.T, -1.0, 1.0).min())))
+
+
+class TestParallaxScreen:
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_verdict_matches_triangulate(self, data):
+        """One batch of tracks with mixed window lengths, thresholds at a track's own angle."""
+        first = 3  # the oldest clone; observations of frames 0-2 lie outside the window
+        n_clones = data.draw(st.integers(1, 6), label="clones")
+        rotation_only = data.draw(st.booleans(), label="rotation only")
+        small = st.floats(-0.3, 0.3)
+        state = FilterState(NavState(), default_calibration(), FilterConfig(estimate_calibration=False))
+        for k in range(n_clones):
+            axis_angle = np.array(data.draw(st.tuples(small, small, small), label="rotation"))
+            position = np.zeros(3)
+            if not rotation_only:
+                position = np.array(data.draw(st.tuples(small, small, small), label="position"))
+            state.nav = NavState(UnitQuaternion(quat_from_axis_angle(axis_angle)), position)
+            state.clone_pose(first + k)
+        cam_poses = camera_poses_now(state.clones, state.calib)
+
+        tracks = []
+        for tid in range(data.draw(st.integers(0, 6), label="tracks")):
+            landmark = np.array(
+                [data.draw(st.floats(2.0, 6.0)), 3 * data.draw(small), 3 * data.draw(small)]
+            )
+            seen = data.draw(
+                st.lists(st.sampled_from(list(state.clones)), max_size=n_clones, unique=True)
+            )
+            tr = FeatureTrack(tid)
+            for f in range(data.draw(st.integers(0, first), label="frames before the window")):
+                tr.add_observation(f, np.array([100.0 + f, 90.0]))
+            for f in sorted(seen):
+                tr.add_observation(f, pixel_of(landmark, cam_poses[f], state.calib))
+            tracks.append(tr)
+
+        viewed = [t for t in tracks if sum(f in state.clones for f, _ in t.observations) >= 2]
+        if viewed:
+            # put the threshold at (or within 1e-6 deg of) one track's own angle
+            angle = ray_angle_deg(state, data.draw(st.sampled_from(viewed)), cam_poses)
+            offset = data.draw(st.sampled_from([0.0]) | st.floats(-1e-6, 1e-6), label="offset")
+            state.cfg.min_baseline_deg = min(max(angle + offset, 0.0), 179.0)
+        else:
+            state.cfg.min_baseline_deg = data.draw(st.floats(0.0, 5.0))
+
+        passes = _parallax_screen(tracks, state, cam_poses)
+        assert passes.tolist() == [not rejects_for_baseline(state, t, cam_poses) for t in tracks]
+
+    @given(
+        frames=st.lists(st.integers(0, 40), unique=True),
+        window=st.lists(st.integers(0, 40), unique=True),
+    )
+    def test_window_observations_match_full_scan(self, frames, window):
+        track = FeatureTrack(0)
+        for f in sorted(frames):
+            track.add_observation(f, np.array([f, -f], dtype=float))
+        clones = dict.fromkeys(window)
+        got = _window_observations(track, clones)
+        want = [(f, z) for f, z in track.observations if f in clones]
+        assert [(f, id(z)) for f, z in got] == [(f, id(z)) for f, z in want]
 
 
 class TestMsckfUpdate:

@@ -17,11 +17,25 @@ def noise_free(cfg: sg.SimConfig) -> sg.SimConfig:
 
 
 class TestStationary:
-    def test_zero_motion_500_frames_stays_at_origin(self):
+    def test_zero_motion_500_frames_stays_at_origin(self, monkeypatch):
+        # at rest no track has parallax: the screen keeps every doomed
+        # triangulation from running
+        baseline_failures = []
+        triangulate = msckf.triangulate
+
+        def counting_triangulate(*args, **kwargs):
+            try:
+                return triangulate(*args, **kwargs)
+            except msckf.InsufficientBaseline as e:
+                baseline_failures.append(str(e))
+                raise
+
+        monkeypatch.setattr(msckf, "triangulate", counting_triangulate)
         ds = sg.build_dataset(noise_free(sg.preset_config("static", duration=2.0)))
         res = run_pipeline(ds)
         assert len(res.pose_rows) == 500
         assert np.abs(res.pose_rows[:, 1:4]).max() < 1e-3
+        assert baseline_failures == []
 
 
 class TestDeadReckoning:
