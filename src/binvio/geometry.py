@@ -38,10 +38,6 @@ import numpy as np
 SMALL_ANGLE = 1e-8
 
 
-class NonPositiveDepth(ValueError):
-    """Raised when a point to be projected sits at or behind the camera."""
-
-
 def skew(v: np.ndarray) -> np.ndarray:
     """Return the 3x3 cross-product matrix of ``v``."""
     x, y, z = v
@@ -110,9 +106,9 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Compose rotations so that R(a*b) = R(a) @ R(b)."""
-    ax, ay, az, aw = a
-    bx, by, bz, bw = b
+    """Compose rotations so that R(a*b) = R(a) @ R(b); (4,) or stacked (n, 4), broadcast."""
+    ax, ay, az, aw = a.T
+    bx, by, bz, bw = b.T
     return np.array(
         [
             aw * bx + az * by - ay * bz + ax * bw,
@@ -120,25 +116,25 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             ay * bx - ax * by + aw * bz + az * bw,
             -ax * bx - ay * by - az * bz + aw * bw,
         ]
-    )
+    ).T
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix mapping global vectors into the local frame."""
-    x, y, z, w = q
+    """Rotation matrix mapping global vectors into the local frame; (n, 3, 3) for q (n, 4)."""
+    x, y, z, w = q.T
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
-    out = np.empty((3, 3))
-    out[0, 0] = 1.0 - 2.0 * (yy + zz)
-    out[0, 1] = 2.0 * (xy + wz)
-    out[0, 2] = 2.0 * (xz - wy)
-    out[1, 0] = 2.0 * (xy - wz)
-    out[1, 1] = 1.0 - 2.0 * (xx + zz)
-    out[1, 2] = 2.0 * (yz + wx)
-    out[2, 0] = 2.0 * (xz + wy)
-    out[2, 1] = 2.0 * (yz - wx)
-    out[2, 2] = 1.0 - 2.0 * (xx + yy)
+    out = np.empty(np.shape(x) + (3, 3))
+    out[..., 0, 0] = 1.0 - 2.0 * (yy + zz)
+    out[..., 0, 1] = 2.0 * (xy + wz)
+    out[..., 0, 2] = 2.0 * (xz - wy)
+    out[..., 1, 0] = 2.0 * (xy - wz)
+    out[..., 1, 1] = 1.0 - 2.0 * (xx + zz)
+    out[..., 1, 2] = 2.0 * (yz + wx)
+    out[..., 2, 0] = 2.0 * (xz + wy)
+    out[..., 2, 1] = 2.0 * (yz - wx)
+    out[..., 2, 2] = 1.0 - 2.0 * (xx + yy)
     return out
 
 

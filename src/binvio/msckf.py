@@ -4,7 +4,8 @@ State: navigation block (15 error dims), optional camera calibration block
 (6 extrinsic + 8 intrinsic error dims), a window of IMU pose clones
 (6 each), and in-state landmarks (3 each), with one joint covariance.
 Error layout is ``[nav | calib | clones... | landmarks...]``; clones are
-ordered by frame index and landmarks by insertion.
+ordered by frame index and landmarks by insertion.  Clone poses are rows
+of arrays: quaternions (n, 4), positions (n, 3) and their first-estimate copies.
 
 Out-of-state features are consumed by projecting their stacked residuals
 onto the left null space of the landmark Jacobian, which removes the
@@ -13,6 +14,9 @@ calibration when estimated).  In-state landmarks get plain EKF updates and
 delayed initialization with the QR-split Jacobian construction.  Both
 updates screen their candidates for parallax in batched passes and
 triangulate only those that pass.
+
+The χ² gates and the EKF step read only the blocks of P that an update's
+Jacobian involves, so a k-row update costs O(d² k), not O(d³).
 
 A track is in state when ``FilterState.slam`` holds a landmark under its
 id; the track table holds live tracks only.
@@ -35,13 +39,13 @@ from .geometry import (
     MIN_PROJECTION_DEPTH,
     CameraCalibration,
     Landmark3D,
-    NonPositiveDepth,
     Pose,
     UnitQuaternion,
     project_points,
     quat_from_axis_angle,
     quat_multiply,
     quat_normalize,
+    quat_to_matrix,
     undistort,
 )
 from .imu import ERROR_STATE_DIM, NavState, NoiseParams, propagate_block
@@ -106,12 +110,6 @@ class FilterConfig:
 
 
 @dataclass
-class CloneEntry:
-    pose: Pose
-    fej: Pose
-
-
-@dataclass
 class SlamLandmark:
     position: np.ndarray
     fej: np.ndarray
@@ -121,8 +119,10 @@ class SlamLandmark:
 class FilterState:
     """Joint estimate plus covariance, with the offset of every block in it.
 
-    ``clone_at`` and ``slam_at`` map a clone's frame index and a landmark's
-    track id to the first row of its block in ``cov``.  They are rebuilt
+    ``clones`` maps a clone's frame index to its row in ``clone_q`` (n, 4),
+    ``clone_p`` (n, 3) and their first estimates ``clone_q_fej`` and
+    ``clone_p_fej``; ``clone_at`` and ``slam_at`` map it and a landmark's
+    track id to the first row of its block in ``cov``.  All three are rebuilt
     after each structural op, which all go through ``_grow`` and ``_shrink``.
     """
 
@@ -130,7 +130,9 @@ class FilterState:
         self.nav = nav
         self.calib = calib
         self.cfg = cfg
-        self.clones: dict[int, CloneEntry] = {}
+        self.clones: dict[int, int] = {}
+        self.clone_q, self.clone_q_fej = np.empty((0, 4)), np.empty((0, 4))
+        self.clone_p, self.clone_p_fej = np.empty((0, 3)), np.empty((0, 3))
         self.slam: dict[int, SlamLandmark] = {}
         d = ERROR_STATE_DIM + self.calib_dim()
         self.cov = np.zeros((d, d))
@@ -156,10 +158,11 @@ class FilterState:
         return self.cov.shape[0]
 
     def _reindex(self) -> None:
-        """Rebuild ``clone_at`` and ``slam_at``; clones are kept in frame order."""
+        """Rebuild ``clones``, ``clone_at`` and ``slam_at``; clones are kept in frame order."""
         at = ERROR_STATE_DIM + self.calib_dim()
         self.clone_at: dict[int, int] = {}
-        for frame_index in self.clones:
+        for row, frame_index in enumerate(self.clones):
+            self.clones[frame_index] = row
             self.clone_at[frame_index] = at
             at += CLONE_DIM
         self.slam_at: dict[int, int] = {}
@@ -195,14 +198,20 @@ class FilterState:
         """Append the current IMU pose as the newest clone, augmenting covariance."""
         if self.clones and frame_index <= max(self.clones):
             raise ValueError(f"frame {frame_index} is not newer than every clone")
-        pose = Pose(self.nav.orientation, self.nav.position.copy())
         at = ERROR_STATE_DIM + self.calib_dim() + CLONE_DIM * len(self.clones)
-        self.clones[frame_index] = CloneEntry(pose, pose)
+        self.clones[frame_index] = len(self.clones)
+        q, p = self.nav.orientation.xyzw[None], self.nav.position[None]
+        self.clone_q, self.clone_q_fej = np.r_[self.clone_q, q], np.r_[self.clone_q_fej, q]
+        self.clone_p, self.clone_p_fej = np.r_[self.clone_p, p], np.r_[self.clone_p_fej, p]
         # the clone error is an exact copy of the nav attitude/position error
         self._grow(at, self.cov[0:6], self.cov[0:6, 0:6])
 
     def marginalize_clone(self, frame_index: int) -> None:
-        del self.clones[frame_index]
+        row = self.clones.pop(frame_index)
+        self.clone_q, self.clone_p, self.clone_q_fej, self.clone_p_fej = (
+            np.delete(a, row, axis=0)
+            for a in (self.clone_q, self.clone_p, self.clone_q_fej, self.clone_p_fej)
+        )
         self._shrink(self.clone_at[frame_index], CLONE_DIM)
 
     def add_landmark(self, track_id: int, position, fej, cov_ff, cov_fx, frame_index: int):
@@ -225,35 +234,36 @@ class FilterState:
         self.nav.apply_error(dx[0:ERROR_STATE_DIM])
         if self.cfg.estimate_calibration:
             c = ERROR_STATE_DIM
-            dq = quat_from_axis_angle(dx[c:c + 3])
             ext = self.calib.extrinsic
-            new_ext = Pose(
-                UnitQuaternion(quat_normalize(quat_multiply(dq, ext.orientation.xyzw))),
-                ext.position + dx[c + 3:c + 6],
-            )
+            dq = quat_from_axis_angle(dx[c:c + 3])
+            q = UnitQuaternion(quat_normalize(quat_multiply(dq, ext.orientation.xyzw)))
+            new_ext = Pose(q, ext.position + dx[c + 3:c + 6])
             vec = self.calib.intrinsic_vector() + dx[c + 6:c + 14]
             self.calib = CameraCalibration.from_intrinsic_vector(vec, new_ext)
-        for frame_index, entry in self.clones.items():
-            off = self.clone_at[frame_index]
-            dq = quat_from_axis_angle(dx[off:off + 3])
-            q = UnitQuaternion(quat_normalize(quat_multiply(dq, entry.pose.orientation.xyzw)))
-            entry.pose = Pose(q, entry.pose.position + dx[off + 3:off + 6])
+        # all clones at once: q <- dq q, dq = (sinc(|dtheta| / 2π) dtheta / 2, cos(|dtheta| / 2))
+        at = ERROR_STATE_DIM + self.calib_dim()
+        dtheta, dp = dx[at:at + CLONE_DIM * len(self.clones)].reshape(-1, 2, 3).transpose(1, 0, 2)
+        half = 0.5 * np.linalg.norm(dtheta, axis=1, keepdims=True)
+        dq = np.hstack([0.5 * np.sinc(half / np.pi) * dtheta, np.cos(half)])
+        q = quat_multiply(dq, self.clone_q)
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        self.clone_q = np.where(q[:, 3:] < 0.0, -q, q)
+        self.clone_p = self.clone_p + dp
         for tid, lm in self.slam.items():
             off = self.slam_at[tid]
             lm.position = lm.position + dx[off:off + 3]
 
-    def symmetrize(self) -> None:
-        self.cov = 0.5 * (self.cov + self.cov.T)
 
-
-def camera_poses_now(clones: dict[int, CloneEntry], calib: CameraCalibration):
-    """Current-estimate camera pose per clone, computed once per update."""
-    return {f: calib.extrinsic.compose(c.pose) for f, c in clones.items()}
+def camera_poses_now(state: FilterState):
+    """Camera rotations (n, 3, 3) and centres (n, 3) of the clone rows' current estimates."""
+    ext = state.calib.extrinsic
+    R = quat_to_matrix(state.clone_q)
+    return ext.rotation() @ R, state.clone_p + np.einsum("nji,j->ni", R, ext.position)
 
 
 def _points_in_cameras(Rs, centers, pg: np.ndarray) -> np.ndarray:
     """Camera-frame coordinates of one global point seen by stacked cameras (m,3,3)/(m,3)."""
-    p_c = np.einsum("mij,mj->mi", Rs, pg[None, :] - centers)
+    p_c = _in_frames(Rs, centers, pg)
     if np.any(p_c[:, 2] <= MIN_PROJECTION_DEPTH):
         raise BehindCamera("point behind an observing camera")
     return p_c
@@ -309,9 +319,7 @@ def _max_subtended_deg(bearings: np.ndarray) -> np.ndarray:
     return np.degrees(np.arccos(np.clip((x + y + z).min(axis=(1, 2)), -1.0, 1.0)))
 
 
-def _parallax_screen(
-    tracks: list[FeatureTrack], state: FilterState, cam_poses: dict[int, Pose]
-) -> np.ndarray:
+def _parallax_screen(tracks: list[FeatureTrack], state: FilterState, cam_poses) -> np.ndarray:
     """Which ``tracks`` pass ``triangulate``'s baseline tests, from one batched pass.
 
     A track passes when it has at least two in-window observations whose rays
@@ -323,11 +331,9 @@ def _parallax_screen(
     passes = lengths >= 2
     if not passes.any():
         return passes
-    slot = {f: k for k, f in enumerate(state.clones)}
-    rotations = np.stack([cam_poses[f].rotation() for f in state.clones])
     obs = [o for w, ok in zip(windows, passes) if ok for o in w]
     pixels = np.array([z for _, z in obs], dtype=float)
-    bearings = _bearings(pixels, rotations[[slot[f] for f, _ in obs]], state.calib)
+    bearings = _bearings(pixels, cam_poses[0][[state.clones[f] for f, _ in obs]], state.calib)
     # pad each track with its first ray, whose products its Gram matrix already holds
     n = lengths[passes]
     cols = np.arange(n.max())
@@ -338,24 +344,25 @@ def _parallax_screen(
 
 def triangulate(
     track: FeatureTrack,
-    clones: dict[int, CloneEntry],
+    clones: dict[int, int],
     calib: CameraCalibration,
     min_baseline_deg: float,
-    cam_poses: dict[int, Pose],
+    cam_poses,
 ) -> Landmark3D:
     """Multi-view point from a track: linear midpoint then GN refinement.
 
     Refinement runs on an inverse-depth parameterization anchored in the
     first observing camera and minimizes pixel reprojection error.
-    ``cam_poses`` holds the camera pose of each clone in ``clones``.
+    ``cam_poses`` holds the camera rotations and centres of
+    :func:`camera_poses_now`, in the rows that ``clones`` maps frames to.
     """
     obs = _window_observations(track, clones)
     if len(obs) < 2:
         raise InsufficientBaseline("need at least two observations in the window")
     m = len(obs)
     pixels = np.array([z for _, z in obs], dtype=float)
-    Rs = np.stack([cam_poses[f].rotation() for f, _ in obs])
-    centers = np.stack([cam_poses[f].position for f, _ in obs])
+    rows = [clones[f] for f, _ in obs]
+    Rs, centers = cam_poses[0][rows], cam_poses[1][rows]
 
     bearings = _bearings(pixels, Rs, calib)
     max_angle = float(_max_subtended_deg(bearings[None])[0])
@@ -399,28 +406,27 @@ def triangulate(
     return Landmark3D(pg)
 
 
-def _frame_points(poses: list[Pose], points: np.ndarray):
-    """Points (N,3) expressed in the frames ``poses[i]``, and the stacked rotations."""
-    R = np.stack([p.rotation() for p in poses])
-    return R, np.einsum("nij,nj->ni", R, points - np.stack([p.position for p in poses]))
+def _in_frames(R: np.ndarray, origins: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Points (N, 3) in the frames of rotations R (N, 3, 3) and origins (N, 3)."""
+    return np.einsum("nij,nj->ni", R, points - origins)
 
 
-def _observation_jacobians(
-    state: FilterState, clones: list[CloneEntry], p_global: np.ndarray, cams: list[Pose]
-):
-    """Measurement rows for N observations: row i sees point i from ``clones[i]``.
+def _observation_jacobians(state: FilterState, rows: np.ndarray, p_global: np.ndarray, cam_poses):
+    """Measurement rows for N observations: row i sees point i from clone ``rows[i]``.
 
-    Pixels are predicted through the camera poses ``cams``; the Jacobians are
-    taken at first-estimate clone poses when enabled.  ``p_global``
-    broadcasts from (3,) to (N, 3).  Returns ``(pred (N,2), H_f (N,2,3),
-    H_clone (N,2,6), H_calib (N,2,14) or None, in_front (N,))``; rows whose
-    point is not in front of both cameras are placeholders.
+    ``rows`` index the clone arrays.  Pixels are predicted through the camera
+    poses ``cam_poses`` of :func:`camera_poses_now`; the Jacobians are taken
+    at first-estimate clone poses when enabled.  ``p_global`` broadcasts from
+    (3,) to (N, 3).  Returns ``(pred (N,2), H_f (N,2,3), H_clone (N,2,6),
+    H_calib (N,2,14) or None, in_front (N,))``; rows whose point is not in
+    front of both cameras are placeholders.
     """
-    n = len(clones)
-    p_global = np.broadcast_to(p_global, (n, 3))
+    p_global = np.broadcast_to(p_global, (len(rows), 3))
     ext = state.calib.extrinsic
-    _, c_pred = _frame_points(cams, p_global)
-    R_ig, u = _frame_points([c.fej if state.cfg.use_fej else c.pose for c in clones], p_global)
+    c_pred = _in_frames(cam_poses[0][rows], cam_poses[1][rows], p_global)
+    fej = state.cfg.use_fej
+    R_ig = quat_to_matrix((state.clone_q_fej if fej else state.clone_q)[rows])
+    u = _in_frames(R_ig, (state.clone_p_fej if fej else state.clone_p)[rows], p_global)
     c_lin = (u - ext.position) @ ext.rotation().T
     in_front = (c_pred[:, 2] > MIN_PROJECTION_DEPTH) & (c_lin[:, 2] > MIN_PROJECTION_DEPTH)
     c_pred[~in_front, 2] = 1.0
@@ -441,41 +447,52 @@ def _observation_jacobians(
     return pred, H_f, H_clone, H_calib, in_front
 
 
-def _stack_track_rows(
-    state: FilterState, track: FeatureTrack, p_global: np.ndarray, cam_poses: dict[int, Pose]
-):
-    """Residuals (2m,) and Jacobians (2m, d) and (2m, 3) of a track's in-window observations."""
+def _involved_cols(state: FilterState, rows) -> np.ndarray:
+    """State columns of the calibration block, when estimated, then of clones ``rows``' blocks."""
+    at = ERROR_STATE_DIM + state.calib_dim()
+    clone_cols = at + CLONE_DIM * np.asarray(rows)[:, None] + np.arange(CLONE_DIM)
+    return np.concatenate([np.arange(ERROR_STATE_DIM, at), clone_cols.ravel()])
+
+
+def _stack_track_rows(state: FilterState, track: FeatureTrack, p_global: np.ndarray, cam_poses):
+    """A track's in-window observations as rows on the state columns they involve.
+
+    Returns residuals (2m,), the Jacobian (2m, c) on the state columns
+    ``cols`` (c,) of :func:`_involved_cols`, and the landmark Jacobian (2m, 3).
+    """
     obs = _window_observations(track, state.clones)
-    frames = [f for f, _ in obs]
     m = len(obs)
+    rows = np.array([state.clones[f] for f, _ in obs])
     pred, H_f, H_clone, H_calib, in_front = _observation_jacobians(
-        state, [state.clones[f] for f in frames], p_global, [cam_poses[f] for f in frames]
+        state, rows, p_global, cam_poses
     )
     if not in_front.all():
-        raise NonPositiveDepth("landmark at or behind an observing camera")
+        raise BehindCamera("landmark at or behind an observing camera")
     r = (np.array([z for _, z in obs], dtype=float) - pred).ravel()
-    H_x = np.zeros((2 * m, state.dim()))
-    cols = np.repeat([state.clone_at[f] for f in frames], 2)[:, None] + np.arange(CLONE_DIM)
-    H_x[np.arange(2 * m)[:, None], cols] = H_clone.reshape(2 * m, CLONE_DIM)
+    c = state.calib_dim()
+    H_x = np.zeros((2 * m, c + CLONE_DIM * m))
+    blocks = c + CLONE_DIM * np.repeat(np.arange(m), 2)[:, None] + np.arange(CLONE_DIM)
+    H_x[np.arange(2 * m)[:, None], blocks] = H_clone.reshape(2 * m, CLONE_DIM)
     if H_calib is not None:
-        H_x[:, ERROR_STATE_DIM:ERROR_STATE_DIM + CALIB_DIM] = H_calib.reshape(2 * m, CALIB_DIM)
-    return r, H_x, H_f.reshape(2 * m, 3)
+        H_x[:, :c] = H_calib.reshape(2 * m, CALIB_DIM)
+    return r, H_x, _involved_cols(state, rows), H_f.reshape(2 * m, 3)
 
 
-def _track_system(state: FilterState, track: FeatureTrack, cam_poses: dict[int, Pose]):
+def _track_system(state: FilterState, track: FeatureTrack, cam_poses):
     """Triangulate a track and stack its rows; None when its geometry fails.
 
-    Returns ``(position, r, H_x, H_f, Q, R)``, with ``Q R = H_f`` the full QR
-    of the landmark Jacobian.  A track that triangulates has at least two
-    in-window observations, so ``H_f`` has at least four rows.
+    Returns ``(position, r, H_x, cols, H_f, Q, R)``: ``H_x`` holds the state
+    columns ``cols`` only, and ``Q R = H_f`` is the full QR of the landmark
+    Jacobian.  A track that triangulates has at least two in-window
+    observations, so ``H_f`` has at least four rows.
     """
     try:
         lm = triangulate(track, state.clones, state.calib, state.cfg.min_baseline_deg, cam_poses)
-        r, H_x, H_f = _stack_track_rows(state, track, lm.position, cam_poses)
-    except (InsufficientBaseline, BehindCamera, NoConvergence, NonPositiveDepth):
+        r, H_x, cols, H_f = _stack_track_rows(state, track, lm.position, cam_poses)
+    except (InsufficientBaseline, BehindCamera, NoConvergence):
         return None
     Q, R = scipy_qr(H_f, mode="full")
-    return lm.position, r, H_x, H_f, Q, R
+    return lm.position, r, H_x, cols, H_f, Q, R
 
 
 _CHI2_TABLE: dict[tuple[float, int], float] = {}
@@ -488,30 +505,58 @@ def _chi2_threshold(confidence: float, dof: int) -> float:
     return _CHI2_TABLE[key]
 
 
-def _chi2_gate(state: FilterState, H: np.ndarray, r: np.ndarray, dof: int) -> bool:
-    S = H @ state.cov @ H.T + state.cfg.sigma_px**2 * np.eye(H.shape[0])
-    gamma = float(r @ np.linalg.solve(S, r))
-    return gamma < _chi2_threshold(state.cfg.chi2_confidence, max(dof, 1))
+def _innovation_cov(state: FilterState, H: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """S = H P Hᵀ + σ² I for rows H (k, c) on the state columns ``cols``."""
+    return H @ state.cov[np.ix_(cols, cols)] @ H.T + state.cfg.sigma_px**2 * np.eye(H.shape[0])
+
+
+def _nis(S: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Normalized innovation squared rᵀ S⁻¹ r of one residual (k,), or of a stack (N, k)."""
+    return np.einsum("...i,...i->...", r, np.linalg.solve(S, r[..., None])[..., 0])
+
+
+def _chi2_gate(state: FilterState, nis: float, dof: int) -> bool:
+    """Whether a residual whose normalized innovation squared is ``nis`` passes the χ² test."""
+    return bool(nis < _chi2_threshold(state.cfg.chi2_confidence, max(dof, 1)))
+
+
+def _dense_rows(state: FilterState, H: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Rows H (k, c) on the state columns ``cols`` written out over the whole state (k, d)."""
+    out = np.zeros((H.shape[0], state.dim()))
+    out[:, cols] = H
+    return out
 
 
 def _ekf_update(state: FilterState, H: np.ndarray, r: np.ndarray) -> None:
-    """Standard EKF step with isotropic pixel noise, Joseph-form covariance."""
+    """EKF step with isotropic pixel noise and a Joseph-form covariance, on H's columns only.
+
+    Aᵀ = H P and S = H A + σ² I read only the rows of P that H involves.
+    With K = A S⁻¹ the Joseph form (I − KH) P (I − KH)ᵀ + σ² K Kᵀ expands to
+    P − K Aᵀ − A Kᵀ + K S Kᵀ = P + X + Xᵀ, X = K (½ S Kᵀ − Aᵀ): one d×k×d
+    product, and P stays exactly symmetric.  A step whose S is singular or
+    whose correction is not finite is skipped and leaves the state as it was.
+    """
     if H.shape[0] == 0:
         return
-    d = state.dim()
-    # compress tall stacks: an orthogonal transform preserves the iid noise
-    if H.shape[0] > d:
-        Q1, R1 = np.linalg.qr(H, mode="reduced")
-        keep = np.abs(np.diag(R1)) > 1e-12 * max(1.0, np.abs(R1).max())
-        H = R1[keep]
-        r = (Q1.T @ r)[keep]
-    sigma2 = state.cfg.sigma_px**2
-    S = H @ state.cov @ H.T + sigma2 * np.eye(H.shape[0])
-    K = np.linalg.solve(S, H @ state.cov).T
-    dx = K @ r
-    IKH = np.eye(d) - K @ H
-    state.cov = IKH @ state.cov @ IKH.T + sigma2 * (K @ K.T)
-    state.symmetrize()
+    cols = np.flatnonzero(H.any(axis=0))
+    H = H[:, cols]
+    # compress tall stacks: Q1ᵀ keeps the noise iid, and the residual it
+    # leaves out lies outside H's range
+    if H.shape[0] > len(cols):
+        Q1, H = np.linalg.qr(H, mode="reduced")
+        r = Q1.T @ r
+    P = state.cov
+    At = H @ P[cols]  # P is symmetric, so its rows stand in for its columns
+    S = At[:, cols] @ H.T + state.cfg.sigma_px**2 * np.eye(H.shape[0])
+    try:
+        Kt = np.linalg.inv(S) @ At
+    except np.linalg.LinAlgError:
+        return
+    dx = r @ Kt
+    if not np.isfinite(dx).all():
+        return
+    X = Kt.T @ (0.5 * (S @ Kt) - At)
+    P += X + X.T
     state.apply_correction(dx)
 
 
@@ -520,7 +565,7 @@ def msckf_update(state: FilterState, dead_tracks: list[FeatureTrack]) -> int:
     used = 0
     H_rows = []
     r_rows = []
-    cam_poses = camera_poses_now(state.clones, state.calib)
+    cam_poses = camera_poses_now(state)
     # calibration and camera poses hold until the one update below, so one
     # screen serves every track
     tracks = sorted(dead_tracks, key=lambda t: t.id)
@@ -531,13 +576,13 @@ def msckf_update(state: FilterState, dead_tracks: list[FeatureTrack]) -> int:
         system = _track_system(state, track, cam_poses) if passed else None
         if system is None:
             continue
-        _, r, H_x, _, Q, _ = system
+        _, r, H_x, cols, _, Q, _ = system
         N = Q[:, 3:]
         H_o = N.T @ H_x
         r_o = N.T @ r
-        if not _chi2_gate(state, H_o, r_o, r.size - 3):
+        if not _chi2_gate(state, _nis(_innovation_cov(state, H_o, cols), r_o), r.size - 3):
             continue
-        H_rows.append(H_o)
+        H_rows.append(_dense_rows(state, H_o, cols))
         r_rows.append(r_o)
         used += 1
     if H_rows:
@@ -554,33 +599,35 @@ def slam_update(
     """Update the landmarks of ``in_state_tracks``, then initialize ``promotions`` in order."""
     # (a) per-feature EKF rows for landmarks observed this frame, all from
     # this frame's clone, built in one batch
-    H_rows = []
-    r_rows = []
-    participating = 0
+    accepted = []
     inconsistent = []
     by_id = {t.id: t for t in in_state_tracks}
-    cam_poses = camera_poses_now(state.clones, state.calib)
+    cam_poses = camera_poses_now(state)
     seen = [
         (tid, by_id[tid]) for tid in state.slam
         if tid in by_id and by_id[tid].last_frame() == frame_index
     ]
     if seen:
-        cams = [cam_poses[frame_index]] * len(seen)
+        rows = np.full(len(seen), state.clones[frame_index])
         now = np.array([state.slam[tid].position for tid, _ in seen])
         lin = np.array([state.slam[tid].fej for tid, _ in seen]) if state.cfg.use_fej else now
-        pred, H_f, H_clone, H_calib, in_front = _observation_jacobians(
-            state, [state.clones[frame_index]] * len(seen), lin, cams
-        )
+        pred, H_f, H_clone, H_calib, in_front = _observation_jacobians(state, rows, lin, cam_poses)
         if state.cfg.use_fej:
             # the residual uses the current estimate even under FEJ
-            _, c_now = _frame_points(cams, now)
+            c_now = _in_frames(cam_poses[0][rows], cam_poses[1][rows], now)
             in_front &= c_now[:, 2] > MIN_PROJECTION_DEPTH
             c_now[~in_front, 2] = 1.0
             pred = project_points(c_now, state.calib)
-        d = state.dim()
-        off_c = state.clone_at[frame_index]
+        r = np.array([t.last_position() for _, t in seen], dtype=float) - pred
+        # rows i involve the calibration, this clone and landmark i only, and
+        # every gate reads the same P: all their S in one batched pass
+        H = np.concatenate(([] if H_calib is None else [H_calib]) + [H_clone, H_f], axis=2)
+        lm_cols = np.array([[state.slam_at[tid]] for tid, _ in seen]) + np.arange(LANDMARK_DIM)
+        cols = np.hstack([np.tile(_involved_cols(state, rows[:1]), (len(seen), 1)), lm_cols])
+        P = state.cov[cols[:, :, None], cols[:, None, :]]
+        nis = _nis(H @ P @ H.transpose(0, 2, 1) + state.cfg.sigma_px**2 * np.eye(2), r)
     for i, (tid, track) in enumerate(seen):
-        if participating >= state.cfg.max_slam_update:
+        if len(accepted) >= state.cfg.max_slam_update:
             break
         if not in_front[i]:
             # a claimed observation of a landmark behind the camera is
@@ -588,21 +635,13 @@ def slam_update(
             # (removing now would shift the column offsets already built)
             inconsistent.append(tid)
             continue
-        r = np.asarray(track.last_position(), dtype=float) - pred[i]
-        H = np.zeros((2, d))
-        H[:, off_c:off_c + CLONE_DIM] = H_clone[i]
-        off_f = state.slam_at[tid]
-        H[:, off_f:off_f + LANDMARK_DIM] = H_f[i]
-        if H_calib is not None:
-            H[:, ERROR_STATE_DIM:ERROR_STATE_DIM + CALIB_DIM] = H_calib[i]
-        if not _chi2_gate(state, H, r, 2):
+        if not _chi2_gate(state, nis[i], 2):
             continue
-        H_rows.append(H)
-        r_rows.append(r)
+        accepted.append(i)
         state.slam[tid].last_seen_frame = frame_index
-        participating += 1
-    if H_rows:
-        _ekf_update(state, np.vstack(H_rows), np.concatenate(r_rows))
+    if accepted:
+        H_acc = np.vstack([_dense_rows(state, H[i], cols[i]) for i in accepted])
+        _ekf_update(state, H_acc, r[accepted].ravel())
     for tid in inconsistent:
         state.remove_landmark(tid)
 
@@ -621,26 +660,25 @@ def slam_update(
         if system is None:
             track.retry_after = frame_index + 5
             continue
-        p_tri, r, H_x, _, Q, R_full = system
+        p_tri, r, H_x, cols, _, Q, R_full = system
         R1 = R_full[:3, :]
         if np.abs(np.diag(R1)).min() < 1e-9 * max(1.0, np.abs(R1).max()):
             continue
         r1 = Q[:, :3].T @ r
-        Hx1 = Q[:, :3].T @ H_x
         R1_inv = np.linalg.inv(R1)
-        M = -R1_inv @ Hx1
-        sigma2 = state.cfg.sigma_px**2
-        cov_ff = M @ state.cov @ M.T + sigma2 * (R1_inv @ R1_inv.T)
-        cov_fx = M @ state.cov
+        M = -R1_inv @ (Q[:, :3].T @ H_x)  # on the state columns cols
+        cov_fx = M @ state.cov[cols]
+        cov_ff = cov_fx[:, cols] @ M.T + state.cfg.sigma_px**2 * (R1_inv @ R1_inv.T)
+        cov_ff = 0.5 * (cov_ff + cov_ff.T)  # keeps P exactly symmetric
         position = p_tri + R1_inv @ r1
         state.add_landmark(track.id, position, position, cov_ff, cov_fx, frame_index)
         capacity -= 1
         # the other 2m - 3 rows are landmark-free: consume them as a plain update
         N = Q[:, 3:]
-        H_o = np.hstack([N.T @ H_x, np.zeros((r.size - 3, LANDMARK_DIM))])
+        H_o = N.T @ H_x
         r_o = N.T @ r
-        if _chi2_gate(state, H_o, r_o, r.size - 3):
-            _ekf_update(state, H_o, r_o)
+        if _chi2_gate(state, _nis(_innovation_cov(state, H_o, cols), r_o), r.size - 3):
+            _ekf_update(state, _dense_rows(state, H_o, cols), r_o)
             verdict = {}  # the update replaced state.calib, which the screen reads
 
 
@@ -695,7 +733,7 @@ def process_frame(
         P[:n, :n] = Phi @ P[:n, :n] @ Phi.T + Q
         P[:n, n:] = Phi @ P[:n, n:]
         P[n:, :n] = P[:n, n:].T
-        state.symmetrize()
+        state.cov = 0.5 * (P + P.T)
 
     state.clone_pose(frame_index)
 

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
+from binvio import msckf
 from binvio.geometry import (
     Pose,
     UnitQuaternion,
     project_points,
     quat_from_axis_angle,
+    quat_multiply,
+    quat_normalize,
     undistort,
 )
 from binvio.imu import NavState, NoiseParams
@@ -17,7 +21,11 @@ from binvio.msckf import (
     FilterState,
     InsufficientBaseline,
     NoConvergence,
+    _chi2_gate,
+    _ekf_update,
     _inverse_depth_rows,
+    _nis,
+    _observation_jacobians,
     _parallax_screen,
     _track_system,
     _window_observations,
@@ -51,8 +59,14 @@ def pixel_of(p_global, cam_pose, calib):
     return project_points(cam_pose.transform_point(p_global)[None, :], calib)[0]
 
 
+def clone_pose(state, frame):
+    """The clone of ``frame`` as a Pose, read from the clone arrays."""
+    row = state.clones[frame]
+    return Pose(UnitQuaternion(state.clone_q[row]), state.clone_p[row])
+
+
 def camera_of(state, frame):
-    return state.calib.extrinsic.compose(state.clones[frame].pose)
+    return state.calib.extrinsic.compose(clone_pose(state, frame))
 
 
 def observe(state, landmark, frames):
@@ -62,7 +76,7 @@ def observe(state, landmark, frames):
 
 def triangulate_now(state, track):
     """``triangulate`` as the filter calls it, through the clones' current camera poses."""
-    cam_poses = camera_poses_now(state.clones, state.calib)
+    cam_poses = camera_poses_now(state)
     return triangulate(track, state.clones, state.calib, state.cfg.min_baseline_deg, cam_poses)
 
 
@@ -77,9 +91,10 @@ def make_track(state, landmark, frames, tid=0, status=TrackStatus.DEAD):
 class TestClonePose:
     def test_clone_copies_nav_pose(self):
         state = make_state(1)
-        entry = state.clones[0]
-        np.testing.assert_array_equal(entry.pose.position, state.nav.position)
-        np.testing.assert_array_equal(entry.pose.orientation.xyzw, state.nav.orientation.xyzw)
+        row = state.clones[0]
+        for q, p in ((state.clone_q, state.clone_p), (state.clone_q_fej, state.clone_p_fej)):
+            np.testing.assert_array_equal(p[row], state.nav.position)
+            np.testing.assert_array_equal(q[row], state.nav.orientation.xyzw)
 
     def test_covariance_block_duplicated(self):
         calib = default_calibration()
@@ -121,6 +136,50 @@ class TestClonePose:
         state.marginalize_clone(0)
         assert state.dim() == 15 + 14 + 6 * 6
         assert state.clone_at == {k: 15 + 14 + 6 * (k - 1) for k in range(1, 7)}
+
+
+class TestCloneArrays:
+    def test_camera_poses_match_composed_poses(self):
+        state = make_state(6, estimate_calib=True)
+        state.marginalize_clone(2)
+        rotations, centres = camera_poses_now(state)
+        assert rotations.shape == (5, 3, 3) and centres.shape == (5, 3)
+        for frame, row in state.clones.items():
+            cam = camera_of(state, frame)
+            np.testing.assert_allclose(rotations[row], cam.rotation(), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(centres[row], cam.position, rtol=0, atol=1e-15)
+
+    def test_marginalize_keeps_other_rows(self):
+        state = make_state(5)
+        state.apply_correction(np.random.default_rng(0).normal(scale=1e-3, size=state.dim()))
+        kept = [state.clones[f] for f in (0, 1, 3, 4)]
+        arrays = [a[kept].copy() for a in (state.clone_q, state.clone_p, state.clone_q_fej,
+                                            state.clone_p_fej)]
+        state.marginalize_clone(2)
+        assert state.clones == {0: 0, 1: 1, 3: 2, 4: 3}
+        for before, after in zip(arrays, (state.clone_q, state.clone_p, state.clone_q_fej,
+                                          state.clone_p_fej)):
+            np.testing.assert_array_equal(after, before)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_apply_correction_matches_per_clone_update(self, seed):
+        rng = np.random.default_rng(seed)
+        state = make_state(8, estimate_calib=True)
+        dx = rng.normal(size=state.dim())
+        # per clone: no rotation, one under the small-angle cut, small and large angles
+        for f in state.clones:
+            at = state.clone_at[f]
+            dx[at:at + 3] *= rng.choice([0.0, 1e-10, 1e-3, 0.5])
+        q0, p0 = state.clone_q.copy(), state.clone_p.copy()
+        fej = state.clone_q_fej.copy(), state.clone_p_fej.copy()
+        state.apply_correction(dx)
+        for f, row in state.clones.items():
+            at = state.clone_at[f]
+            want = quat_normalize(quat_multiply(quat_from_axis_angle(dx[at:at + 3]), q0[row]))
+            np.testing.assert_allclose(state.clone_q[row], want, rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(state.clone_p[row], p0[row] + dx[at + 3:at + 6])
+        np.testing.assert_array_equal(state.clone_q_fej, fej[0])
+        np.testing.assert_array_equal(state.clone_p_fej, fej[1])
 
 
 class LayoutReference:
@@ -304,10 +363,8 @@ class TestTriangulate:
     def test_zero_baseline_rejected(self):
         state = make_state(3, spacing=0.0)
         # identical poses: rays are parallel
-        state.clones[1].pose = state.clones[0].pose
-        state.clones[2].pose = state.clones[0].pose
-        state.clones[1].fej = state.clones[0].fej
-        state.clones[2].fej = state.clones[0].fej
+        for poses in (state.clone_q, state.clone_p, state.clone_q_fej, state.clone_p_fej):
+            poses[:] = poses[state.clones[0]]
         landmark = np.array([3.0, 0.0, 0.0])
         tr = make_track(state, landmark, range(3))
         with pytest.raises(InsufficientBaseline):
@@ -366,13 +423,13 @@ def rejects_for_baseline(state, track, cam_poses) -> bool:
     return False
 
 
-def ray_angle_deg(state, track, cam_poses) -> float:
+def ray_angle_deg(state, track) -> float:
     """Largest angle between a track's in-window rays, computed here from scratch."""
     obs = [(f, z) for f, z in track.observations if f in state.clones]
     xn = undistort(np.array([z for _, z in obs]), state.calib, iters=8)
     d = np.column_stack([xn, np.ones(len(obs))])
     d /= np.linalg.norm(d, axis=1, keepdims=True)
-    rays = np.stack([cam_poses[f].rotation().T @ di for (f, _), di in zip(obs, d)])
+    rays = np.stack([camera_of(state, f).rotation().T @ di for (f, _), di in zip(obs, d)])
     return float(np.degrees(np.arccos(np.clip(rays @ rays.T, -1.0, 1.0).min())))
 
 
@@ -393,7 +450,7 @@ class TestParallaxScreen:
                 position = np.array(data.draw(st.tuples(small, small, small), label="position"))
             state.nav = NavState(UnitQuaternion(quat_from_axis_angle(axis_angle)), position)
             state.clone_pose(first + k)
-        cam_poses = camera_poses_now(state.clones, state.calib)
+        cam_poses = camera_poses_now(state)
 
         tracks = []
         for tid in range(data.draw(st.integers(0, 6), label="tracks")):
@@ -407,13 +464,13 @@ class TestParallaxScreen:
             for f in range(data.draw(st.integers(0, first), label="frames before the window")):
                 tr.add_observation(f, np.array([100.0 + f, 90.0]))
             for f in sorted(seen):
-                tr.add_observation(f, pixel_of(landmark, cam_poses[f], state.calib))
+                tr.add_observation(f, pixel_of(landmark, camera_of(state, f), state.calib))
             tracks.append(tr)
 
         viewed = [t for t in tracks if sum(f in state.clones for f, _ in t.observations) >= 2]
         if viewed:
             # put the threshold at (or within 1e-6 deg of) one track's own angle
-            angle = ray_angle_deg(state, data.draw(st.sampled_from(viewed)), cam_poses)
+            angle = ray_angle_deg(state, data.draw(st.sampled_from(viewed)))
             offset = data.draw(st.sampled_from([0.0]) | st.floats(-1e-6, 1e-6), label="offset")
             state.cfg.min_baseline_deg = min(max(angle + offset, 0.0), 179.0)
         else:
@@ -445,14 +502,13 @@ class TestMsckfUpdate:
         ]
         pos_before = state.nav.position.copy()
         q_before = state.nav.orientation
-        clone_pos = {k: c.pose.position.copy() for k, c in state.clones.items()}
+        clone_pos = state.clone_p.copy()
         msckf_update(state, tracks)
         assert np.linalg.norm(state.nav.position - pos_before) < 1e-9
         np.testing.assert_allclose(
             state.nav.orientation.to_matrix(), q_before.to_matrix(), atol=1e-9
         )
-        for k, c in state.clones.items():
-            assert np.linalg.norm(c.pose.position - clone_pos[k]) < 1e-9
+        assert np.linalg.norm(state.clone_p - clone_pos, axis=1).max() < 1e-9
 
     def test_nullspace_annihilation(self):
         state = make_state(10)
@@ -460,9 +516,9 @@ class TestMsckfUpdate:
             make_track(state, np.array([3.0, 0.2 * i, 0.1]), range(10), tid=i)
             for i in range(8)
         ]
-        cam_poses = camera_poses_now(state.clones, state.calib)
+        cam_poses = camera_poses_now(state)
         for tr in tracks:
-            _, _, _, H_f, Q, _ = _track_system(state, tr, cam_poses)
+            _, _, _, _, H_f, Q, _ = _track_system(state, tr, cam_poses)
             assert np.linalg.norm(Q[:, 3:].T @ H_f) < 1e-9
         assert msckf_update(state, tracks) == len(tracks)  # every track was used
 
@@ -515,6 +571,143 @@ class TestMsckfUpdate:
         msckf_update(state, tracks)
         assert np.abs(state.cov - state.cov.T).max() < 1e-10
         assert np.linalg.eigvalsh(state.cov).min() >= -1e-9
+
+
+def dense_joseph_update(P, H, r, sigma2):
+    """Reference EKF step on a dense H: gain, correction and Joseph-form covariance."""
+    S = H @ P @ H.T + sigma2 * np.eye(H.shape[0])
+    K = P @ H.T @ np.linalg.inv(S)
+    IKH = np.eye(P.shape[0]) - K @ H
+    return K @ r, IKH @ P @ IKH.T + sigma2 * K @ K.T
+
+
+def state_snapshot(state):
+    nav = state.nav
+    return [state.cov.copy(), state.clone_q.copy(), state.clone_p.copy(), nav.position.copy(),
+            nav.orientation.xyzw.copy(), nav.velocity.copy(), nav.bias_gyro.copy(),
+            nav.bias_accel.copy()]
+
+
+class TestEkfUpdate:
+    @settings(max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_clones=st.integers(1, 9),
+        n_landmarks=st.integers(0, 3),
+        k=st.integers(1, 40),
+        involved=st.floats(0.0, 1.0),
+        sigma_px=st.floats(0.3, 3.0),
+    )
+    def test_matches_dense_joseph_form(self, seed, n_clones, n_landmarks, k, involved, sigma_px):
+        rng = np.random.default_rng(seed)
+        state = make_state(n_clones, sigma_px=sigma_px)
+        for tid in range(n_landmarks):
+            state.add_landmark(tid, np.zeros(3), np.zeros(3), np.eye(3),
+                               np.zeros((3, state.dim())), 0)
+        d = state.dim()
+        assert 20 <= d <= 80
+        A = rng.normal(size=(d, d))
+        state.cov = A @ A.T / d + 0.1 * np.eye(d)
+        P = state.cov.copy()
+        cols = rng.choice(d, size=1 + int(involved * (d - 1)), replace=False)
+        H = np.zeros((k, d))
+        H[:, cols] = rng.normal(size=(k, cols.size))
+        r = rng.normal(size=k)
+        dx_want, P_want = dense_joseph_update(P, H, r, sigma_px**2)
+
+        applied = []
+        state.apply_correction = applied.append
+        _ekf_update(state, H, r)
+        (dx,) = applied
+        assert np.abs(dx - dx_want).max() <= 1e-10 * np.abs(dx_want).max()
+        assert np.abs(state.cov - P_want).max() <= 1e-10 * np.abs(P_want).max()
+        np.testing.assert_array_equal(state.cov, state.cov.T)
+        eig = np.linalg.eigvalsh(state.cov)
+        assert eig.min() >= -1e-12 * eig.max()
+
+    def test_nan_residual_skipped(self):
+        state = make_state(10)
+        before = state_snapshot(state)
+        H = np.zeros((4, state.dim()))
+        at = state.clone_at[3]
+        H[:, at:at + 6] = np.random.default_rng(0).normal(size=(4, 6))
+        _ekf_update(state, H, np.array([0.1, np.nan, 0.2, 0.3]))
+        for a, b in zip(before, state_snapshot(state)):
+            np.testing.assert_array_equal(a, b)
+        self.assert_next_frame_runs(state)
+
+    def test_singular_innovation_skipped(self):
+        state = make_state(10)
+        state.cfg.sigma_px = 0.0  # no noise, so two equal rows make S singular
+        before = state_snapshot(state)
+        H = np.zeros((2, state.dim()))
+        at = state.clone_at[3]
+        H[:, at:at + 6] = np.random.default_rng(0).normal(size=6)
+        assert np.linalg.matrix_rank(H @ state.cov @ H.T) == 1
+        _ekf_update(state, H, np.array([0.5, -0.5]))
+        for a, b in zip(before, state_snapshot(state)):
+            np.testing.assert_array_equal(a, b)
+        state.cfg.sigma_px = 1.0
+        self.assert_next_frame_runs(state)
+
+    @staticmethod
+    def assert_next_frame_runs(state):
+        noise = NoiseParams(2e-4, 2e-3, 2e-6, 3e-5, 9.81)
+        result = process_frame(state, TrackTable(), [], [], noise, 10, 10 / 250.0)
+        assert 10 in state.clones
+        assert np.isfinite(result.position).all() and np.isfinite(state.cov).all()
+
+
+class TestLandmarkGates:
+    def test_batched_gates_match_dense_rows(self, monkeypatch):
+        """Part (a)'s batched S, gate verdicts and update rows equal those of dense 2 x d rows."""
+        rng = np.random.default_rng(3)
+        state = make_state(10, estimate_calib=True)
+        frame = 9
+        offsets = [0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0]  # pixel error of each observation
+        tracks = []
+        for tid, offset in enumerate(offsets):
+            lm = np.array([3.0, 0.3 * tid - 0.9, 0.1 * tid - 0.3])
+            state.add_landmark(tid, lm + rng.normal(scale=0.01, size=3), lm, np.eye(3),
+                               np.zeros((3, state.dim())), 0)
+            tr = FeatureTrack(tid)
+            tr.add_observation(frame, pixel_of(lm, camera_of(state, frame), state.calib)
+                               + offset / np.sqrt(2.0))
+            tracks.append(tr)
+        d = state.dim()
+        A = rng.normal(size=(d, d))
+        state.cov = (A @ A.T / d + 0.1 * np.eye(d)) * 1e-4
+        P = state.cov.copy()
+        cam_poses = camera_poses_now(state)
+        fej = np.array([state.slam[t.id].fej for t in tracks])
+        rows = np.full(len(tracks), state.clones[frame])
+        _, H_f, H_clone, H_calib, _ = _observation_jacobians(state, rows, fej, cam_poses)
+
+        batches, verdicts, updates = [], [], []
+        monkeypatch.setattr(msckf, "_nis", lambda S, r: batches.append((S, r)) or _nis(S, r))
+        monkeypatch.setattr(msckf, "_chi2_gate",
+                            lambda *args: verdicts.append(_chi2_gate(*args)) or verdicts[-1])
+        monkeypatch.setattr(msckf, "_ekf_update", lambda st, H, r: updates.append((H, r)))
+        slam_update(state, tracks, [], frame_index=frame)
+
+        (S, r), = batches
+        threshold = chi2.ppf(state.cfg.chi2_confidence, 2)
+        dense_rows, dense_verdicts = [], []
+        for i, tr in enumerate(tracks):
+            dense = np.zeros((2, d))
+            dense[:, 15:29] = H_calib[i]
+            dense[:, state.clone_at[frame]:state.clone_at[frame] + 6] = H_clone[i]
+            dense[:, state.slam_at[tr.id]:state.slam_at[tr.id] + 3] = H_f[i]
+            S_dense = dense @ P @ dense.T + np.eye(2)
+            np.testing.assert_allclose(S[i], S_dense, rtol=1e-12)
+            dense_verdicts.append(r[i] @ np.linalg.solve(S_dense, r[i]) < threshold)
+            if dense_verdicts[-1]:
+                dense_rows.append(dense)
+        assert verdicts == dense_verdicts
+        assert set(verdicts) == {True, False}
+        (H, r_update), = updates
+        np.testing.assert_array_equal(H, np.vstack(dense_rows))
+        np.testing.assert_array_equal(r_update, r[np.array(verdicts)].ravel())
 
 
 class TestSlamUpdate:
@@ -600,15 +793,16 @@ class TestCalibrationJacobians:
         rng = np.random.default_rng(2)
         state = make_state(4, estimate_calib=True, use_fej=False)
         landmark = np.array([3.0, 0.2, -0.1])
-        clone = state.clones[2]
-        rows = _observation_jacobians(state, [clone], landmark, [camera_of(state, 2)])
+        clone = clone_pose(state, 2)
+        rows = _observation_jacobians(state, np.array([state.clones[2]]), landmark,
+                                      camera_poses_now(state))
         pred, H_f, H_clone, H_calib = (a[0] for a in rows[:4])
         eps = 1e-6
 
         def project_with(dtheta_c, dp_c, d_lm, d_ext_rot, d_ext_pos, d_intr):
             dq = UnitQuaternion(quat_from_axis_angle(dtheta_c))
             pose = Pose(
-                dq.multiply(clone.pose.orientation), clone.pose.position + dp_c
+                dq.multiply(clone.orientation), clone.position + dp_c
             )
             ext = state.calib.extrinsic
             eq = UnitQuaternion(quat_from_axis_angle(d_ext_rot))

@@ -66,7 +66,7 @@ class TestClosedLoop:
         def track_system(state, track, cam_poses):
             system = original(state, track, cam_poses)
             if system is not None:
-                _, _, _, H_f, Q, _ = system
+                _, _, _, _, H_f, Q, _ = system
                 residuals.append(float(np.linalg.norm(Q[:, 3:].T @ H_f)))
             return system
 
