@@ -20,11 +20,19 @@ gradients are differences of its samples two pixels apart.  A patch origin
 is clamped to ``MAP_SIZE - 1 - window``, so a window whose last column or
 row lies exactly on pixel 255 blends that pixel with fraction 1, as a
 per-sample lookup clipped to the image does.
+
+Workspace: the KLT writes its template, gradients, blends, samples and
+products into the grow-only buffers of a ``KltWorkspace`` that the
+``TrackTable`` owns, so they live as long as the run and no longer.  Arrays
+of that size made afresh each frame go back to the kernel when freed and
+fault back in on the next frame; a module-level cache would outlive the run.
+Each blocked sum is still one contiguous row sum, so results keep their bits.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +43,8 @@ from .emulator import MAP_SIZE, MAX_CORNER_POINTS, BinaryMap, MapKind
 
 EDGE_INTENSITY = 128
 MIN_EIGENVALUE = 1e-6
+KLT_BLOCK = 64  # tracks per block of the KLT's residual and gradient sums
+SPAWN_BLOCK = 128  # spawn candidates per block of the separation test
 
 
 class TrackStatus(enum.Enum):
@@ -123,12 +133,33 @@ class FeatureTrack:
         self.death_reason = reason
 
 
+class KltWorkspace:
+    """Grow-only float64 buffers that the KLT writes its per-frame arrays into.
+
+    ``view(name, *shape)`` returns a C-contiguous view of the named buffer,
+    which is reallocated only when ``shape`` needs more elements than it has.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def view(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            # twice the request, so that a slowly rising track count rarely
+            # reallocates; the pages past what a view uses stay untouched
+            buf = self._buffers[name] = np.empty(2 * size)
+        return buf[:size].reshape(shape)
+
+
 class TrackTable:
     """Live tracks by id, in spawn order; a track leaves the table when it dies."""
 
     def __init__(self):
         self.tracks: dict[int, FeatureTrack] = {}
         self.next_id = 0
+        self.klt = KltWorkspace()
 
     def spawn(self, frame_index: int, position: np.ndarray) -> FeatureTrack:
         track = FeatureTrack(self.next_id)
@@ -160,11 +191,12 @@ def feather(edges: BinaryMap, sigma_e: float) -> FeatherMap:
     if sigma_e <= 0:
         raise ValueError("sigma_e must be positive")
     k = gaussian_kernel_1d(sigma_e)
-    img = edges.bits.astype(np.float64) * EDGE_INTENSITY
-    out = ndimage.correlate1d(img, k, axis=0, mode="constant", cval=0.0)
-    out = ndimage.correlate1d(out, k, axis=1, mode="constant", cval=0.0)
-    out = np.clip(np.rint(out), 0, EDGE_INTENSITY).astype(np.uint8)
-    return FeatherMap(out, edges.timestamp)
+    img = np.multiply(edges.bits, EDGE_INTENSITY, dtype=np.float64)
+    out = np.empty_like(img)
+    ndimage.correlate1d(img, k, axis=0, output=out, mode="constant", cval=0.0)
+    ndimage.correlate1d(out, k, axis=1, output=img, mode="constant", cval=0.0)
+    np.clip(np.rint(img, out=img), 0, EDGE_INTENSITY, out=img)
+    return FeatherMap(img.astype(np.uint8), edges.timestamp)
 
 
 def binary_to_intensity(edges: BinaryMap) -> FeatherMap:
@@ -172,43 +204,59 @@ def binary_to_intensity(edges: BinaryMap) -> FeatherMap:
     return FeatherMap(edges.bits.astype(np.uint8) * EDGE_INTENSITY, edges.timestamp)
 
 
-def _sample(img: np.ndarray, corner: np.ndarray, window: int) -> np.ndarray:
-    """Bilinear samples of ``window``-square unit-spaced grids, (N, window, window).
+def _sample(img: np.ndarray, corner: np.ndarray, window: int, out: np.ndarray,
+            ws: KltWorkspace) -> np.ndarray:
+    """Bilinear samples of ``window``-square unit-spaced grids into ``out`` (N, window, window).
 
     ``corner`` (N, 2) holds each grid's top-left sample ``(u, v)``; callers
     keep every grid inside the image.  One ``(window + 1)``-square patch per
     grid is blended x first, then y, as a per-sample bilinear lookup would.
     """
-    p = window + 1
+    n, p = len(corner), window + 1
     origin = np.minimum(np.floor(corner).astype(np.intp), MAP_SIZE - p)
     frac = corner - origin
     fx = frac[:, 0, None, None]
     fy = frac[:, 1, None, None]
     patch = sliding_window_view(img, (p, p))[origin[:, 1], origin[:, 0]]
-    rows = patch[:, :, :-1] * (1 - fx) + patch[:, :, 1:] * fx
-    return rows[:, :-1] * (1 - fy) + rows[:, 1:] * fy
+    rows = ws.view("rows", n, p, window)
+    np.multiply(patch[:, :, :-1], 1 - fx, out=rows)
+    np.add(rows, np.multiply(patch[:, :, 1:], fx, out=ws.view("blend", n, p, window)), out=rows)
+    np.multiply(rows[:, :-1], 1 - fy, out=out)
+    return np.add(out, np.multiply(rows[:, 1:], fy, out=rows[:, 1:]), out=out)
 
 
-def _template(prev_f: np.ndarray, corner: np.ndarray, window: int):
+def _template(img: np.ndarray, corner: np.ndarray, window: int, ws: KltWorkspace):
     """Template intensities and central-difference gradients, each (N, window**2).
 
     One grid a pixel wider on every side is sampled; the template is its
     interior and each gradient is half the difference of the samples one
-    pixel either side, as ``0.5 * (I(x + 1) - I(x - 1))`` per sample.
+    pixel either side, as ``0.5 * (I(x + 1) - I(x - 1))`` per sample.  The
+    three arrays are views into ``ws``.
     """
-    shape = (len(corner), window * window)
-    ext = _sample(prev_f, corner - 1, window + 2)
-    t = ext[:, 1:-1, 1:-1].reshape(shape)
-    gx = (0.5 * (ext[:, 1:-1, 2:] - ext[:, 1:-1, :-2])).reshape(shape)
-    gy = (0.5 * (ext[:, 2:, 1:-1] - ext[:, :-2, 1:-1])).reshape(shape)
-    return t, gx, gy
+    n, e = len(corner), window + 2
+    ext = _sample(img, corner - 1, e, ws.view("grid", n, e, e), ws)
+    t, gx, gy = (ws.view(name, n, window, window) for name in ("t", "gx", "gy"))
+    np.copyto(t, ext[:, 1:-1, 1:-1])
+    np.multiply(np.subtract(ext[:, 1:-1, 2:], ext[:, 1:-1, :-2], out=gx), 0.5, out=gx)
+    np.multiply(np.subtract(ext[:, 2:, 1:-1], ext[:, :-2, 1:-1], out=gy), 0.5, out=gy)
+    shape = (n, window * window)
+    return t.reshape(shape), gx.reshape(shape), gy.reshape(shape)
 
 
-def _hessian(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    h00 = (gx * gx).sum(axis=-1)
-    h01 = (gx * gy).sum(axis=-1)
-    h11 = (gy * gy).sum(axis=-1)
-    return np.stack([h00, h01, h01, h11], axis=-1).reshape(gx.shape[:-1] + (2, 2))
+def _row_sum(a: np.ndarray, b: np.ndarray, ws: KltWorkspace) -> np.ndarray:
+    """``(a * b).sum(axis=1)`` for at most KLT_BLOCK rows, the product in ``ws``."""
+    return np.multiply(a, b, out=ws.view("product", *a.shape)).sum(axis=1)
+
+
+def _hessian(gx: np.ndarray, gy: np.ndarray, ws: KltWorkspace) -> np.ndarray:
+    H = np.empty((len(gx), 2, 2))
+    for s in range(0, len(gx), KLT_BLOCK):
+        bx, by = gx[s:s + KLT_BLOCK], gy[s:s + KLT_BLOCK]
+        H[s:s + KLT_BLOCK, 0, 0] = _row_sum(bx, bx, ws)
+        H[s:s + KLT_BLOCK, 0, 1] = _row_sum(bx, by, ws)
+        H[s:s + KLT_BLOCK, 1, 1] = _row_sum(by, by, ws)
+    H[:, 1, 0] = H[:, 0, 1]
+    return H
 
 
 def _min_eigenvalue(H: np.ndarray) -> np.ndarray:
@@ -219,14 +267,30 @@ def _min_eigenvalue(H: np.ndarray) -> np.ndarray:
     return mean - np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
 
 
+def _residual_blocks(t: np.ndarray, rows: np.ndarray, i1: np.ndarray, ws: KltWorkspace):
+    """Yield ``(block, template rows, t[rows] - i1)`` over blocks of KLT_BLOCK tracks.
+
+    ``i1`` holds one sample row per entry of ``rows``; the residual is a view
+    into ``ws`` that the next block overwrites.
+    """
+    for s in range(0, len(rows), KLT_BLOCK):
+        block = slice(s, s + KLT_BLOCK)
+        idx = rows[block]
+        # mode="clip" writes into ``out`` directly ("raise" buffers a copy of
+        # it); every index is a valid row
+        res = np.take(t, idx, axis=0, out=ws.view("residual", len(idx), t.shape[1]), mode="clip")
+        yield block, idx, np.subtract(res, i1[block], out=res)
+
+
 def _batch_track(
     prev_f: np.ndarray,
     next_f: np.ndarray,
     points: np.ndarray,
     guesses: np.ndarray,
     cfg: TrackerConfig,
+    ws: KltWorkspace,
 ):
-    """Advance all points in lockstep.
+    """Advance all points in lockstep from ``prev_f`` into ``next_f``, both uint8 maps.
 
     Returns (displacements, ok, reason) where reason is '' for survivors and
     one of 'oob', 'singular', 'residual' otherwise.
@@ -244,6 +308,12 @@ def _batch_track(
         shift = u[ids]
         return ((lo[ids] + shift >= 0.0) & (hi[ids] + shift <= MAP_SIZE - 1.0)).all(axis=1)
 
+    def sample(ids):
+        """The next map's samples under each window of ``ids``, (ids.size, area)."""
+        # the template's extended grid is spent once t, gx and gy are formed
+        out = ws.view("grid", ids.size, cfg.window, cfg.window)
+        return _sample(next_f, lo[ids] + u[ids], cfg.window, out, ws).reshape(ids.size, area)
+
     # the template's central differences need one more pixel of margin
     ok = ((lo >= 1.0) & (hi <= MAP_SIZE - 2.0)).all(axis=1)
     reason = np.array([""] * n, dtype=object)
@@ -251,8 +321,8 @@ def _batch_track(
 
     # template state lives at positions into ``live``
     live = np.nonzero(ok)[0]
-    t, gx, gy = _template(prev_f, lo[live], cfg.window)
-    H = _hessian(gx, gy)
+    t, gx, gy = _template(prev_f, lo[live], cfg.window, ws)
+    H = _hessian(gx, gy, ws)
     singular = _min_eigenvalue(H) < MIN_EIGENVALUE
     reason[live[singular]] = "singular"
     ok[live[singular]] = False
@@ -270,10 +340,13 @@ def _batch_track(
         ids = ids[within]
         if active.size == 0:
             break
-        i1 = _sample(next_f, lo[ids] + u[ids], cfg.window).reshape(ids.size, area)
-        res = t[active] - i1
-        g0 = (gx[active] * res).sum(axis=1)
-        g1 = (gy[active] * res).sum(axis=1)
+        i1 = sample(ids)
+        g0 = np.empty(active.size)
+        g1 = np.empty(active.size)
+        for block, rows, res in _residual_blocks(t, active, i1, ws):
+            g = ws.view("gradient", *res.shape)
+            g0[block] = _row_sum(np.take(gx, rows, axis=0, out=g, mode="clip"), res, ws)
+            g1[block] = _row_sum(np.take(gy, rows, axis=0, out=g, mode="clip"), res, ws)
         Ha = H[active]
         da = det[active]
         du0 = (Ha[:, 1, 1] * g0 - Ha[:, 0, 1] * g1) / da
@@ -291,8 +364,10 @@ def _batch_track(
     ok[ids[~within]] = False
     final = final[within]
     ids = ids[within]
-    i1 = _sample(next_f, lo[ids] + u[ids], cfg.window).reshape(ids.size, area)
-    mean_resid = np.abs(t[final] - i1).mean(axis=1)
+    i1 = sample(ids)
+    mean_resid = np.empty(ids.size)
+    for block, _, res in _residual_blocks(t, final, i1, ws):
+        mean_resid[block] = np.abs(res, out=res).mean(axis=1)
     gated = ids[mean_resid > cfg.photometric_gate]
     reason[gated] = "residual"
     ok[gated] = False
@@ -322,7 +397,7 @@ def track_frame(
         points = np.array([t.last_position() for t in live])
         guesses = np.array([t.last_flow for t in live])
         disp, ok, reason = _batch_track(
-            prev.as_float(), next_map.as_float(), points, guesses, cfg
+            prev.values, next_map.values, points, guesses, cfg, table.klt
         )
         for i, tr in enumerate(live):
             if ok[i]:
@@ -357,38 +432,54 @@ def _spawn_tracks(
     if rows.size == 0:
         return
     cand = np.column_stack([cols, rows]).astype(float)  # (u, v) in (row, col) order
-
-    live_pos = np.array([t.last_position() for t in table.tracks.values()])
     sep2 = cfg.min_separation ** 2
-    if live_pos.size:
-        d2 = ((cand[:, None, :] - live_pos[None, :, :]) ** 2).sum(axis=2)
-        cand = cand[d2.min(axis=1) >= sep2]
+    free = _clear_of_live(cand, table, cfg.min_separation)
 
-    # greedy pass keeps new spawns separated from each other via cell hashing
-    cell = max(cfg.min_separation, 1.0)
-    occupied: dict[tuple[int, int], list[np.ndarray]] = {}
-    for p in cand:
+    # greedy pass in row-major order: each spawn clears the later candidates
+    # closer than min_separation, which lie at most min_separation rows below
+    # it; candidates are integer pixels, so their d² is exact
+    reach = np.searchsorted(cand[:, 1], cand[:, 1] + cfg.min_separation, side="right")
+    for i in np.flatnonzero(free):
         if budget <= 0:
             break
-        key = (int(p[0] // cell), int(p[1] // cell))
-        clash = False
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for q in occupied.get((key[0] + dx, key[1] + dy), ()):
-                    if ((p - q) ** 2).sum() < sep2:
-                        clash = True
-                        break
-                if clash:
-                    break
-            if clash:
-                break
-        if clash:
+        if not free[i]:
             continue
-        track = table.spawn(frame_index, p)
+        track = table.spawn(frame_index, cand[i])
         if initial_flow is not None:
             track.last_flow = initial_flow.copy()
-        occupied.setdefault(key, []).append(p)
         budget -= 1
+        later = slice(i + 1, reach[i])
+        d = cand[later] - cand[i]
+        free[later] &= d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] >= sep2
+
+
+def _clear_of_live(cand: np.ndarray, table: TrackTable, min_separation: float) -> np.ndarray:
+    """Whether each candidate is ``min_separation`` or more from every live track, (N,) bool.
+
+    ``cand`` (N, 2) is sorted by v.  Only pairs whose v differ by at most
+    ``min_separation + 1`` are compared; any other pair is farther apart than
+    ``min_separation`` whatever the rounding.  d² is ``du * du + dv * dv``,
+    the same bits as a dense ``((cand - live) ** 2).sum()``.  The pairs are
+    formed SPAWN_BLOCK candidates at a time.
+    """
+    free = np.ones(len(cand), dtype=bool)
+    if not table.tracks:
+        return free
+    live = np.array([t.last_position() for t in table.tracks.values()])
+    lu, lv = live[np.argsort(live[:, 1])].T
+    sep2 = min_separation ** 2
+    band = min_separation + 1.0
+    first = np.searchsorted(lv, cand[:, 1] - band)
+    count = np.searchsorted(lv, cand[:, 1] + band, side="right") - first
+    for s in range(0, len(cand), SPAWN_BLOCK):
+        n = count[s:s + SPAWN_BLOCK]
+        owner = np.repeat(np.arange(s, s + len(n)), n)
+        # each candidate's pairs run over its band's live tracks, in v order
+        near = np.arange(owner.size) + np.repeat(first[s:s + SPAWN_BLOCK] - (np.cumsum(n) - n), n)
+        du = cand[owner, 0] - lu[near]
+        dv = cand[owner, 1] - lv[near]
+        free[owner[du * du + dv * dv < sep2]] = False
+    return free
 
 
 def shi_tomasi_on_edges(feathered: FeatherMap, max_points: int) -> np.ndarray:

@@ -1,6 +1,9 @@
 import dataclasses
 import enum
+import os
 import shutil
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -9,8 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import binvio
 from binvio import config
-from binvio.cli import main
+from binvio.cli import BLAS_THREAD_VARS, main
 from binvio.config import ConfigInvalid, PipelineConfig, load_config, parse_config_text
 from binvio.io import read_manifest, read_pose_csv
 from binvio.simgen import load_dataset
@@ -334,3 +338,29 @@ class TestCli:
         assert main(["run", "--dataset", str(tiny_dataset), "--out", str(a)]) == 0
         assert main(["run", "--dataset", str(tiny_dataset), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestBlasThreads:
+    """``binvio.cli`` pins BLAS to one thread before numpy loads, unless the user chose."""
+
+    def thread_vars_after_import(self, **chosen):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env.update(chosen)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(binvio.__file__).resolve().parent.parent), env.get("PYTHONPATH", "")])
+        code = (
+            "import os, sys, binvio\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import binvio.cli\n"
+            "print(','.join(os.environ.get(v, '-') for v in binvio.cli.BLAS_THREAD_VARS))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        return out.stdout.strip().split(",")
+
+    def test_unset_becomes_one(self):
+        assert self.thread_vars_after_import() == ["1", "1", "1"]
+
+    def test_user_value_kept(self):
+        assert self.thread_vars_after_import(OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="4") == [
+            "2", "1", "4"]

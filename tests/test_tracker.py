@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from binvio import tracker as tk
-from binvio.emulator import MAP_SIZE, BinaryMap, MapKind
+from binvio.emulator import MAP_SIZE, MAX_CORNER_POINTS, BinaryMap, MapKind
 from binvio.tracker import (
     FeatherMap,
     TrackerConfig,
@@ -37,6 +40,15 @@ def brute_force_feather(bits, sigma):
                 if 0 <= rr < h and 0 <= cc < w:
                     out[rr, cc] += 128.0 * kern[dr + radius, dc + radius]
     return np.clip(np.rint(out), 0, 128).astype(np.uint8)
+
+
+def feather_with_copies(bits, sigma):
+    """The separable feather formula with a fresh array for every step."""
+    k = tk.gaussian_kernel_1d(sigma)
+    img = bits.astype(np.float64) * tk.EDGE_INTENSITY
+    out = ndimage.correlate1d(img, k, axis=0, mode="constant", cval=0.0)
+    out = ndimage.correlate1d(out, k, axis=1, mode="constant", cval=0.0)
+    return np.clip(np.rint(out), 0, tk.EDGE_INTENSITY).astype(np.uint8)
 
 
 def window_offsets(window):
@@ -144,8 +156,8 @@ def reference_batch_track(prev_f, next_f, points, guesses, cfg):
 def track_one(prev, nxt, point, cfg, guess=(0.0, 0.0)):
     """``_batch_track`` on a single point: (displacement, ok, reason)."""
     disp, ok, reason = tk._batch_track(
-        prev.as_float(), nxt.as_float(), np.array([point], dtype=float),
-        np.array([guess], dtype=float), cfg,
+        prev.values, nxt.values, np.array([point], dtype=float),
+        np.array([guess], dtype=float), cfg, tk.KltWorkspace(),
     )
     return disp[0], bool(ok[0]), reason[0]
 
@@ -222,6 +234,13 @@ class TestFeather:
         fab = feather(edge_map(a | b), 2.5).values.astype(int)
         np.testing.assert_array_equal(fab, np.clip(fa + fb, 0, 128))
 
+    @pytest.mark.parametrize("sigma", [0.7, 2.5, 4.0])
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.2, 1.0])
+    def test_in_place_passes_match_copies(self, sigma, density):
+        bits = random_edge_bits(np.random.default_rng(16), density)
+        np.testing.assert_array_equal(feather(edge_map(bits), sigma).values,
+                                      feather_with_copies(bits, sigma))
+
     def test_values_bounded(self):
         rng = np.random.default_rng(4)
         out = feather(edge_map(random_edge_bits(rng, 0.5)), 2.5)
@@ -247,8 +266,9 @@ class TestKltStep:
         f = self.make_feathered(1)
         rng = np.random.default_rng(5)
         pts = rng.uniform(30, 225, size=(50, 2))
-        _, gx, gy = tk._template(f.as_float(), pts - 21 // 2, 21)
-        for H in tk._hessian(gx, gy):
+        ws = tk.KltWorkspace()
+        _, gx, gy = tk._template(f.values, pts - 21 // 2, 21, ws)
+        for H in tk._hessian(gx, gy, ws):
             if tk._min_eigenvalue(H) < tk.MIN_EIGENVALUE:
                 continue
             assert abs(H[0, 1] - H[1, 0]) < 1e-9
@@ -287,7 +307,7 @@ class TestKltStep:
         rng = np.random.default_rng(8)
         pts = rng.uniform(40, 215, size=(20, 2))
         disp, ok, _ = tk._batch_track(
-            f0.as_float(), f1.as_float(), pts, np.zeros_like(pts), ONE_STEP
+            f0.values, f1.values, pts, np.zeros_like(pts), ONE_STEP, tk.KltWorkspace()
         )
         for i, pt in enumerate(pts):
             du, single_ok, _ = track_one(f0, f1, pt, ONE_STEP)
@@ -299,10 +319,13 @@ class TestKltStep:
 
 
 def assert_matches_reference(prev, nxt, points, guesses, cfg):
-    args = (prev.as_float(), nxt.as_float(), np.asarray(points, dtype=float),
-            np.asarray(guesses, dtype=float), cfg)
-    disp, ok, reason = tk._batch_track(*args)
-    ref_disp, ref_ok, ref_reason = reference_batch_track(*args)
+    """``_batch_track`` on the uint8 maps against the reference on float copies."""
+    points = np.asarray(points, dtype=float)
+    guesses = np.asarray(guesses, dtype=float)
+    disp, ok, reason = tk._batch_track(prev.values, nxt.values, points, guesses, cfg,
+                                       tk.KltWorkspace())
+    ref_disp, ref_ok, ref_reason = reference_batch_track(
+        prev.as_float(), nxt.as_float(), points, guesses, cfg)
     np.testing.assert_array_equal(ok, ref_ok)
     np.testing.assert_array_equal(reason, ref_reason)
     np.testing.assert_allclose(disp[ok], ref_disp[ok], rtol=0, atol=1e-9)
@@ -468,6 +491,131 @@ class TestTrackFrame:
             tk.binary_to_intensity(edge_map(shifted_bits)),
         )
         assert rate_raw > rate_feathered
+
+
+def reference_spawn(table, corners, cfg, frame_index, initial_flow=None):
+    """Spawning by a dense candidates-by-live distance matrix and a cell-hash greedy loop.
+
+    Same contract as ``tracker._spawn_tracks``.
+    """
+    budget = cfg.n_points - len(table.tracks)
+    if budget <= 0:
+        return
+    rows, cols = np.nonzero(corners.bits)
+    if rows.size == 0:
+        return
+    cand = np.column_stack([cols, rows]).astype(float)
+
+    live_pos = np.array([t.last_position() for t in table.tracks.values()])
+    sep2 = cfg.min_separation ** 2
+    if live_pos.size:
+        d2 = ((cand[:, None, :] - live_pos[None, :, :]) ** 2).sum(axis=2)
+        cand = cand[d2.min(axis=1) >= sep2]
+
+    cell = max(cfg.min_separation, 1.0)
+    occupied = {}
+    for p in cand:
+        if budget <= 0:
+            break
+        key = (int(p[0] // cell), int(p[1] // cell))
+        clash = any(
+            ((p - q) ** 2).sum() < sep2
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+            for q in occupied.get((key[0] + dx, key[1] + dy), ())
+        )
+        if clash:
+            continue
+        track = table.spawn(frame_index, p)
+        if initial_flow is not None:
+            track.last_flow = initial_flow.copy()
+        occupied.setdefault(key, []).append(p)
+        budget -= 1
+
+
+class TestSpawn:
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_corners=st.one_of(st.integers(0, 60), st.integers(700, 1200)),
+        n_live=st.integers(0, 300),
+        n_touching=st.integers(0, 30),
+        sep=st.sampled_from([0.0, 0.5, 1.0, 10.0, 37.5, 300.0]),
+        budget=st.integers(1, 800),
+    )
+    def test_matches_reference(self, seed, n_corners, n_live, n_touching, sep, budget):
+        rng = np.random.default_rng(seed)
+        bits = np.zeros(MAP_SIZE * MAP_SIZE, dtype=np.uint8)
+        bits[rng.choice(bits.size, n_corners, replace=False)] = 1
+        corners = BinaryMap(bits.reshape(MAP_SIZE, MAP_SIZE), MapKind.CORNER)
+        live = rng.uniform(0, MAP_SIZE - 1, size=(n_live, 2))
+        if n_corners and n_touching:
+            # live tracks exactly ``sep`` from a corner along an axis, or along
+            # a 3-4-5 direction where sep / 5 is exact
+            rows, cols = np.nonzero(corners.bits)
+            picks = rng.integers(0, rows.size, n_touching)
+            dirs = np.array([[5, 0], [-5, 0], [0, 5], [0, -5], [3, 4], [-4, 3]])
+            step = dirs[rng.integers(0, len(dirs), n_touching)] * (sep / 5)
+            live = np.vstack([live, np.column_stack([cols[picks], rows[picks]]) + step])
+        cfg = TrackerConfig(n_points=min(MAX_CORNER_POINTS, len(live) + budget), min_separation=sep)
+        flow = rng.normal(size=2)
+
+        tables = []
+        for spawn in (reference_spawn, tk._spawn_tracks):
+            table = TrackTable()
+            for pos in live:
+                table.spawn(0, pos)
+            spawn(table, corners, cfg, 1, flow)
+            tables.append(table)
+        ref, got = tables
+        assert got.next_id == ref.next_id
+        assert list(got.tracks) == list(ref.tracks)
+        for tid, track in got.tracks.items():
+            np.testing.assert_array_equal(track.last_position(), ref.tracks[tid].last_position())
+            np.testing.assert_array_equal(track.last_flow, ref.tracks[tid].last_flow)
+
+
+class TestKltWorkspace:
+    def test_reuse_matches_fresh(self):
+        # batches that grow past and shrink below a block, and a window that
+        # changes from 21 to 9 and back, through one workspace
+        rng = np.random.default_rng(17)
+        bits = random_edge_bits(rng, 0.03)
+        prev = feather(edge_map(bits), 2.5)
+        nxt = feather(edge_map(np.roll(bits, (1, 2), axis=(0, 1))), 2.5)
+        ws = tk.KltWorkspace()
+        for n, window in [(30, 21), (300, 21), (7, 21), (150, 9), (3, 9), (400, 21), (1, 21)]:
+            pts = rng.uniform(0, MAP_SIZE - 1, size=(n, 2))
+            guesses = rng.uniform(-3, 3, size=(n, 2))
+            cfg = TrackerConfig(window=window)
+            got = tk._batch_track(prev.values, nxt.values, pts, guesses, cfg, ws)
+            fresh = tk._batch_track(prev.values, nxt.values, pts, guesses, cfg, tk.KltWorkspace())
+            for a, b in zip(got, fresh):
+                np.testing.assert_array_equal(a, b)
+
+
+class TestAllocation:
+    def test_frame_allocates_under_one_megabyte(self):
+        # a warm table of ~300 tracks and 800 spawn candidates a frame: the
+        # frame's traced peak counts every temporary, in bytes not time
+        rng = np.random.default_rng(18)
+        fmap = feather(edge_map(random_edge_bits(rng, 0.04)), 2.5)
+        bits = np.zeros(MAP_SIZE * MAP_SIZE, dtype=np.uint8)
+        bits[rng.choice(bits.size, MAX_CORNER_POINTS, replace=False)] = 1
+        corners = BinaryMap(bits.reshape(MAP_SIZE, MAP_SIZE), MapKind.CORNER)
+        cfg = TrackerConfig()
+        table = TrackTable()
+        for k in range(3):
+            track_frame(table, fmap if k else None, fmap, corners, cfg, k)
+        assert 250 <= len(table.tracks) <= 400
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            track_frame(table, fmap, fmap, corners, cfg, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 2**20
 
 
 class TestTrackStatus:
