@@ -10,6 +10,7 @@ import argparse
 import itertools
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 # One BLAS thread unless the user set one: on a two-core host OpenBLAS's
@@ -89,8 +90,6 @@ def cmd_simulate(args, overrides) -> int:
         kwargs["duration"] = args.duration
     cfg = preset_config(args.preset, seed=args.seed, **kwargs)
     if args.mode:
-        from dataclasses import replace
-
         cfg = replace(cfg, mode=args.mode)
     out = Path(args.out)
     write_dataset(cfg, out)

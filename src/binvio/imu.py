@@ -27,7 +27,9 @@ import numpy as np
 
 from .geometry import (
     UnitQuaternion,
+    quat_from_axis_angle,
     quat_integrate_array,
+    quat_multiply,
     quat_to_matrix,
     skew,
     so3_exp,
@@ -85,12 +87,8 @@ class NavState:
 
     def apply_error(self, dx: np.ndarray) -> None:
         """Left-multiplicative correction on orientation, additive elsewhere."""
-        from .geometry import quat_from_axis_angle, quat_multiply, quat_normalize
-
         dq = quat_from_axis_angle(dx[TH])
-        self.orientation = UnitQuaternion(
-            quat_normalize(quat_multiply(dq, self.orientation.xyzw))
-        )
+        self.orientation = UnitQuaternion(quat_multiply(dq, self.orientation.xyzw))
         self.position = self.position + dx[P]
         self.velocity = self.velocity + dx[V]
         self.bias_gyro = self.bias_gyro + dx[BG]

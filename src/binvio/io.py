@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .emulator import MAP_SIZE, BinaryMap, GrayFrame, MapKind
+from .imu import ImuSample
 
 BINARY_MAP_MAGIC = b"TCBM1"
 _HEADER_BYTES = 16  # magic, kind u8, timestamp f64, row count u16
@@ -109,8 +110,6 @@ def write_imu_csv(samples, path) -> None:
 
 
 def read_imu_csv(path):
-    from .imu import ImuSample
-
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as e:

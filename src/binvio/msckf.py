@@ -5,15 +5,19 @@ State: navigation block (15 error dims), optional camera calibration block
 (6 each), and in-state landmarks (3 each), with one joint covariance.
 Error layout is ``[nav | calib | clones... | landmarks...]``; clones are
 ordered by frame index and landmarks by insertion.  Clone poses are rows
-of arrays: quaternions (n, 4), positions (n, 3) and their first-estimate copies.
+of arrays: quaternions (n, 4), positions (n, 3) and their first-estimate
+copies.  Landmarks are rows too: positions (L, 3), first estimates (L, 3)
+and the frame each was last updated in.
 
 Out-of-state features are consumed by projecting their stacked residuals
 onto the left null space of the landmark Jacobian, which removes the
 landmark analytically and constrains only the cloned poses (plus
 calibration when estimated).  In-state landmarks get plain EKF updates and
 delayed initialization with the QR-split Jacobian construction.  Both
-updates screen their candidates for parallax in batched passes and
-triangulate only those that pass.
+updates screen their candidates for parallax in batched passes, which also
+give each passing track its rays, and triangulate only those that pass, one
+call per track as the benchmark's tracer counts them.  One builder,
+``_track_rows``, gives the triangulated tracks their rows in a batched pass.
 
 The χ² gates and the EKF step read only the blocks of P that an update's
 Jacobian involves, so a k-row update costs O(d² k), not O(d³).
@@ -32,7 +36,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr as scipy_qr
 from scipy.stats import chi2 as chi2_dist
 
 from .geometry import (
@@ -44,7 +47,6 @@ from .geometry import (
     project_points,
     quat_from_axis_angle,
     quat_multiply,
-    quat_normalize,
     quat_to_matrix,
     undistort,
 )
@@ -109,21 +111,17 @@ class FilterConfig:
             raise ValueError("min_baseline_deg must be in [0, 180)")
 
 
-@dataclass
-class SlamLandmark:
-    position: np.ndarray
-    fej: np.ndarray
-    last_seen_frame: int
-
-
 class FilterState:
     """Joint estimate plus covariance, with the offset of every block in it.
 
     ``clones`` maps a clone's frame index to its row in ``clone_q`` (n, 4),
     ``clone_p`` (n, 3) and their first estimates ``clone_q_fej`` and
-    ``clone_p_fej``; ``clone_at`` and ``slam_at`` map it and a landmark's
-    track id to the first row of its block in ``cov``.  All three are rebuilt
-    after each structural op, which all go through ``_grow`` and ``_shrink``.
+    ``clone_p_fej``.  ``slam`` maps a landmark's track id to its row in
+    ``slam_p`` (L, 3), its first estimate ``slam_fej`` (L, 3) and the frame
+    it was last updated in, ``slam_seen`` (L,).  ``clone_at`` and ``slam_at``
+    map a frame and a track id to the first row of the block in ``cov``.  All
+    four maps are rebuilt after each structural op, which all go through
+    ``_grow`` and ``_shrink``.
     """
 
     def __init__(self, nav: NavState, calib: CameraCalibration, cfg: FilterConfig):
@@ -133,7 +131,10 @@ class FilterState:
         self.clones: dict[int, int] = {}
         self.clone_q, self.clone_q_fej = np.empty((0, 4)), np.empty((0, 4))
         self.clone_p, self.clone_p_fej = np.empty((0, 3)), np.empty((0, 3))
-        self.slam: dict[int, SlamLandmark] = {}
+        self.slam: dict[int, int] = {}
+        self.slam_p, self.slam_fej = np.empty((0, 3)), np.empty((0, 3))
+        self.slam_seen = np.empty(0, dtype=int)
+        self._work = np.empty(0)
         d = ERROR_STATE_DIM + self.calib_dim()
         self.cov = np.zeros((d, d))
         self.cov[0:3, 0:3] = np.eye(3) * INIT_ATT_SIGMA**2
@@ -158,7 +159,7 @@ class FilterState:
         return self.cov.shape[0]
 
     def _reindex(self) -> None:
-        """Rebuild ``clones``, ``clone_at`` and ``slam_at``; clones are kept in frame order."""
+        """Rebuild the four maps; clones are kept in frame order, landmarks in insertion order."""
         at = ERROR_STATE_DIM + self.calib_dim()
         self.clone_at: dict[int, int] = {}
         for row, frame_index in enumerate(self.clones):
@@ -166,7 +167,8 @@ class FilterState:
             self.clone_at[frame_index] = at
             at += CLONE_DIM
         self.slam_at: dict[int, int] = {}
-        for track_id in self.slam:
+        for row, track_id in enumerate(self.slam):
+            self.slam[track_id] = row
             self.slam_at[track_id] = at
             at += LANDMARK_DIM
         if self.cov.shape != (at, at):
@@ -185,6 +187,12 @@ class FilterState:
         new[at:b, at:b] = block
         self.cov = new
         self._reindex()
+
+    def square_buffers(self, d: int):
+        """Two d×d work arrays: views of one buffer that only grows and is kept between updates."""
+        if self._work.size < 2 * d * d:
+            self._work = np.empty(2 * d * d)
+        return self._work[:d * d].reshape(d, d), self._work[d * d:2 * d * d].reshape(d, d)
 
     def _shrink(self, at: int, k: int) -> None:
         """Marginalize the ``k`` error dims starting at row ``at``."""
@@ -215,15 +223,17 @@ class FilterState:
         self._shrink(self.clone_at[frame_index], CLONE_DIM)
 
     def add_landmark(self, track_id: int, position, fej, cov_ff, cov_fx, frame_index: int):
-        self.slam[track_id] = SlamLandmark(
-            np.asarray(position, dtype=float).copy(),
-            np.asarray(fej, dtype=float).copy(),
-            frame_index,
-        )
+        self.slam[track_id] = len(self.slam)
+        self.slam_p = np.vstack([self.slam_p, np.asarray(position, dtype=float)])
+        self.slam_fej = np.vstack([self.slam_fej, np.asarray(fej, dtype=float)])
+        self.slam_seen = np.append(self.slam_seen, frame_index)
         self._grow(self.dim(), cov_fx, cov_ff)
 
     def remove_landmark(self, track_id: int) -> None:
-        del self.slam[track_id]
+        row = self.slam.pop(track_id)
+        self.slam_p, self.slam_fej, self.slam_seen = (
+            np.delete(a, row, axis=0) for a in (self.slam_p, self.slam_fej, self.slam_seen)
+        )
         self._shrink(self.slam_at[track_id], LANDMARK_DIM)
 
     # -- corrections ------------------------------------------------------
@@ -236,10 +246,11 @@ class FilterState:
             c = ERROR_STATE_DIM
             ext = self.calib.extrinsic
             dq = quat_from_axis_angle(dx[c:c + 3])
-            q = UnitQuaternion(quat_normalize(quat_multiply(dq, ext.orientation.xyzw)))
-            new_ext = Pose(q, ext.position + dx[c + 3:c + 6])
-            vec = self.calib.intrinsic_vector() + dx[c + 6:c + 14]
-            self.calib = CameraCalibration.from_intrinsic_vector(vec, new_ext)
+            q = UnitQuaternion(quat_multiply(dq, ext.orientation.xyzw))
+            self.calib = CameraCalibration.from_intrinsic_vector(
+                self.calib.intrinsic_vector() + dx[c + 6:c + 14],
+                Pose(q, ext.position + dx[c + 3:c + 6]),
+            )
         # all clones at once: q <- dq q, dq = (sinc(|dtheta| / 2π) dtheta / 2, cos(|dtheta| / 2))
         at = ERROR_STATE_DIM + self.calib_dim()
         dtheta, dp = dx[at:at + CLONE_DIM * len(self.clones)].reshape(-1, 2, 3).transpose(1, 0, 2)
@@ -249,9 +260,7 @@ class FilterState:
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         self.clone_q = np.where(q[:, 3:] < 0.0, -q, q)
         self.clone_p = self.clone_p + dp
-        for tid, lm in self.slam.items():
-            off = self.slam_at[tid]
-            lm.position = lm.position + dx[off:off + 3]
+        self.slam_p = self.slam_p + dx[at + CLONE_DIM * len(self.clones):].reshape(-1, 3)
 
 
 def camera_poses_now(state: FilterState):
@@ -261,33 +270,18 @@ def camera_poses_now(state: FilterState):
     return ext.rotation() @ R, state.clone_p + np.einsum("nji,j->ni", R, ext.position)
 
 
-def _points_in_cameras(Rs, centers, pg: np.ndarray) -> np.ndarray:
-    """Camera-frame coordinates of one global point seen by stacked cameras (m,3,3)/(m,3)."""
-    p_c = _in_frames(Rs, centers, pg)
-    if np.any(p_c[:, 2] <= MIN_PROJECTION_DEPTH):
+def _inverse_depth_rows(w, B, offset, pixels, calib: CameraCalibration):
+    """Stacked reprojection residual (2m,) and its Jacobian (2m, 3) with respect to ``w``.
+
+    ``w = (x/z, y/z, 1/z)`` places the point in the anchor camera, and camera
+    i sees it at ``h_i = B_i w + offset_i``, which is the point in camera i
+    scaled by ``1/z``; the scale leaves the pixel unchanged.
+    """
+    h = B @ w + offset
+    if np.any(h[:, 2] <= MIN_PROJECTION_DEPTH * w[2]):
         raise BehindCamera("point behind an observing camera")
-    return p_c
-
-
-def _anchored_point(w: np.ndarray, R_ga: np.ndarray, c_a: np.ndarray) -> np.ndarray:
-    """Global point of inverse-depth parameters ``w = (x/z, y/z, 1/z)`` in the anchor camera."""
-    return R_ga @ np.array([w[0] / w[2], w[1] / w[2], 1.0 / w[2]]) + c_a
-
-
-def _inverse_depth_rows(w, R_ga, c_a, Rs, centers, pixels, calib: CameraCalibration):
-    """Stacked reprojection residual (2m,) and its Jacobian (2m, 3) with respect to ``w``."""
-    p_c = _points_in_cameras(Rs, centers, _anchored_point(w, R_ga, c_a))
-    pred, J_point, _ = project_points(p_c, calib, jacobians=True)
-    rho = w[2]
-    dpg_dw = R_ga @ np.array(
-        [
-            [1.0 / rho, 0.0, -w[0] / rho**2],
-            [0.0, 1.0 / rho, -w[1] / rho**2],
-            [0.0, 0.0, -1.0 / rho**2],
-        ]
-    )
-    J = (J_point @ Rs @ dpg_dw).reshape(-1, 3)
-    return (pixels - pred).ravel(), J
+    pred, J_point, _ = project_points(h, calib, jacobians=True)
+    return (pixels - pred).ravel(), (J_point @ B).reshape(-1, 3)
 
 
 def _window_observations(track: FeatureTrack, clones) -> list:
@@ -301,14 +295,6 @@ def _window_observations(track: FeatureTrack, clones) -> list:
     return [(f, z) for f, z in tail if f in clones]
 
 
-def _bearings(pixels: np.ndarray, Rs: np.ndarray, calib: CameraCalibration) -> np.ndarray:
-    """Unit global-frame rays (m, 3) of pixels (m, 2) seen by cameras of rotation Rs (m, 3, 3)."""
-    xn = undistort(pixels, calib, iters=8)
-    d_cam = np.column_stack([xn, np.ones(len(xn))])
-    d_cam /= np.linalg.norm(d_cam, axis=1, keepdims=True)
-    return np.einsum("mji,mj->mi", Rs, d_cam)  # R^T d per camera
-
-
 def _max_subtended_deg(bearings: np.ndarray) -> np.ndarray:
     """Largest angle in degrees between two rays of each of T tracks, from rays (T, W, 3).
 
@@ -319,27 +305,37 @@ def _max_subtended_deg(bearings: np.ndarray) -> np.ndarray:
     return np.degrees(np.arccos(np.clip((x + y + z).min(axis=(1, 2)), -1.0, 1.0)))
 
 
-def _parallax_screen(tracks: list[FeatureTrack], state: FilterState, cam_poses) -> np.ndarray:
-    """Which ``tracks`` pass ``triangulate``'s baseline tests, from one batched pass.
+def _parallax_screen(tracks: list[FeatureTrack], state: FilterState, cam_poses) -> list:
+    """Each track's window, or None where it cannot be triangulated, from one batched pass.
 
     A track passes when it has at least two in-window observations whose rays
-    subtend at least ``min_baseline_deg``; ``triangulate`` raises
-    ``InsufficientBaseline`` from those two tests for exactly the others.
+    subtend at least ``min_baseline_deg``.  Its window is ``(rows, pixels,
+    rays)``: the clone rows (m,) of its in-window observations, their pixels
+    (m, 2) and their unit global rays (m, 3) under ``state.calib`` and
+    ``cam_poses``, which it stays valid with.
     """
     windows = [_window_observations(t, state.clones) for t in tracks]
     lengths = np.array([len(w) for w in windows], dtype=int)
-    passes = lengths >= 2
-    if not passes.any():
-        return passes
-    obs = [o for w, ok in zip(windows, passes) if ok for o in w]
+    viewed = np.flatnonzero(lengths >= 2)
+    out = [None] * len(tracks)
+    if not len(viewed):
+        return out
+    obs = [o for i in viewed for o in windows[i]]
     pixels = np.array([z for _, z in obs], dtype=float)
-    bearings = _bearings(pixels, cam_poses[0][[state.clones[f] for f, _ in obs]], state.calib)
+    rows = np.array([state.clones[f] for f, _ in obs])
+    xn = undistort(pixels, state.calib, iters=8)
+    d_cam = np.column_stack([xn, np.ones(len(xn))])
+    d_cam /= np.linalg.norm(d_cam, axis=1, keepdims=True)
+    bearings = np.einsum("mji,mj->mi", cam_poses[0][rows], d_cam)  # R^T d per camera
     # pad each track with its first ray, whose products its Gram matrix already holds
-    n = lengths[passes]
+    n = lengths[viewed]
+    starts = np.cumsum(n) - n
     cols = np.arange(n.max())
-    rows = (np.cumsum(n) - n)[:, None] + np.where(cols < n[:, None], cols, 0)
-    passes[passes] = ~(_max_subtended_deg(bearings[rows]) < state.cfg.min_baseline_deg)
-    return passes
+    padded = starts[:, None] + np.where(cols < n[:, None], cols, 0)
+    wide = ~(_max_subtended_deg(bearings[padded]) < state.cfg.min_baseline_deg)
+    for i, a, b in zip(viewed[wide], starts[wide], (starts + n)[wide]):
+        out[i] = rows[a:b], pixels[a:b], bearings[a:b]
+    return out
 
 
 def triangulate(
@@ -348,34 +344,28 @@ def triangulate(
     calib: CameraCalibration,
     min_baseline_deg: float,
     cam_poses,
+    window,
 ) -> Landmark3D:
     """Multi-view point from a track: linear midpoint then GN refinement.
 
     Refinement runs on an inverse-depth parameterization anchored in the
     first observing camera and minimizes pixel reprojection error.
-    ``cam_poses`` holds the camera rotations and centres of
-    :func:`camera_poses_now`, in the rows that ``clones`` maps frames to.
+    ``window`` is :func:`_parallax_screen`'s for ``track``, which it judged
+    under ``clones``, ``calib`` and ``min_baseline_deg``: its rays are
+    ``calib``'s, and its rows index the camera rotations and centres
+    ``cam_poses`` of :func:`camera_poses_now`.
     """
-    obs = _window_observations(track, clones)
-    if len(obs) < 2:
-        raise InsufficientBaseline("need at least two observations in the window")
-    m = len(obs)
-    pixels = np.array([z for _, z in obs], dtype=float)
-    rows = [clones[f] for f, _ in obs]
+    rows, pixels, rays = window
+    m = len(rows)
     Rs, centers = cam_poses[0][rows], cam_poses[1][rows]
 
-    bearings = _bearings(pixels, Rs, calib)
-    max_angle = float(_max_subtended_deg(bearings[None])[0])
-    if max_angle < min_baseline_deg:
-        raise InsufficientBaseline(f"max subtended angle {max_angle:.3f} deg")
-
     # linear midpoint: sum of projectors orthogonal to each ray
-    A = m * np.eye(3) - np.einsum("mi,mj->ij", bearings, bearings)
-    b = centers.sum(axis=0) - np.einsum("mi,mj,mj->i", bearings, bearings, centers)
+    A = m * np.eye(3) - np.einsum("mi,mj->ij", rays, rays)
+    b = centers.sum(axis=0) - np.einsum("mi,mj,mj->i", rays, rays, centers)
     try:
         x0 = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as e:
-        raise InsufficientBaseline("singular midpoint system") from e
+        raise InsufficientBaseline(f"track {track.id}: singular midpoint system") from e
 
     R_a = Rs[0]
     c_a = centers[0]
@@ -383,11 +373,14 @@ def triangulate(
     if p_a[2] <= 0:
         raise BehindCamera("linear solution behind the anchor camera")
     w = np.array([p_a[0] / p_a[2], p_a[1] / p_a[2], 1.0 / p_a[2]])
-    R_ga = R_a.T
+    # camera i sees rho p_i = R_rel (w0, w1, 1) + rho t_rel, with rho = w2
+    R_rel = Rs @ R_a.T
+    t_rel = np.einsum("mij,mj->mi", Rs, c_a - centers)
+    B = np.concatenate([R_rel[:, :, :2], t_rel[:, :, None]], axis=2)
+    offset = R_rel[:, :, 2]
 
-    converged = False
     for _ in range(TRIANGULATION_MAX_ITERS):
-        r, J = _inverse_depth_rows(w, R_ga, c_a, Rs, centers, pixels, calib)
+        r, J = _inverse_depth_rows(w, B, offset, pixels, calib)
         try:
             delta = np.linalg.solve(J.T @ J, J.T @ r)
         except np.linalg.LinAlgError as e:
@@ -396,14 +389,24 @@ def triangulate(
         if w[2] <= 1e-8:
             raise BehindCamera("inverse depth collapsed")
         if np.linalg.norm(delta) < 1e-10 * max(1.0, np.linalg.norm(w)):
-            converged = True
             break
-    if not converged:
+    else:
         raise NoConvergence(f"no convergence in {TRIANGULATION_MAX_ITERS} iterations")
+    if np.any((B @ w + offset)[:, 2] <= MIN_PROJECTION_DEPTH * w[2]):
+        raise BehindCamera("point behind an observing camera")
+    return Landmark3D(R_a.T @ np.array([w[0] / w[2], w[1] / w[2], 1.0 / w[2]]) + c_a)
 
-    pg = _anchored_point(w, R_ga, c_a)
-    _points_in_cameras(Rs, centers, pg)  # raises if behind any camera
-    return Landmark3D(pg)
+
+def _triangulated(state: FilterState, track: FeatureTrack, window, cam_poses):
+    """The track's triangulated point (3,); None when the screen or the geometry rejects it."""
+    if window is None:
+        return None
+    try:
+        return triangulate(
+            track, state.clones, state.calib, state.cfg.min_baseline_deg, cam_poses, window
+        ).position
+    except (InsufficientBaseline, BehindCamera, NoConvergence):
+        return None
 
 
 def _in_frames(R: np.ndarray, origins: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -447,52 +450,79 @@ def _observation_jacobians(state: FilterState, rows: np.ndarray, p_global: np.nd
     return pred, H_f, H_clone, H_calib, in_front
 
 
-def _involved_cols(state: FilterState, rows) -> np.ndarray:
-    """State columns of the calibration block, when estimated, then of clones ``rows``' blocks."""
-    at = ERROR_STATE_DIM + state.calib_dim()
-    clone_cols = at + CLONE_DIM * np.asarray(rows)[:, None] + np.arange(CLONE_DIM)
-    return np.concatenate([np.arange(ERROR_STATE_DIM, at), clone_cols.ravel()])
+def _involved_cols(state: FilterState, rows: np.ndarray) -> np.ndarray:
+    """Columns (..., c + 6n) of the calibration block, if estimated, then of clone rows (..., n)."""
+    at, lead = ERROR_STATE_DIM + state.calib_dim(), rows.shape[:-1]
+    clone_cols = (at + CLONE_DIM * rows[..., None] + np.arange(CLONE_DIM)).reshape(lead + (-1,))
+    calib_cols = np.broadcast_to(np.arange(ERROR_STATE_DIM, at), lead + (at - ERROR_STATE_DIM,))
+    return np.concatenate([calib_cols, clone_cols], axis=-1)
 
 
-def _stack_track_rows(state: FilterState, track: FeatureTrack, p_global: np.ndarray, cam_poses):
-    """A track's in-window observations as rows on the state columns they involve.
+@dataclass
+class TrackRows:
+    """One track's observations as rows on the state columns ``cols`` they involve.
 
-    Returns residuals (2m,), the Jacobian (2m, c) on the state columns
-    ``cols`` (c,) of :func:`_involved_cols`, and the landmark Jacobian (2m, 3).
+    ``r`` (2m,) and ``H_x`` (2m, c) are the stacked residuals and Jacobian,
+    ``H_f`` (2m, 3) the landmark Jacobian and ``Q R = H_f`` its complete QR.
+    ``H_o`` and ``r_o`` are the rows projected onto the left null space
+    ``N = Q[:, 3:]``, which are free of the landmark, and ``nis`` is their
+    normalized innovation squared under the current covariance.
     """
-    obs = _window_observations(track, state.clones)
-    m = len(obs)
-    rows = np.array([state.clones[f] for f, _ in obs])
+
+    r: np.ndarray
+    H_x: np.ndarray
+    cols: np.ndarray
+    H_f: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    H_o: np.ndarray
+    r_o: np.ndarray
+    nis: float
+
+
+def _track_rows(state: FilterState, windows: list, points: np.ndarray, cam_poses) -> list:
+    """:class:`TrackRows` of T triangulated tracks, or None for a track seen behind a camera.
+
+    ``windows`` are the tracks' :func:`_parallax_screen` windows and ``points``
+    (T, 3) their landmarks.  One :func:`_observation_jacobians` call covers
+    every observation; tracks of equal window length share one stacked QR,
+    null-space projection and innovation covariance.
+    """
+    lengths = np.array([len(w[0]) for w in windows])
+    rows = np.concatenate([w[0] for w in windows])
     pred, H_f, H_clone, H_calib, in_front = _observation_jacobians(
-        state, rows, p_global, cam_poses
+        state, rows, np.repeat(points, lengths, axis=0), cam_poses
     )
-    if not in_front.all():
-        raise BehindCamera("landmark at or behind an observing camera")
-    r = (np.array([z for _, z in obs], dtype=float) - pred).ravel()
+    r = np.concatenate([w[1] for w in windows]) - pred
+    starts = np.cumsum(lengths) - lengths
     c = state.calib_dim()
-    H_x = np.zeros((2 * m, c + CLONE_DIM * m))
-    blocks = c + CLONE_DIM * np.repeat(np.arange(m), 2)[:, None] + np.arange(CLONE_DIM)
-    H_x[np.arange(2 * m)[:, None], blocks] = H_clone.reshape(2 * m, CLONE_DIM)
-    if H_calib is not None:
-        H_x[:, :c] = H_calib.reshape(2 * m, CALIB_DIM)
-    return r, H_x, _involved_cols(state, rows), H_f.reshape(2 * m, 3)
-
-
-def _track_system(state: FilterState, track: FeatureTrack, cam_poses):
-    """Triangulate a track and stack its rows; None when its geometry fails.
-
-    Returns ``(position, r, H_x, cols, H_f, Q, R)``: ``H_x`` holds the state
-    columns ``cols`` only, and ``Q R = H_f`` is the full QR of the landmark
-    Jacobian.  A track that triangulates has at least two in-window
-    observations, so ``H_f`` has at least four rows.
-    """
-    try:
-        lm = triangulate(track, state.clones, state.calib, state.cfg.min_baseline_deg, cam_poses)
-        r, H_x, cols, H_f = _stack_track_rows(state, track, lm.position, cam_poses)
-    except (InsufficientBaseline, BehindCamera, NoConvergence):
-        return None
-    Q, R = scipy_qr(H_f, mode="full")
-    return lm.position, r, H_x, cols, H_f, Q, R
+    out = [None] * len(windows)
+    for m in np.unique(lengths):
+        obs = starts[lengths == m][:, None] + np.arange(m)
+        front = in_front[obs].all(axis=1)
+        tracks, obs = np.flatnonzero(lengths == m)[front], obs[front]
+        T = len(tracks)
+        if T == 0:
+            continue
+        H_x = np.zeros((T, 2 * m, c + CLONE_DIM * m))
+        blocks = c + CLONE_DIM * np.repeat(np.arange(m), 2)[:, None] + np.arange(CLONE_DIM)
+        H_x[:, np.arange(2 * m)[:, None], blocks] = H_clone[obs].reshape(T, 2 * m, CLONE_DIM)
+        if H_calib is not None:
+            H_x[:, :, :c] = H_calib[obs].reshape(T, 2 * m, CALIB_DIM)
+        H_fm = H_f[obs].reshape(T, 2 * m, 3)
+        r_m = r[obs].reshape(T, 2 * m)
+        Q, R = np.linalg.qr(H_fm, mode="complete")
+        Nt = Q[:, :, 3:].transpose(0, 2, 1)
+        H_o = Nt @ H_x
+        r_o = (Nt @ r_m[:, :, None])[:, :, 0]
+        cols = _involved_cols(state, rows[obs])
+        P = state.cov[cols[:, :, None], cols[:, None, :]]
+        S = H_o @ P @ H_o.transpose(0, 2, 1) + state.cfg.sigma_px**2 * np.eye(2 * m - 3)
+        nis = _nis(S, r_o)
+        for k, i in enumerate(tracks):
+            out[i] = TrackRows(r_m[k], H_x[k], cols[k], H_fm[k], Q[k], R[k], H_o[k], r_o[k],
+                               float(nis[k]))
+    return out
 
 
 _CHI2_TABLE: dict[tuple[float, int], float] = {}
@@ -503,11 +533,6 @@ def _chi2_threshold(confidence: float, dof: int) -> float:
     if key not in _CHI2_TABLE:
         _CHI2_TABLE[key] = float(chi2_dist.ppf(confidence, dof))
     return _CHI2_TABLE[key]
-
-
-def _innovation_cov(state: FilterState, H: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """S = H P Hᵀ + σ² I for rows H (k, c) on the state columns ``cols``."""
-    return H @ state.cov[np.ix_(cols, cols)] @ H.T + state.cfg.sigma_px**2 * np.eye(H.shape[0])
 
 
 def _nis(S: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -533,7 +558,8 @@ def _ekf_update(state: FilterState, H: np.ndarray, r: np.ndarray) -> None:
     Aᵀ = H P and S = H A + σ² I read only the rows of P that H involves.
     With K = A S⁻¹ the Joseph form (I − KH) P (I − KH)ᵀ + σ² K Kᵀ expands to
     P − K Aᵀ − A Kᵀ + K S Kᵀ = P + X + Xᵀ, X = K (½ S Kᵀ − Aᵀ): one d×k×d
-    product, and P stays exactly symmetric.  A step whose S is singular or
+    product, written with X + Xᵀ into the state's work buffers, and P stays
+    exactly symmetric.  A step whose S is singular or
     whose correction is not finite is skipped and leaves the state as it was.
     """
     if H.shape[0] == 0:
@@ -555,39 +581,34 @@ def _ekf_update(state: FilterState, H: np.ndarray, r: np.ndarray) -> None:
     dx = r @ Kt
     if not np.isfinite(dx).all():
         return
-    X = Kt.T @ (0.5 * (S @ Kt) - At)
-    P += X + X.T
+    X, sym = state.square_buffers(P.shape[0])
+    np.matmul(Kt.T, 0.5 * (S @ Kt) - At, out=X)
+    P += np.add(X, X.T, out=sym)
     state.apply_correction(dx)
 
 
 def msckf_update(state: FilterState, dead_tracks: list[FeatureTrack]) -> int:
     """Consume dead tracks via left null-space projection; returns how many were used."""
-    used = 0
-    H_rows = []
-    r_rows = []
     cam_poses = camera_poses_now(state)
     # calibration and camera poses hold until the one update below, so one
-    # screen serves every track
+    # screen, one rows pass and one P serve every track
     tracks = sorted(dead_tracks, key=lambda t: t.id)
-    passes = _parallax_screen(tracks, state, cam_poses)
-    for track, passed in zip(tracks, passes):
-        if used >= state.cfg.max_msckf_update:
+    windows, points = [], []
+    for track, window in zip(tracks, _parallax_screen(tracks, state, cam_poses)):
+        point = _triangulated(state, track, window, cam_poses)
+        if point is not None:
+            windows.append(window)
+            points.append(point)
+    accepted = []
+    for rows in _track_rows(state, windows, np.array(points), cam_poses) if windows else []:
+        if len(accepted) >= state.cfg.max_msckf_update:
             break
-        system = _track_system(state, track, cam_poses) if passed else None
-        if system is None:
-            continue
-        _, r, H_x, cols, _, Q, _ = system
-        N = Q[:, 3:]
-        H_o = N.T @ H_x
-        r_o = N.T @ r
-        if not _chi2_gate(state, _nis(_innovation_cov(state, H_o, cols), r_o), r.size - 3):
-            continue
-        H_rows.append(_dense_rows(state, H_o, cols))
-        r_rows.append(r_o)
-        used += 1
-    if H_rows:
-        _ekf_update(state, np.vstack(H_rows), np.concatenate(r_rows))
-    return used
+        if rows is not None and _chi2_gate(state, rows.nis, rows.r.size - 3):
+            accepted.append(rows)
+    if accepted:
+        _ekf_update(state, np.vstack([_dense_rows(state, a.H_o, a.cols) for a in accepted]),
+                    np.concatenate([a.r_o for a in accepted]))
+    return len(accepted)
 
 
 def slam_update(
@@ -609,8 +630,9 @@ def slam_update(
     ]
     if seen:
         rows = np.full(len(seen), state.clones[frame_index])
-        now = np.array([state.slam[tid].position for tid, _ in seen])
-        lin = np.array([state.slam[tid].fej for tid, _ in seen]) if state.cfg.use_fej else now
+        lm_rows = np.array([state.slam[tid] for tid, _ in seen])
+        now = state.slam_p[lm_rows]
+        lin = state.slam_fej[lm_rows] if state.cfg.use_fej else now
         pred, H_f, H_clone, H_calib, in_front = _observation_jacobians(state, rows, lin, cam_poses)
         if state.cfg.use_fej:
             # the residual uses the current estimate even under FEJ
@@ -623,7 +645,7 @@ def slam_update(
         # every gate reads the same P: all their S in one batched pass
         H = np.concatenate(([] if H_calib is None else [H_calib]) + [H_clone, H_f], axis=2)
         lm_cols = np.array([[state.slam_at[tid]] for tid, _ in seen]) + np.arange(LANDMARK_DIM)
-        cols = np.hstack([np.tile(_involved_cols(state, rows[:1]), (len(seen), 1)), lm_cols])
+        cols = np.hstack([_involved_cols(state, rows[:, None]), lm_cols])
         P = state.cov[cols[:, :, None], cols[:, None, :]]
         nis = _nis(H @ P @ H.transpose(0, 2, 1) + state.cfg.sigma_px**2 * np.eye(2), r)
     for i, (tid, track) in enumerate(seen):
@@ -638,8 +660,8 @@ def slam_update(
         if not _chi2_gate(state, nis[i], 2):
             continue
         accepted.append(i)
-        state.slam[tid].last_seen_frame = frame_index
     if accepted:
+        state.slam_seen[lm_rows[accepted]] = frame_index
         H_acc = np.vstack([_dense_rows(state, H[i], cols[i]) for i in accepted])
         _ekf_update(state, H_acc, r[accepted].ravel())
     for tid in inconsistent:
@@ -648,38 +670,37 @@ def slam_update(
     # (b) delayed initialization of newly promoted tracks that are due
     capacity = state.cfg.max_slam_update - len(state.slam)
     due = [t for t in promotions if frame_index >= t.retry_after]
-    verdict = {}  # index in due -> parallax screen verdict under the current state.calib
+    windows = {}  # index in due -> parallax screen window under the current state.calib
     for i, track in enumerate(due):
         if capacity <= 0:
             break
-        if i not in verdict:
+        if i not in windows:
             # screen as many candidates as could still be initialized
-            passes = _parallax_screen(due[i:i + capacity], state, cam_poses)
-            verdict = dict(enumerate(passes, start=i))
-        system = _track_system(state, track, cam_poses) if verdict[i] else None
-        if system is None:
+            screened = _parallax_screen(due[i:i + capacity], state, cam_poses)
+            windows = dict(enumerate(screened, start=i))
+        window = windows[i]
+        p_tri = _triangulated(state, track, window, cam_poses)
+        (rows,) = [None] if p_tri is None else _track_rows(state, [window], p_tri[None], cam_poses)
+        if rows is None:
             track.retry_after = frame_index + 5
             continue
-        p_tri, r, H_x, cols, _, Q, R_full = system
-        R1 = R_full[:3, :]
+        R1 = rows.R[:3, :]
         if np.abs(np.diag(R1)).min() < 1e-9 * max(1.0, np.abs(R1).max()):
             continue
-        r1 = Q[:, :3].T @ r
+        Q1 = rows.Q[:, :3]
         R1_inv = np.linalg.inv(R1)
-        M = -R1_inv @ (Q[:, :3].T @ H_x)  # on the state columns cols
-        cov_fx = M @ state.cov[cols]
-        cov_ff = cov_fx[:, cols] @ M.T + state.cfg.sigma_px**2 * (R1_inv @ R1_inv.T)
+        M = -R1_inv @ (Q1.T @ rows.H_x)  # on the state columns rows.cols
+        cov_fx = M @ state.cov[rows.cols]
+        cov_ff = cov_fx[:, rows.cols] @ M.T + state.cfg.sigma_px**2 * (R1_inv @ R1_inv.T)
         cov_ff = 0.5 * (cov_ff + cov_ff.T)  # keeps P exactly symmetric
-        position = p_tri + R1_inv @ r1
+        position = p_tri + R1_inv @ (Q1.T @ rows.r)
         state.add_landmark(track.id, position, position, cov_ff, cov_fx, frame_index)
         capacity -= 1
-        # the other 2m - 3 rows are landmark-free: consume them as a plain update
-        N = Q[:, 3:]
-        H_o = N.T @ H_x
-        r_o = N.T @ r
-        if _chi2_gate(state, _nis(_innovation_cov(state, H_o, cols), r_o), r.size - 3):
-            _ekf_update(state, _dense_rows(state, H_o, cols), r_o)
-            verdict = {}  # the update replaced state.calib, which the screen reads
+        # the other 2m - 3 rows are landmark-free: consume them as a plain update;
+        # appending the landmark left their columns and S as they were
+        if _chi2_gate(state, rows.nis, rows.r.size - 3):
+            _ekf_update(state, _dense_rows(state, rows.H_o, rows.cols), rows.r_o)
+            windows = {}  # the update replaced state.calib, which the screen's rays read
 
 
 @dataclass
@@ -733,7 +754,9 @@ def process_frame(
         P[:n, :n] = Phi @ P[:n, :n] @ Phi.T + Q
         P[:n, n:] = Phi @ P[:n, n:]
         P[n:, :n] = P[:n, n:].T
-        state.cov = 0.5 * (P + P.T)
+        # the rest of P is exactly symmetric already: every update adds X + Xᵀ,
+        # and _grow and _shrink copy mirrored blocks
+        P[:n, :n] = 0.5 * (P[:n, :n] + P[:n, :n].T)
 
     state.clone_pose(frame_index)
 
@@ -747,9 +770,10 @@ def process_frame(
 
     # retire landmarks whose track died, or that went unseen for a whole
     # window (stale), together with their track
-    for tid in list(state.slam):
+    stale = state.slam_seen < frame_index - cfg.max_clones
+    for tid, is_stale in zip(list(state.slam), stale):
         track = table.tracks.get(tid)
-        if track is not None and state.slam[tid].last_seen_frame < frame_index - cfg.max_clones:
+        if track is not None and is_stale:
             table.retire(track, "stale")
         if tid not in table.tracks:
             state.remove_landmark(tid)

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .emulator import MAP_SIZE, MAX_CORNER_POINTS, BinaryMap, MapKind
+from .emulator import MAP_SIZE, MAX_CORNER_POINTS, BinaryMap, MapKind, suppress_non_maxima
 
 EDGE_INTENSITY = 128
 MIN_EIGENVALUE = 1e-6
@@ -508,8 +508,6 @@ def shi_tomasi_on_edges(feathered: FeatherMap, max_points: int) -> np.ndarray:
     response = mean - np.sqrt(np.maximum(0.25 * (sxx - syy) ** 2 + sxy * sxy, 0.0))
 
     passes = response > 1e-9
-    from .emulator import suppress_non_maxima
-
     keep = suppress_non_maxima(passes, response)
     rows, cols = np.nonzero(keep)
     if rows.size == 0:

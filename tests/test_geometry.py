@@ -13,6 +13,7 @@ from binvio.geometry import (
     quat_integrate_array,
     undistort,
 )
+from binvio.simgen import default_calibration
 
 
 def random_pose(rng):
@@ -200,6 +201,18 @@ class TestProjection:
             xn = rng.uniform(-0.6, 0.6, size=2)
             px = project_points(np.array([[xn[0], xn[1], 1.0]]), calib)
             np.testing.assert_allclose(undistort(px, calib, iters=20)[0], xn, atol=1e-10)
+
+    def test_eight_iterations_converge_over_the_default_image(self):
+        """The filter's rays come from ``undistort(iters=8)``: over the whole 256² image of
+        the default calibration they reproject to their pixels within 1e-8 px (3.4e-9
+        measured; 4 iterations leave 1.5e-4 px)."""
+        calib = default_calibration()
+        grid = np.linspace(0.0, 255.0, 17)
+        u, v = np.meshgrid(grid, grid)
+        pixels = np.column_stack([u.ravel(), v.ravel()])
+        xn = undistort(pixels, calib, iters=8)
+        back = project_points(np.column_stack([xn, np.ones(len(xn))]), calib)
+        assert np.abs(back - pixels).max() < 1e-8
 
 
 def finite_difference(f, x0, eps=1e-6):

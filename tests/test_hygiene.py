@@ -1,9 +1,11 @@
-"""Source hygiene of ``src/binvio``: no dead imports, and no second default for a setting.
+"""Source hygiene of ``src/binvio``: no dead imports, no imports inside
+functions, and no second default for a setting.
 
 No linter runs on this repository, so these tests are the guard.  Every name a
-module imports is read somewhere in it.  A function parameter named like a
-field of a config section has no default: the section's field is the one
-definition of that setting, and its callers pass it in.
+module imports is read somewhere in it.  Every import sits at module level,
+where it runs once and shows the module's dependencies.  A function parameter
+named like a field of a config section has no default: the section's field is
+the one definition of that setting, and its callers pass it in.
 """
 
 import ast
@@ -53,6 +55,42 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nprint(b)\n") == [
         "os (line 1)", "d (line 2)"
+    ]
+
+
+def function_imports(source: str) -> list[str]:
+    """Imports inside a function or lambda body, as ``function (line n)``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = getattr(node, "name", "<lambda>")
+            found += [
+                f"{name} (line {inner.lineno})" for inner in ast.walk(node)
+                if isinstance(inner, (ast.Import, ast.ImportFrom))
+            ]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    assert function_imports(path.read_text()) == []
+
+
+def test_detects_an_import_inside_a_function():
+    snippet = (
+        "import os\n"
+        "def f():\n"
+        "    from a import b\n"
+        "    def g():\n"
+        "        import c\n"
+        "    return b\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        import d\n"
+    )
+    # g's import sits inside f's body too
+    assert sorted(function_imports(snippet)) == [
+        "f (line 3)", "f (line 5)", "g (line 5)", "m (line 9)"
     ]
 
 

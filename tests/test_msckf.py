@@ -20,14 +20,13 @@ from binvio.msckf import (
     FilterConfig,
     FilterState,
     InsufficientBaseline,
-    NoConvergence,
     _chi2_gate,
     _ekf_update,
     _inverse_depth_rows,
     _nis,
     _observation_jacobians,
     _parallax_screen,
-    _track_system,
+    _track_rows,
     _window_observations,
     camera_poses_now,
     msckf_update,
@@ -75,9 +74,17 @@ def observe(state, landmark, frames):
 
 
 def triangulate_now(state, track):
-    """``triangulate`` as the filter calls it, through the clones' current camera poses."""
+    """``triangulate`` as the filter calls it: on the screen's window, through the clones' poses.
+
+    A track that the screen rejects raises InsufficientBaseline, as the filter counts it.
+    """
     cam_poses = camera_poses_now(state)
-    return triangulate(track, state.clones, state.calib, state.cfg.min_baseline_deg, cam_poses)
+    (window,) = _parallax_screen([track], state, cam_poses)
+    if window is None:
+        raise InsufficientBaseline("the parallax screen rejects the track")
+    return triangulate(
+        track, state.clones, state.calib, state.cfg.min_baseline_deg, cam_poses, window
+    )
 
 
 def make_track(state, landmark, frames, tid=0, status=TrackStatus.DEAD):
@@ -165,6 +172,11 @@ class TestCloneArrays:
     def test_apply_correction_matches_per_clone_update(self, seed):
         rng = np.random.default_rng(seed)
         state = make_state(8, estimate_calib=True)
+        for tid in (4, 1, 7):
+            state.add_landmark(tid, rng.normal(size=3), rng.normal(size=3), np.eye(3),
+                               np.zeros((3, state.dim())), 0)
+        state.remove_landmark(1)
+        landmarks = state.slam_p.copy(), state.slam_fej.copy()
         dx = rng.normal(size=state.dim())
         # per clone: no rotation, one under the small-angle cut, small and large angles
         for f in state.clones:
@@ -180,6 +192,10 @@ class TestCloneArrays:
             np.testing.assert_array_equal(state.clone_p[row], p0[row] + dx[at + 3:at + 6])
         np.testing.assert_array_equal(state.clone_q_fej, fej[0])
         np.testing.assert_array_equal(state.clone_p_fej, fej[1])
+        for tid, row in state.slam.items():
+            at = state.slam_at[tid]
+            np.testing.assert_array_equal(state.slam_p[row], landmarks[0][row] + dx[at:at + 3])
+        np.testing.assert_array_equal(state.slam_fej, landmarks[1])
 
 
 class LayoutReference:
@@ -251,6 +267,7 @@ class TestLayout:
         A = rng.normal(size=state.cov.shape)
         state.cov = A @ A.T
         ref = LayoutReference(state.cov, state.calib_dim())
+        landmarks = {}  # track id -> (position, first estimate, frame last seen)
         next_frame = next_tid = 0
         for op, pick in ops:
             if op == "clone":
@@ -259,7 +276,8 @@ class TestLayout:
                 next_frame += 1
             elif op == "add":
                 cross, block = rng.normal(size=(3, state.dim())), rng.normal(size=(3, 3))
-                state.add_landmark(next_tid, np.zeros(3), np.zeros(3), block, cross, 0)
+                landmarks[next_tid] = (rng.normal(size=3), rng.normal(size=3), int(pick))
+                state.add_landmark(next_tid, *landmarks[next_tid][:2], block, cross, pick)
                 ref.add_landmark(next_tid, cross, block)
                 next_tid += 1
             elif op == "marg" and state.clones:
@@ -273,6 +291,15 @@ class TestLayout:
             assert state.clone_at == ref.offsets("clone")
             assert state.slam_at == ref.offsets("slam")
             np.testing.assert_array_equal(state.cov, ref.cov())
+            assert list(state.slam) == ref.slam
+            assert list(state.slam.values()) == list(range(len(ref.slam)))
+            assert state.slam_p.shape == state.slam_fej.shape == (len(ref.slam), 3)
+            assert state.slam_seen.shape == (len(ref.slam),)
+            for tid, row in state.slam.items():
+                position, fej, seen = landmarks[tid]
+                np.testing.assert_array_equal(state.slam_p[row], position)
+                np.testing.assert_array_equal(state.slam_fej[row], fej)
+                assert state.slam_seen[row] == seen
 
     def test_clone_must_be_newest(self):
         state = make_state(3)
@@ -384,27 +411,29 @@ class TestTriangulate:
             triangulate_now(state, tr)
 
     def test_gn_jacobian_matches_finite_differences(self):
+        """The affine form's residual is the point's pixel, and its Jacobian that pixel's."""
         rng = np.random.default_rng(0)
         state = make_state(6)
         calib = state.calib
         anchor = camera_of(state, 0)
+        R_ga = anchor.rotation().T
         for _ in range(50):
             cam = camera_of(state, int(rng.integers(0, 6)))
             w = np.array(
                 [rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), rng.uniform(0.2, 1.0)]
             )
-            _, J = _inverse_depth_rows(
-                w, anchor.rotation().T, anchor.position,
-                cam.rotation()[None], cam.position[None], np.zeros((1, 2)), calib,
-            )
-            eps = 1e-7
-            fd = np.zeros((2, 3))
-            R_ga = anchor.rotation().T
+            R_rel = cam.rotation() @ R_ga
+            t_rel = cam.rotation() @ (anchor.position - cam.position)
+            B = np.column_stack([R_rel[:, :2], t_rel])
+            r, J = _inverse_depth_rows(w, B[None], R_rel[None, :, 2], np.zeros((1, 2)), calib)
 
             def pixel(wv):
                 p_anchor = np.array([wv[0] / wv[2], wv[1] / wv[2], 1.0 / wv[2]])
                 return pixel_of(R_ga @ p_anchor + anchor.position, cam, calib)
 
+            np.testing.assert_allclose(-r, pixel(w), rtol=0, atol=1e-9)
+            eps = 1e-7
+            fd = np.zeros((2, 3))
             for i in range(3):
                 d = np.zeros(3)
                 d[i] = eps
@@ -412,32 +441,47 @@ class TestTriangulate:
             assert np.abs(J - fd).max() / max(1.0, np.abs(fd).max()) < 1e-4
 
 
-def rejects_for_baseline(state, track, cam_poses) -> bool:
-    """Whether ``triangulate`` raises InsufficientBaseline from its window-count or angle test."""
-    try:
-        triangulate(track, state.clones, state.calib, state.cfg.min_baseline_deg, cam_poses)
-    except InsufficientBaseline as e:
-        return "singular" not in str(e)
-    except (BehindCamera, NoConvergence):
-        pass
-    return False
-
-
-def ray_angle_deg(state, track) -> float:
-    """Largest angle between a track's in-window rays, computed here from scratch."""
+def window_rays(state, track) -> np.ndarray:
+    """Unit global rays of a track's in-window observations, computed here from scratch."""
     obs = [(f, z) for f, z in track.observations if f in state.clones]
     xn = undistort(np.array([z for _, z in obs]), state.calib, iters=8)
     d = np.column_stack([xn, np.ones(len(obs))])
     d /= np.linalg.norm(d, axis=1, keepdims=True)
-    rays = np.stack([camera_of(state, f).rotation().T @ di for (f, _), di in zip(obs, d)])
+    return np.stack([camera_of(state, f).rotation().T @ di for (f, _), di in zip(obs, d)])
+
+
+def ray_angle_deg(state, track) -> float:
+    """Largest angle between a track's in-window rays, computed here from scratch."""
+    rays = window_rays(state, track)
     return float(np.degrees(np.arccos(np.clip(rays @ rays.T, -1.0, 1.0).min())))
+
+
+def rejects_for_baseline(state, track):
+    """Whether a track has under two in-window observations, or rays narrower than the baseline.
+
+    None when the angle lies within rounding of the threshold: an arccos of a
+    cosine that is off by 1e-15 is off by up to min(1e-15 / sin θ, sqrt(2e-15)),
+    and the screen composes its camera rotations in another order than here.
+    """
+    if sum(f in state.clones for f, _ in track.observations) < 2:
+        return True
+    angle = ray_angle_deg(state, track)
+    theta = np.radians(angle)
+    rounding = np.degrees(min(1e-15 / max(np.sin(theta), 1e-300), np.sqrt(2e-15)))
+    if abs(angle - state.cfg.min_baseline_deg) <= rounding:
+        return None
+    return angle < state.cfg.min_baseline_deg
 
 
 class TestParallaxScreen:
     @settings(max_examples=150)
     @given(data=st.data())
-    def test_verdict_matches_triangulate(self, data):
-        """One batch of tracks with mixed window lengths, thresholds at a track's own angle."""
+    def test_verdict_matches_ray_angle(self, data):
+        """One batch of tracks with mixed window lengths, thresholds at a track's own angle.
+
+        Verdicts match an angle computed from scratch, except within rounding of
+        the threshold; windows hold the track's in-window observations.
+        """
         first = 3  # the oldest clone; observations of frames 0-2 lie outside the window
         n_clones = data.draw(st.integers(1, 6), label="clones")
         rotation_only = data.draw(st.booleans(), label="rotation only")
@@ -476,8 +520,17 @@ class TestParallaxScreen:
         else:
             state.cfg.min_baseline_deg = data.draw(st.floats(0.0, 5.0))
 
-        passes = _parallax_screen(tracks, state, cam_poses)
-        assert passes.tolist() == [not rejects_for_baseline(state, t, cam_poses) for t in tracks]
+        windows = _parallax_screen(tracks, state, cam_poses)
+        for track, window in zip(tracks, windows):
+            rejects = rejects_for_baseline(state, track)
+            assert rejects is None or (window is None) == rejects
+            if window is None:
+                continue
+            rows, pixels, rays = window
+            obs = [(f, z) for f, z in track.observations if f in state.clones]
+            assert rows.tolist() == [state.clones[f] for f, _ in obs]
+            np.testing.assert_array_equal(pixels, [z for _, z in obs])
+            np.testing.assert_allclose(rays, window_rays(state, track), rtol=0, atol=1e-14)
 
     @given(
         frames=st.lists(st.integers(0, 40), unique=True),
@@ -510,17 +563,24 @@ class TestMsckfUpdate:
         )
         assert np.linalg.norm(state.clone_p - clone_pos, axis=1).max() < 1e-9
 
-    def test_nullspace_annihilation(self):
+    def test_nullspace_annihilation(self, monkeypatch):
         state = make_state(10)
         tracks = [
             make_track(state, np.array([3.0, 0.2 * i, 0.1]), range(10), tid=i)
             for i in range(8)
         ]
-        cam_poses = camera_poses_now(state)
-        for tr in tracks:
-            _, _, _, _, H_f, Q, _ = _track_system(state, tr, cam_poses)
-            assert np.linalg.norm(Q[:, 3:].T @ H_f) < 1e-9
+        built = []
+
+        def track_rows(*args):
+            rows = _track_rows(*args)
+            built.extend(rows)
+            return rows
+
+        monkeypatch.setattr(msckf, "_track_rows", track_rows)
         assert msckf_update(state, tracks) == len(tracks)  # every track was used
+        assert len(built) == len(tracks)
+        for rows in built:
+            assert np.linalg.norm(rows.Q[:, 3:].T @ rows.H_f) < 1e-9
 
     def test_budget_cap(self):
         state = make_state(10)
@@ -625,6 +685,41 @@ class TestEkfUpdate:
         eig = np.linalg.eigvalsh(state.cov)
         assert eig.min() >= -1e-12 * eig.max()
 
+    def test_work_buffers_match_fresh_arrays(self):
+        """An update through the state's work buffers equals one with fresh arrays, bit for bit."""
+        rng = np.random.default_rng(5)
+        state = make_state(4)
+        for n_clones in (4, 9, 6):  # the buffer grows, then serves a smaller state
+            while len(state.clones) < n_clones:
+                state.clone_pose(max(state.clones) + 1)
+            while len(state.clones) > n_clones:
+                state.marginalize_clone(min(state.clones))
+            d = state.dim()
+            A = rng.normal(size=(d, d))
+            state.cov = A @ A.T / d + 0.1 * np.eye(d)
+            state.cov = 0.5 * (state.cov + state.cov.T)
+            H = np.zeros((7, d))
+            cols = rng.choice(np.arange(15, d), size=20, replace=False)
+            H[:, cols] = rng.normal(size=(7, 20))
+            r = rng.normal(size=7)
+
+            # the same steps, with a fresh array for X and for X + Xᵀ
+            P = state.cov.copy()
+            involved = np.flatnonzero(H.any(axis=0))
+            At = H[:, involved] @ P[involved]
+            S = At[:, involved] @ H[:, involved].T + np.eye(7)
+            Kt = np.linalg.inv(S) @ At
+            X = Kt.T @ (0.5 * (S @ Kt) - At)
+            P += X + X.T
+
+            applied = []
+            state.apply_correction = applied.append
+            _ekf_update(state, H, r)
+            del state.apply_correction
+            np.testing.assert_array_equal(applied[0], r @ Kt)
+            assert np.array_equal(state.cov, P)
+            assert np.array_equal(state.cov, state.cov.T)
+
     def test_nan_residual_skipped(self):
         state = make_state(10)
         before = state_snapshot(state)
@@ -679,7 +774,7 @@ class TestLandmarkGates:
         state.cov = (A @ A.T / d + 0.1 * np.eye(d)) * 1e-4
         P = state.cov.copy()
         cam_poses = camera_poses_now(state)
-        fej = np.array([state.slam[t.id].fej for t in tracks])
+        fej = state.slam_fej[[state.slam[t.id] for t in tracks]]
         rows = np.full(len(tracks), state.clones[frame])
         _, H_f, H_clone, H_calib, _ = _observation_jacobians(state, rows, fej, cam_poses)
 
@@ -723,7 +818,7 @@ class TestSlamUpdate:
         self.add_landmark(state, landmark, tid=7)
         tr = make_track(state, landmark, range(10), tid=7, status=TrackStatus.LIVE)
         slam_update(state, [tr], [], frame_index=9)
-        assert np.linalg.norm(state.slam[7].position - landmark) < 1e-9
+        assert np.linalg.norm(state.slam_p[state.slam[7]] - landmark) < 1e-9
 
     def test_landmark_behind_camera_retired(self):
         state = make_state(10)
@@ -736,7 +831,7 @@ class TestSlamUpdate:
             tr_bad.add_observation(f, np.array([128.0, 128.0]))
         slam_update(state, [tr_good, tr_bad], [], frame_index=9)
         assert 8 not in state.slam
-        assert state.slam[7].last_seen_frame == 9
+        assert state.slam_seen[state.slam[7]] == 9
         assert state.slam_at == {7: 15 + 6 * 10}
         assert state.dim() == 15 + 6 * 10 + 3
 
@@ -760,7 +855,7 @@ class TestSlamUpdate:
         slam_update(state, [], [tr], frame_index=14)
         assert 3 in state.slam
         assert tr.status is TrackStatus.LIVE
-        assert np.linalg.norm(state.slam[3].position - landmark) < 1e-6
+        assert np.linalg.norm(state.slam_p[state.slam[3]] - landmark) < 1e-6
         assert state.dim() == 15 + 6 * 15 + 3
 
     def test_in_state_cap(self):

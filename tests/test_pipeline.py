@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,20 +60,21 @@ class TestDeadReckoning:
 class TestClosedLoop:
     @pytest.fixture(scope="class")
     def hostile_run(self):
-        """The run, and ||N^T H_f|| of every track system the filter built in it."""
+        """The run, and ||N^T H_f|| of every track's rows the filter built in it."""
         ds = sg.build_dataset(sg.preset_config("hostile", duration=2.0, seed=1))
         residuals = []
-        original = msckf._track_system
+        original = msckf._track_rows
 
-        def track_system(state, track, cam_poses):
-            system = original(state, track, cam_poses)
-            if system is not None:
-                _, _, _, _, H_f, Q, _ = system
-                residuals.append(float(np.linalg.norm(Q[:, 3:].T @ H_f)))
-            return system
+        def track_rows(*args):
+            built = original(*args)
+            residuals.extend(
+                float(np.linalg.norm(rows.Q[:, 3:].T @ rows.H_f))
+                for rows in built if rows is not None
+            )
+            return built
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(msckf, "_track_system", track_system)
+            mp.setattr(msckf, "_track_rows", track_rows)
             res = run_pipeline(ds)
         return ds, res, residuals
 
@@ -103,18 +106,41 @@ class TestCovarianceHealth:
     def test_covariance_positive_semidefinite_every_frame(self, monkeypatch):
         ds = sg.build_dataset(sg.preset_config("hostile", duration=0.2, seed=1))
         min_eigenvalues = []
+        symmetric = []
         original = pipeline.process_frame
 
         def process_frame(state, *args):
             result = original(state, *args)
             min_eigenvalues.append(float(np.linalg.eigvalsh(state.cov).min()))
+            symmetric.append(np.array_equal(state.cov, state.cov.T))
             return result
 
         monkeypatch.setattr(pipeline, "process_frame", process_frame)
         res = run_pipeline(ds)
         assert len(min_eigenvalues) == len(res.pose_rows) == 50
         assert min(min_eigenvalues) >= -1e-9
+        # propagation symmetrizes only the navigation block: the rest stays exactly symmetric
+        assert all(symmetric)
         assert res.diagnostics[:, 5].max() > 0  # landmarks entered the state
+
+
+GOLDEN_POSES = Path(__file__).resolve().parent / "data" / "hostile_seed1_0.2s_poses.csv"
+
+
+class TestGoldenPoses:
+    def test_hostile_poses_match_the_pinned_file(self):
+        """Poses of a 0.2 s hostile run, seed 1, against the file they were written to.
+
+        A change that only reorders arithmetic moves poses by rounding, far
+        below these bounds; a change that moves poses on purpose rewrites the
+        file with ``%.17g``, which round-trips float64 exactly.
+        """
+        want = np.loadtxt(GOLDEN_POSES, delimiter=",", skiprows=1)
+        got = run_pipeline(sg.build_dataset(sg.preset_config("hostile", duration=0.2, seed=1)))
+        assert got.pose_rows.shape == want.shape == (50, 8)
+        np.testing.assert_array_equal(got.pose_rows[:, 0], want[:, 0])
+        np.testing.assert_allclose(got.pose_rows[:, 1:4], want[:, 1:4], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(got.pose_rows[:, 4:8], want[:, 4:8], rtol=0, atol=1e-9)
 
 
 class TestLowRateImu:
