@@ -13,7 +13,6 @@ validation rejects a bad value as it is read.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 import typing
 from dataclasses import dataclass, field
@@ -63,19 +62,6 @@ class PipelineConfig:
     emulator: EmulatorSection = field(default_factory=EmulatorSection)
     noise: NoiseSection = field(default_factory=NoiseSection)
     run: RunSection = field(default_factory=RunSection)
-
-    def to_text(self) -> str:
-        lines = []
-        for section_field in dataclasses.fields(self):
-            section = getattr(self, section_field.name)
-            for f in dataclasses.fields(section):
-                v = getattr(section, f.name)
-                if isinstance(v, bool):
-                    v = "true" if v else "false"
-                elif isinstance(v, enum.Enum):
-                    v = v.value
-                lines.append(f"{section_field.name}.{f.name} = {v}")
-        return "\n".join(lines) + "\n"
 
     def apply_override(self, dotted_key: str, raw_value: str) -> None:
         key = dotted_key.replace("-", "_")

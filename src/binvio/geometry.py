@@ -224,10 +224,6 @@ class Pose:
             object.__setattr__(self, "_rotation_cache", self.orientation.to_matrix())
         return self._rotation_cache
 
-    def transform_point(self, p_global: np.ndarray) -> np.ndarray:
-        """Coordinates of a global point in this pose's frame."""
-        return self.rotation() @ (np.asarray(p_global, dtype=float) - self.position)
-
     def compose(self, inner: "Pose") -> "Pose":
         """Pose mapping global coords through ``inner`` then ``self``.
 
@@ -237,19 +233,6 @@ class Pose:
         q = self.orientation.multiply(inner.orientation)
         p = inner.position + inner.rotation().T @ self.position
         return Pose(q, p)
-
-
-@dataclass(frozen=True)
-class Landmark3D:
-    """Point landmark expressed in the global frame."""
-
-    position: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.position, dtype=float)
-        if not np.all(np.isfinite(p)):
-            raise ValueError("landmark position must be finite")
-        object.__setattr__(self, "position", p)
 
 
 @dataclass(frozen=True)

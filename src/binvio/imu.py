@@ -48,19 +48,6 @@ class TimestampGap(RuntimeError):
     """Consecutive samples further apart than 3x the stream's median spacing."""
 
 
-@dataclass(frozen=True)
-class ImuSample:
-    t: float
-    omega: np.ndarray
-    accel: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
-        object.__setattr__(self, "accel", np.asarray(self.accel, dtype=float))
-        if not (np.all(np.isfinite(self.omega)) and np.all(np.isfinite(self.accel))):
-            raise ValueError("IMU sample must be finite")
-
-
 @dataclass
 class NavState:
     orientation: UnitQuaternion = field(default_factory=UnitQuaternion.identity)
@@ -176,23 +163,24 @@ def _step(
 
 
 def propagate_block(
-    state: NavState, samples: list[ImuSample], noise: NoiseParams
+    state: NavState, samples: np.ndarray, noise: NoiseParams
 ) -> tuple[NavState, np.ndarray, np.ndarray]:
     """Integrate over the sample stream; also return (Phi_total, Q_total).
 
-    The returned transition and noise cover the 15-dim navigation error and
-    are what a joint filter applies to its nav block and cross terms.
+    ``samples`` (N, 7) holds one sample per row in ``imu.csv``'s column order
+    ``t, wx, wy, wz, ax, ay, az``, times strictly increasing.  The returned
+    transition and noise cover the 15-dim navigation error and are what a
+    joint filter applies to its nav block and cross terms.
     """
+    dts = np.diff(samples[:, 0])
+    if (dts <= 0).any():
+        raise ValueError("sample timestamps must be strictly increasing")
+    mid = 0.5 * (samples[:-1, 1:] + samples[1:, 1:])  # each interval's mean (omega, accel)
     Phi_total = np.eye(ERROR_STATE_DIM)
     Q_total = np.zeros((ERROR_STATE_DIM, ERROR_STATE_DIM))
     cur = state.copy()
-    for s0, s1 in zip(samples, samples[1:]):
-        dt = s1.t - s0.t
-        if dt <= 0:
-            raise ValueError("sample timestamps must be strictly increasing")
-        cur, Phi = _step(
-            cur, 0.5 * (s0.omega + s1.omega), 0.5 * (s0.accel + s1.accel), noise, dt
-        )
+    for dt, m in zip(dts, mid):
+        cur, Phi = _step(cur, m[:3], m[3:], noise, dt)
         Phi_total = Phi @ Phi_total
         Q_total = Phi @ Q_total @ Phi.T + _discrete_noise(noise, dt)
     return cur, Phi_total, Q_total

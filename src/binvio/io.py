@@ -2,7 +2,9 @@
 
 Binary maps are run-length encoded per row with little-endian u16 lengths,
 alternating zero-run first, behind the magic header ``TCBM1``.  Gray frames
-are a float64 timestamp followed by the raw 65536-byte row-major image.
+are a float64 timestamp followed by the raw 65536-byte row-major image.  The
+IMU stream is an (N, 7) float array whose columns are ``imu.csv``'s
+``t, wx, wy, wz, ax, ay, az``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .emulator import MAP_SIZE, BinaryMap, GrayFrame, MapKind
-from .imu import ImuSample
 
 BINARY_MAP_MAGIC = b"TCBM1"
 _HEADER_BYTES = 16  # magic, kind u8, timestamp f64, row count u16
@@ -99,22 +100,27 @@ def load_gray_frame(path) -> GrayFrame:
     return GrayFrame(pixels.copy(), timestamp)
 
 
-def write_imu_csv(samples, path) -> None:
-    with open(path, "w") as f:
-        f.write("t,wx,wy,wz,ax,ay,az\n")
-        for s in samples:
-            f.write(
-                f"{s.t:.9f},{s.omega[0]:.9f},{s.omega[1]:.9f},{s.omega[2]:.9f},"
-                f"{s.accel[0]:.9f},{s.accel[1]:.9f},{s.accel[2]:.9f}\n"
-            )
+def write_imu_csv(samples: np.ndarray, path) -> None:
+    """Write the (N, 7) IMU stream, one sample per line."""
+    np.savetxt(path, samples, fmt="%.9f", delimiter=",", header="t,wx,wy,wz,ax,ay,az",
+               comments="")
 
 
-def read_imu_csv(path):
+def read_imu_csv(path) -> np.ndarray:
+    """The (N, 7) IMU stream.
+
+    Raises DatasetCorrupt unless the file has seven columns, every value is
+    finite and times strictly increase.
+    """
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as e:
         raise DatasetCorrupt(f"bad imu csv: {e}") from e
-    return [ImuSample(row[0], row[1:4], row[4:7]) for row in data]
+    if data.shape[1] != 7:
+        raise DatasetCorrupt(f"imu csv has {data.shape[1]} columns, needs 7")
+    if not (np.isfinite(data).all() and (np.diff(data[:, 0]) > 0).all()):
+        raise DatasetCorrupt("imu csv needs finite values and strictly increasing times")
+    return data
 
 
 def write_pose_csv(rows, path, extra_header: str = "") -> None:

@@ -15,8 +15,9 @@ landmark analytically and constrains only the cloned poses (plus
 calibration when estimated).  In-state landmarks get plain EKF updates and
 delayed initialization with the QR-split Jacobian construction.  Both
 updates screen their candidates for parallax in batched passes, which also
-give each passing track its rays, and triangulate only those that pass, one
-call per track as the benchmark's tracer counts them.  One builder,
+give each passing track its window of clone rows, pixels and rays, and
+triangulate only those that pass, one ``triangulate(window, cam_poses,
+calib)`` call per track as the benchmark's tracer counts them.  One builder,
 ``_track_rows``, gives the triangulated tracks their rows in a batched pass.
 
 The χ² gates and the EKF step read only the blocks of P that an update's
@@ -41,7 +42,6 @@ from scipy.stats import chi2 as chi2_dist
 from .geometry import (
     MIN_PROJECTION_DEPTH,
     CameraCalibration,
-    Landmark3D,
     Pose,
     UnitQuaternion,
     project_points,
@@ -112,16 +112,17 @@ class FilterConfig:
 
 
 class FilterState:
-    """Joint estimate plus covariance, with the offset of every block in it.
+    """Joint estimate plus covariance.
 
     ``clones`` maps a clone's frame index to its row in ``clone_q`` (n, 4),
     ``clone_p`` (n, 3) and their first estimates ``clone_q_fej`` and
     ``clone_p_fej``.  ``slam`` maps a landmark's track id to its row in
     ``slam_p`` (L, 3), its first estimate ``slam_fej`` (L, 3) and the frame
-    it was last updated in, ``slam_seen`` (L,).  ``clone_at`` and ``slam_at``
-    map a frame and a track id to the first row of the block in ``cov``.  All
-    four maps are rebuilt after each structural op, which all go through
-    ``_grow`` and ``_shrink``.
+    it was last updated in, ``slam_seen`` (L,).  Both maps are renumbered
+    after each structural op, which all go through ``_grow`` and ``_shrink``.
+    ``cov`` is laid out ``[nav | calib | clones | landmarks]``: the block of
+    clone row i starts at ``clone_start() + CLONE_DIM * i`` and that of
+    landmark row j at ``slam_start() + LANDMARK_DIM * j``.
     """
 
     def __init__(self, nav: NavState, calib: CameraCalibration, cfg: FilterConfig):
@@ -135,7 +136,7 @@ class FilterState:
         self.slam_p, self.slam_fej = np.empty((0, 3)), np.empty((0, 3))
         self.slam_seen = np.empty(0, dtype=int)
         self._work = np.empty(0)
-        d = ERROR_STATE_DIM + self.calib_dim()
+        d = self.clone_start()
         self.cov = np.zeros((d, d))
         self.cov[0:3, 0:3] = np.eye(3) * INIT_ATT_SIGMA**2
         self.cov[3:6, 3:6] = np.eye(3) * INIT_POS_SIGMA**2
@@ -148,7 +149,6 @@ class FilterState:
             self.cov[c + 3:c + 6, c + 3:c + 6] = np.eye(3) * EXT_POS_VAR
             self.cov[c + 6:c + 10, c + 6:c + 10] = np.eye(4) * INTR_VAR
             self.cov[c + 10:c + 14, c + 10:c + 14] = np.eye(4) * DIST_VAR
-        self._reindex()
 
     # -- layout ---------------------------------------------------------
 
@@ -158,19 +158,21 @@ class FilterState:
     def dim(self) -> int:
         return self.cov.shape[0]
 
+    def clone_start(self) -> int:
+        """First row of the clone blocks in ``cov``."""
+        return ERROR_STATE_DIM + self.calib_dim()
+
+    def slam_start(self) -> int:
+        """First row of the landmark blocks in ``cov``."""
+        return self.clone_start() + CLONE_DIM * len(self.clones)
+
     def _reindex(self) -> None:
-        """Rebuild the four maps; clones are kept in frame order, landmarks in insertion order."""
-        at = ERROR_STATE_DIM + self.calib_dim()
-        self.clone_at: dict[int, int] = {}
+        """Renumber both maps; clones are kept in frame order, landmarks in insertion order."""
         for row, frame_index in enumerate(self.clones):
             self.clones[frame_index] = row
-            self.clone_at[frame_index] = at
-            at += CLONE_DIM
-        self.slam_at: dict[int, int] = {}
         for row, track_id in enumerate(self.slam):
             self.slam[track_id] = row
-            self.slam_at[track_id] = at
-            at += LANDMARK_DIM
+        at = self.slam_start() + LANDMARK_DIM * len(self.slam)
         if self.cov.shape != (at, at):
             raise AssertionError(f"covariance {self.cov.shape} does not match layout dim {at}")
 
@@ -206,7 +208,7 @@ class FilterState:
         """Append the current IMU pose as the newest clone, augmenting covariance."""
         if self.clones and frame_index <= max(self.clones):
             raise ValueError(f"frame {frame_index} is not newer than every clone")
-        at = ERROR_STATE_DIM + self.calib_dim() + CLONE_DIM * len(self.clones)
+        at = self.slam_start()
         self.clones[frame_index] = len(self.clones)
         q, p = self.nav.orientation.xyzw[None], self.nav.position[None]
         self.clone_q, self.clone_q_fej = np.r_[self.clone_q, q], np.r_[self.clone_q_fej, q]
@@ -220,7 +222,7 @@ class FilterState:
             np.delete(a, row, axis=0)
             for a in (self.clone_q, self.clone_p, self.clone_q_fej, self.clone_p_fej)
         )
-        self._shrink(self.clone_at[frame_index], CLONE_DIM)
+        self._shrink(self.clone_start() + CLONE_DIM * row, CLONE_DIM)
 
     def add_landmark(self, track_id: int, position, fej, cov_ff, cov_fx, frame_index: int):
         self.slam[track_id] = len(self.slam)
@@ -234,7 +236,7 @@ class FilterState:
         self.slam_p, self.slam_fej, self.slam_seen = (
             np.delete(a, row, axis=0) for a in (self.slam_p, self.slam_fej, self.slam_seen)
         )
-        self._shrink(self.slam_at[track_id], LANDMARK_DIM)
+        self._shrink(self.slam_start() + LANDMARK_DIM * row, LANDMARK_DIM)
 
     # -- corrections ------------------------------------------------------
 
@@ -252,15 +254,14 @@ class FilterState:
                 Pose(q, ext.position + dx[c + 3:c + 6]),
             )
         # all clones at once: q <- dq q, dq = (sinc(|dtheta| / 2π) dtheta / 2, cos(|dtheta| / 2))
-        at = ERROR_STATE_DIM + self.calib_dim()
-        dtheta, dp = dx[at:at + CLONE_DIM * len(self.clones)].reshape(-1, 2, 3).transpose(1, 0, 2)
+        dtheta, dp = dx[self.clone_start():self.slam_start()].reshape(-1, 2, 3).transpose(1, 0, 2)
         half = 0.5 * np.linalg.norm(dtheta, axis=1, keepdims=True)
         dq = np.hstack([0.5 * np.sinc(half / np.pi) * dtheta, np.cos(half)])
         q = quat_multiply(dq, self.clone_q)
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         self.clone_q = np.where(q[:, 3:] < 0.0, -q, q)
         self.clone_p = self.clone_p + dp
-        self.slam_p = self.slam_p + dx[at + CLONE_DIM * len(self.clones):].reshape(-1, 3)
+        self.slam_p = self.slam_p + dx[self.slam_start():].reshape(-1, 3)
 
 
 def camera_poses_now(state: FilterState):
@@ -338,22 +339,16 @@ def _parallax_screen(tracks: list[FeatureTrack], state: FilterState, cam_poses) 
     return out
 
 
-def triangulate(
-    track: FeatureTrack,
-    clones: dict[int, int],
-    calib: CameraCalibration,
-    min_baseline_deg: float,
-    cam_poses,
-    window,
-) -> Landmark3D:
-    """Multi-view point from a track: linear midpoint then GN refinement.
+def triangulate(window, cam_poses, calib: CameraCalibration) -> np.ndarray:
+    """A track's global point (3,) from its window: linear midpoint then GN refinement.
 
+    ``window`` is the track's ``(rows, pixels, rays)`` from
+    :func:`_parallax_screen`: its rows index the camera rotations and centres
+    ``cam_poses`` of :func:`camera_poses_now`, and its rays are ``calib``'s.
     Refinement runs on an inverse-depth parameterization anchored in the
-    first observing camera and minimizes pixel reprojection error.
-    ``window`` is :func:`_parallax_screen`'s for ``track``, which it judged
-    under ``clones``, ``calib`` and ``min_baseline_deg``: its rays are
-    ``calib``'s, and its rows index the camera rotations and centres
-    ``cam_poses`` of :func:`camera_poses_now`.
+    first observing camera and minimizes pixel reprojection error.  Raises
+    InsufficientBaseline, BehindCamera or NoConvergence, the last also for a
+    point that is not finite.
     """
     rows, pixels, rays = window
     m = len(rows)
@@ -365,7 +360,7 @@ def triangulate(
     try:
         x0 = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as e:
-        raise InsufficientBaseline(f"track {track.id}: singular midpoint system") from e
+        raise InsufficientBaseline("singular midpoint system") from e
 
     R_a = Rs[0]
     c_a = centers[0]
@@ -394,17 +389,18 @@ def triangulate(
         raise NoConvergence(f"no convergence in {TRIANGULATION_MAX_ITERS} iterations")
     if np.any((B @ w + offset)[:, 2] <= MIN_PROJECTION_DEPTH * w[2]):
         raise BehindCamera("point behind an observing camera")
-    return Landmark3D(R_a.T @ np.array([w[0] / w[2], w[1] / w[2], 1.0 / w[2]]) + c_a)
+    point = R_a.T @ np.array([w[0] / w[2], w[1] / w[2], 1.0 / w[2]]) + c_a
+    if not np.isfinite(point).all():
+        raise NoConvergence("point is not finite")
+    return point
 
 
-def _triangulated(state: FilterState, track: FeatureTrack, window, cam_poses):
-    """The track's triangulated point (3,); None when the screen or the geometry rejects it."""
+def _triangulated(state: FilterState, window, cam_poses):
+    """A track's triangulated point (3,); None when the screen or the geometry rejects it."""
     if window is None:
         return None
     try:
-        return triangulate(
-            track, state.clones, state.calib, state.cfg.min_baseline_deg, cam_poses, window
-        ).position
+        return triangulate(window, cam_poses, state.calib)
     except (InsufficientBaseline, BehindCamera, NoConvergence):
         return None
 
@@ -452,7 +448,7 @@ def _observation_jacobians(state: FilterState, rows: np.ndarray, p_global: np.nd
 
 def _involved_cols(state: FilterState, rows: np.ndarray) -> np.ndarray:
     """Columns (..., c + 6n) of the calibration block, if estimated, then of clone rows (..., n)."""
-    at, lead = ERROR_STATE_DIM + state.calib_dim(), rows.shape[:-1]
+    at, lead = state.clone_start(), rows.shape[:-1]
     clone_cols = (at + CLONE_DIM * rows[..., None] + np.arange(CLONE_DIM)).reshape(lead + (-1,))
     calib_cols = np.broadcast_to(np.arange(ERROR_STATE_DIM, at), lead + (at - ERROR_STATE_DIM,))
     return np.concatenate([calib_cols, clone_cols], axis=-1)
@@ -594,8 +590,8 @@ def msckf_update(state: FilterState, dead_tracks: list[FeatureTrack]) -> int:
     # screen, one rows pass and one P serve every track
     tracks = sorted(dead_tracks, key=lambda t: t.id)
     windows, points = [], []
-    for track, window in zip(tracks, _parallax_screen(tracks, state, cam_poses)):
-        point = _triangulated(state, track, window, cam_poses)
+    for window in _parallax_screen(tracks, state, cam_poses):
+        point = _triangulated(state, window, cam_poses)
         if point is not None:
             windows.append(window)
             points.append(point)
@@ -644,7 +640,7 @@ def slam_update(
         # rows i involve the calibration, this clone and landmark i only, and
         # every gate reads the same P: all their S in one batched pass
         H = np.concatenate(([] if H_calib is None else [H_calib]) + [H_clone, H_f], axis=2)
-        lm_cols = np.array([[state.slam_at[tid]] for tid, _ in seen]) + np.arange(LANDMARK_DIM)
+        lm_cols = state.slam_start() + LANDMARK_DIM * lm_rows[:, None] + np.arange(LANDMARK_DIM)
         cols = np.hstack([_involved_cols(state, rows[:, None]), lm_cols])
         P = state.cov[cols[:, :, None], cols[:, None, :]]
         nis = _nis(H @ P @ H.transpose(0, 2, 1) + state.cfg.sigma_px**2 * np.eye(2), r)
@@ -679,7 +675,7 @@ def slam_update(
             screened = _parallax_screen(due[i:i + capacity], state, cam_poses)
             windows = dict(enumerate(screened, start=i))
         window = windows[i]
-        p_tri = _triangulated(state, track, window, cam_poses)
+        p_tri = _triangulated(state, window, cam_poses)
         (rows,) = [None] if p_tri is None else _track_rows(state, [window], p_tri[None], cam_poses)
         if rows is None:
             track.retry_after = frame_index + 5

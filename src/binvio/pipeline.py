@@ -1,8 +1,9 @@
 """End-to-end pipeline: dataset frames in, pose stream out.
 
 Per frame: obtain binary maps (directly, or through the emulator for
-grayscale datasets), feather the edges, advance the KLT track table, then
-run one filter cycle fed with the IMU slice covering the frame interval.
+grayscale datasets), feather the edges into a (256, 256) uint8 map, advance
+the KLT track table, then run one filter cycle fed with the (M, 7) rows of
+the IMU stream that cover the frame interval.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .config import PipelineConfig
 from .emulator import GrayFrame, detect_corners, detect_edges, inject_analog_noise
 from .evaluate import TrajectorySeries
 from .geometry import UnitQuaternion
-from .imu import ImuSample, NavState, NoiseParams, TimestampGap
+from .imu import NavState, NoiseParams, TimestampGap
 from .msckf import FilterState, process_frame
 from .simgen import Dataset
 from .tracker import (
@@ -46,18 +47,22 @@ class PipelineResult:
 
 
 class _ImuSlicer:
-    """Serves interpolated-boundary sample slices per frame interval.
+    """Serves interpolated-boundary slices of the (N, 7) IMU stream per frame interval.
 
-    The stream's nominal period is its median sample spacing; a gap of more
-    than three periods raises TimestampGap here, once for the whole stream.
+    Rows are ``t, wx, wy, wz, ax, ay, az``.  The stream must be finite with
+    strictly increasing times, and its nominal period is its median sample
+    spacing; a gap of more than three periods raises TimestampGap.  All are
+    checked here, once for the whole stream.
     """
 
-    def __init__(self, samples: list[ImuSample]):
+    def __init__(self, samples: np.ndarray):
         if len(samples) < 2:
             raise ValueError("need at least two IMU samples")
         self.samples = samples
-        self.times = np.array([s.t for s in samples])
+        self.times = samples[:, 0]
         gaps = np.diff(self.times)
+        if not (np.isfinite(samples).all() and (gaps > 0).all()):
+            raise ValueError("IMU samples must be finite with strictly increasing times")
         worst = int(np.argmax(gaps))
         if gaps[worst] > 3.0 * float(np.median(gaps)):
             raise TimestampGap(
@@ -65,24 +70,20 @@ class _ImuSlicer:
                 f"3x the median spacing {np.median(gaps) * 1e3:.2f} ms"
             )
 
-    def _interp(self, t: float) -> ImuSample:
+    def _interp(self, t: float) -> np.ndarray:
         i = int(np.clip(np.searchsorted(self.times, t) - 1, 0, len(self.samples) - 2))
         s0, s1 = self.samples[i], self.samples[i + 1]
-        if s1.t == s0.t:
-            return ImuSample(t, s0.omega, s0.accel)
-        a = (t - s0.t) / (s1.t - s0.t)
+        a = (t - s0[0]) / (s1[0] - s0[0])
         a = float(np.clip(a, 0.0, 1.0))
-        return ImuSample(
-            t, (1 - a) * s0.omega + a * s1.omega, (1 - a) * s0.accel + a * s1.accel
-        )
+        return np.concatenate([[t], (1 - a) * s0[1:] + a * s1[1:]])
 
-    def slice(self, t0: float, t1: float) -> list[ImuSample]:
+    def slice(self, t0: float, t1: float) -> np.ndarray:
+        """Rows (M, 7): samples at ``t0`` and ``t1`` interpolated, with the stream's between."""
         if t1 <= t0:
-            return []
+            return self.samples[:0]
         lo = int(np.searchsorted(self.times, t0, side="right"))
         hi = int(np.searchsorted(self.times, t1, side="left"))
-        inner = self.samples[lo:hi]
-        return [self._interp(t0)] + inner + [self._interp(t1)]
+        return np.vstack([self._interp(t0), self.samples[lo:hi], self._interp(t1)])
 
 
 def initial_state_from_gt(dataset: Dataset, config: PipelineConfig) -> FilterState:

@@ -24,7 +24,7 @@ from .geometry import (
     so3_exp,
     so3_right_jacobian,
 )
-from .imu import ImuSample, NoiseParams
+from .imu import NoiseParams
 from . import io as dataio
 
 TWO_PI = 2.0 * np.pi
@@ -122,8 +122,11 @@ def synthesize_imu(
     noise: NoiseParams,
     rate_hz: float = 400.0,
     seed: int | None = None,
-) -> list[ImuSample]:
-    """Forward IMU model sampled on the uniform grid, seeded and repeatable."""
+) -> np.ndarray:
+    """Forward IMU model sampled on the uniform grid, seeded and repeatable.
+
+    Returns (N, 7) rows ``t, wx, wy, wz, ax, ay, az``, as ``imu.csv`` stores them.
+    """
     if rate_hz <= 0:
         raise ValueError("rate must be positive")
     seed = spec.seed if seed is None else seed
@@ -140,18 +143,13 @@ def synthesize_imu(
     walk_g = np.cumsum(rng.normal(size=(n + 1, 3)) * noise.gyro_walk * np.sqrt(dt), axis=0)
     walk_a = np.cumsum(rng.normal(size=(n + 1, 3)) * noise.accel_walk * np.sqrt(dt), axis=0)
 
-    samples = []
-    for i, t in enumerate(ts):
-        A = so3_exp(phi[i])
-        omega_body = so3_right_jacobian(phi[i]) @ dphi[i]
-        accel_body = A.T @ (acc[i] - g_vec)
-        samples.append(
-            ImuSample(
-                float(t),
-                omega_body + walk_g[i] + white_g[i],
-                accel_body + walk_a[i] + white_a[i],
-            )
-        )
+    samples = np.empty((n + 1, 7))
+    samples[:, 0] = ts
+    for i in range(n + 1):
+        samples[i, 1:4] = so3_right_jacobian(phi[i]) @ dphi[i]
+        samples[i, 4:7] = so3_exp(phi[i]).T @ (acc[i] - g_vec)
+    samples[:, 1:4] = samples[:, 1:4] + walk_g + white_g
+    samples[:, 4:7] = samples[:, 4:7] + walk_a + white_a
     return samples
 
 
@@ -424,7 +422,7 @@ def camera_pose_at(gt: GroundTruth, calib: CameraCalibration) -> Pose:
 
 
 class Dataset:
-    """Unified view over an in-memory or on-disk dataset."""
+    """Unified view over an in-memory or on-disk dataset; ``imu`` is its (N, 7) IMU stream."""
 
     def __init__(self, config: SimConfig | None, calib, imu, gt_rows, meta, frame_dir=None):
         self.config = config

@@ -58,23 +58,6 @@ class FeatureSource(enum.Enum):
 
 
 @dataclass
-class FeatherMap:
-    """8-bit feathered-edge intensity field, values in [0, 128]."""
-
-    values: np.ndarray
-    timestamp: float = 0.0
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.uint8)
-        if v.shape != (MAP_SIZE, MAP_SIZE):
-            raise ValueError(f"feather map must be {MAP_SIZE}x{MAP_SIZE}")
-        self.values = v
-
-    def as_float(self) -> np.ndarray:
-        return self.values.astype(np.float64)
-
-
-@dataclass
 class TrackerConfig:
     n_points: int = 800  # cap on live tracks and on corners detected per frame
     sigma_e: float = 2.5
@@ -182,8 +165,8 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def feather(edges: BinaryMap, sigma_e: float) -> FeatherMap:
-    """Blur the 128-valued edge image with a normalized Gaussian.
+def feather(edges: BinaryMap, sigma_e: float) -> np.ndarray:
+    """Blur the 128-valued edge image with a normalized Gaussian, into a (256, 256) uint8 map.
 
     The separable pass is identical to convolving with the 2-D product
     kernel normalized over its square support; values stay in [0, 128].
@@ -196,12 +179,12 @@ def feather(edges: BinaryMap, sigma_e: float) -> FeatherMap:
     ndimage.correlate1d(img, k, axis=0, output=out, mode="constant", cval=0.0)
     ndimage.correlate1d(out, k, axis=1, output=img, mode="constant", cval=0.0)
     np.clip(np.rint(img, out=img), 0, EDGE_INTENSITY, out=img)
-    return FeatherMap(img.astype(np.uint8), edges.timestamp)
+    return img.astype(np.uint8)
 
 
-def binary_to_intensity(edges: BinaryMap) -> FeatherMap:
-    """Feathering-disabled path: raw 0/128 edge image."""
-    return FeatherMap(edges.bits.astype(np.uint8) * EDGE_INTENSITY, edges.timestamp)
+def binary_to_intensity(edges: BinaryMap) -> np.ndarray:
+    """Feathering-disabled path: the raw 0/128 edge image, a (256, 256) uint8 map."""
+    return edges.bits.astype(np.uint8) * EDGE_INTENSITY
 
 
 def _sample(img: np.ndarray, corner: np.ndarray, window: int, out: np.ndarray,
@@ -376,13 +359,15 @@ def _batch_track(
 
 def track_frame(
     table: TrackTable,
-    prev: FeatherMap | None,
-    next_map: FeatherMap,
+    prev: np.ndarray | None,
+    next_map: np.ndarray,
     new_corners: BinaryMap | None,
     cfg: TrackerConfig,
     frame_index: int,
 ) -> list[FeatureTrack]:
-    """Advance live tracks into ``next_map`` and spawn new ones at corners.
+    """Advance live tracks from ``prev`` into ``next_map`` and spawn new ones at corners.
+
+    Both maps are (256, 256) uint8, as :func:`feather` returns them.
 
     Tracks that fail (window out of bounds, degenerate gradients, or final
     photometric residual above the gate) are retired from the table and
@@ -396,9 +381,7 @@ def track_frame(
     if prev is not None and live:
         points = np.array([t.last_position() for t in live])
         guesses = np.array([t.last_flow for t in live])
-        disp, ok, reason = _batch_track(
-            prev.values, next_map.values, points, guesses, cfg, table.klt
-        )
+        disp, ok, reason = _batch_track(prev, next_map, points, guesses, cfg, table.klt)
         for i, tr in enumerate(live):
             if ok[i]:
                 tr.add_observation(frame_index, points[i] + disp[i])
@@ -423,7 +406,7 @@ def _spawn_tracks(
     corners: BinaryMap,
     cfg: TrackerConfig,
     frame_index: int,
-    initial_flow: np.ndarray | None = None,
+    initial_flow: np.ndarray,
 ) -> None:
     budget = cfg.n_points - len(table.tracks)
     if budget <= 0:
@@ -445,8 +428,7 @@ def _spawn_tracks(
         if not free[i]:
             continue
         track = table.spawn(frame_index, cand[i])
-        if initial_flow is not None:
-            track.last_flow = initial_flow.copy()
+        track.last_flow = initial_flow.copy()
         budget -= 1
         later = slice(i + 1, reach[i])
         d = cand[later] - cand[i]
@@ -482,15 +464,15 @@ def _clear_of_live(cand: np.ndarray, table: TrackTable, min_separation: float) -
     return free
 
 
-def shi_tomasi_on_edges(feathered: FeatherMap, max_points: int) -> np.ndarray:
-    """Minimum-eigenvalue corners of the feathered image, strongest first.
+def shi_tomasi_on_edges(feathered: np.ndarray, max_points: int) -> np.ndarray:
+    """Minimum-eigenvalue corners of the (256, 256) uint8 feathered map, strongest first.
 
     Returns an (N, 2) array of (u, v) pixel coordinates, N <= max_points.
     Used by the alternative-feature ablation in place of the corner map.
     """
     if max_points <= 0:
         raise ValueError("max_points must be positive")
-    img = feathered.as_float()
+    img = feathered.astype(np.float64)
     gx = np.zeros_like(img)
     gy = np.zeros_like(img)
     gx[:, 1:-1] = 0.5 * (img[:, 2:] - img[:, :-2])

@@ -67,6 +67,20 @@ def values_of(section, field, kind):
     raise TypeError(f"no strategy for {kind}")
 
 
+def config_text(cfg: PipelineConfig) -> str:
+    """``cfg`` as ``section.key = value`` lines, one per field, in declaration order."""
+    lines = []
+    for section in dataclasses.fields(cfg):
+        for f in dataclasses.fields(getattr(cfg, section.name)):
+            v = getattr(getattr(cfg, section.name), f.name)
+            if isinstance(v, bool):
+                v = "true" if v else "false"
+            elif isinstance(v, enum.Enum):
+                v = v.value
+            lines.append(f"{section.name}.{f.name} = {v}")
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def pipeline_configs(draw):
     sections = {}
@@ -91,8 +105,12 @@ class TestConfig:
 
     def test_shipped_default_file_matches_table(self):
         shipped = Path(config.__file__).parent / "data" / "default.cfg"
-        assert shipped.read_text() == PipelineConfig().to_text()
-        assert len(shipped.read_text().splitlines()) == 28
+        # the file sets every field exactly once
+        keys = [line.split("=")[0].strip() for line in shipped.read_text().splitlines()
+                if line.strip() and not line.lstrip().startswith("#")]
+        fields = [line.split(" = ")[0] for line in config_text(PipelineConfig()).splitlines()]
+        assert sorted(keys) == sorted(fields)
+        assert len(keys) == 28
         cfg = load_config(shipped)
         assert cfg == PipelineConfig()
         assert cfg.tracker.n_points == 800
@@ -104,13 +122,13 @@ class TestConfig:
 
     @given(pipeline_configs())
     def test_round_trip_any_valid_config(self, cfg):
-        assert parse_config_text(cfg.to_text()) == cfg
+        assert parse_config_text(config_text(cfg)) == cfg
 
     def test_round_trip(self):
         cfg = PipelineConfig()
         cfg.tracker.sigma_e = 3.25
         cfg.filter.estimate_calibration = False
-        again = parse_config_text(cfg.to_text())
+        again = parse_config_text(config_text(cfg))
         assert again == cfg
 
     def test_override_types(self):
@@ -305,6 +323,25 @@ class TestCli:
         victim.write_bytes(victim.read_bytes()[:-7])
         rc = main(["run", "--dataset", str(data), "--out", str(tmp_path / "pose.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("defect", ["five-columns", "nan", "repeated-time"])
+    def test_run_bad_imu_csv_exit_2(self, tiny_dataset, tmp_path, capsys, defect):
+        data = tmp_path / "tiny"
+        shutil.copytree(tiny_dataset, data)
+        rows = [line.split(",") for line in (data / "imu.csv").read_text().splitlines()]
+        if defect == "five-columns":
+            # one accel column, which numpy would broadcast to all three axes
+            rows = [row[:5] for row in rows]
+        elif defect == "nan":
+            rows[10][4] = "nan"
+        else:
+            rows[11][0] = rows[10][0]
+        (data / "imu.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+        pose = tmp_path / "pose.csv"
+        rc = main(["run", "--dataset", str(data), "--out", str(pose)])
+        assert rc == 2
+        assert "imu csv" in capsys.readouterr().err
+        assert not pose.exists()
 
     def test_ablation_flags(self, tiny_dataset, tmp_path):
         rc = main([

@@ -1,11 +1,13 @@
 """Source hygiene of ``src/binvio``: no dead imports, no imports inside
-functions, and no second default for a setting.
+functions, no second default for a setting, and no name that only tests reach.
 
 No linter runs on this repository, so these tests are the guard.  Every name a
 module imports is read somewhere in it.  Every import sits at module level,
 where it runs once and shows the module's dependencies.  A function parameter
 named like a field of a config section has no default: the section's field is
-the one definition of that setting, and its callers pass it in.
+the one definition of that setting, and its callers pass it in.  Every
+function, class and method is used by ``src/`` or by the benchmark under
+``perfbench/``; tests drive the production path, not helpers kept for them.
 """
 
 import ast
@@ -26,6 +28,7 @@ SETTINGS = {
 }
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "binvio"
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -122,3 +125,56 @@ def test_detects_a_defaulted_setting():
     assert defaulted_settings(snippet) == [
         "f(sigma_e=...)", "f(window=...)", "f(gravity=...)"
     ]
+
+
+def defined_names(source: str) -> set[str]:
+    """Functions, classes and methods a module defines, but not the dunders Python calls itself."""
+    return {
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def used_names(source: str) -> set[str]:
+    """Names a module loads or reads as attributes, and strings that are identifiers.
+
+    A string counts because ``getattr`` and ``setattr`` reach an attribute by
+    its name, as the benchmark's tracer does.
+    """
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                used.add(node.value)
+    return used
+
+
+def unreached_names(defining: list[str], reaching: list[str]) -> list[str]:
+    """Names defined in the ``defining`` sources that neither they nor ``reaching`` use."""
+    used = set().union(*(used_names(s) for s in defining + reaching))
+    return sorted(set().union(*(defined_names(s) for s in defining)) - used)
+
+
+def test_no_name_that_only_tests_reach():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    bench = [p.read_text() for p in sorted(BENCH.glob("*.py"))]
+    assert unreached_names(sources, bench) == []
+
+
+def test_detects_a_name_that_only_tests_reach():
+    module = (
+        "class Kept:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def unused(self): pass\n"
+        "def helper(): return Kept().used()\n"
+        "def lonely(): pass\n"
+    )
+    bench = "import m\ngetattr(m, 'helper')\n"
+    assert unreached_names([module], [bench]) == ["lonely", "unused"]
+    assert unreached_names([module], []) == ["helper", "lonely", "unused"]

@@ -2,22 +2,27 @@ import numpy as np
 import pytest
 
 from binvio.geometry import UnitQuaternion, quat_from_axis_angle, quat_multiply, so3_exp
-from binvio.imu import ImuSample, NavState, NoiseParams, TimestampGap, propagate_block
+from binvio.imu import NavState, NoiseParams, TimestampGap, propagate_block
 from binvio.pipeline import _ImuSlicer
 
 NO_NOISE = NoiseParams(0.0, 0.0, 0.0, 0.0, 9.81)
 NO_NOISE_NO_G = NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def imu_row(t, omega, accel):
+    """One IMU sample as a row ``t, wx, wy, wz, ax, ay, az`` of the (N, 7) stream."""
+    return np.concatenate([[t], omega, accel])
+
+
 def correct_measurement(sample, state, noise):
-    """Bias- and gravity-corrected body rates and kinematic acceleration.
+    """Bias- and gravity-corrected body rates and kinematic acceleration of one sample row.
 
     The measurement model of ``binvio.imu`` solved for the truth; white
     noise is not (and cannot be) subtracted.
     """
-    omega_true = sample.omega - state.bias_gyro
+    omega_true = sample[1:4] - state.bias_gyro
     R = state.orientation.to_matrix()
-    accel_true = sample.accel + R @ noise.gravity_vector() - state.bias_accel
+    accel_true = sample[4:7] + R @ noise.gravity_vector() - state.bias_accel
     return omega_true, accel_true
 
 
@@ -39,7 +44,7 @@ def propagate(state, cov, samples, noise):
 def make_stream(t0, t1, rate, omega_fn, accel_fn):
     n = int(round((t1 - t0) * rate))
     ts = t0 + np.arange(n + 1) / rate
-    return [ImuSample(t, omega_fn(t), accel_fn(t)) for t in ts]
+    return np.array([imu_row(t, omega_fn(t), accel_fn(t)) for t in ts])
 
 
 def error_state_between(perturbed: NavState, nominal: NavState) -> np.ndarray:
@@ -69,14 +74,14 @@ def random_state(rng):
 class TestCorrectMeasurement:
     def test_stationary_level_gravity_cancels(self):
         state = NavState()
-        sample = ImuSample(0.0, np.zeros(3), np.array([0.0, 0.0, 9.81]))
+        sample = imu_row(0.0, np.zeros(3), np.array([0.0, 0.0, 9.81]))
         w, a = correct_measurement(sample, state, NO_NOISE)
         np.testing.assert_allclose(w, np.zeros(3), atol=1e-15)
         np.testing.assert_allclose(a, np.zeros(3), atol=1e-15)
 
     def test_gyro_bias_subtraction(self):
         state = NavState(bias_gyro=np.array([0.1, 0.0, 0.0]))
-        sample = ImuSample(0.0, np.array([0.1, 0.0, 0.0]), np.array([0.0, 0.0, 9.81]))
+        sample = imu_row(0.0, np.array([0.1, 0.0, 0.0]), np.array([0.0, 0.0, 9.81]))
         w, _ = correct_measurement(sample, state, NO_NOISE)
         np.testing.assert_allclose(w, np.zeros(3), atol=1e-15)
 
@@ -87,7 +92,7 @@ class TestCorrectMeasurement:
             omega_true = rng.normal(scale=5.0, size=3)
             accel_true = rng.normal(scale=3.0, size=3)
             wm, am = forward_model(omega_true, accel_true, state, NO_NOISE)
-            w, a = correct_measurement(ImuSample(0.0, wm, am), state, NO_NOISE)
+            w, a = correct_measurement(imu_row(0.0, wm, am), state, NO_NOISE)
             np.testing.assert_allclose(w, omega_true, atol=1e-12)
             np.testing.assert_allclose(a, accel_true, atol=1e-11)
 
@@ -147,9 +152,17 @@ class TestPropagateMean:
         # one dropped sample is a 2x gap, inside the 3x bound; three are a 4x gap
         samples = make_stream(0.0, 0.5, 400, lambda t: np.zeros(3), lambda t: np.zeros(3))
         _ImuSlicer(samples)
-        del samples[100:103]
         with pytest.raises(TimestampGap):
-            _ImuSlicer(samples)
+            _ImuSlicer(np.delete(samples, np.s_[100:103], axis=0))
+
+    def test_repeated_time_or_nan_rejected(self):
+        samples = make_stream(0.0, 0.5, 400, lambda t: np.zeros(3), lambda t: np.zeros(3))
+        repeated, nan = samples.copy(), samples.copy()
+        repeated[100, 0] = repeated[99, 0]
+        nan[7, 5] = np.nan
+        for bad in (repeated, nan):
+            with pytest.raises(ValueError):
+                _ImuSlicer(bad)
 
     def test_split_interval_equals_single_call(self):
         rng = np.random.default_rng(2)
@@ -212,7 +225,8 @@ class TestCovariance:
 
 def one_step(state, sample, dt, noise=NO_NOISE):
     """Mean and Phi of one ``propagate_block`` step holding ``sample``'s readings."""
-    samples = [sample, ImuSample(sample.t + dt, sample.omega, sample.accel)]
+    samples = np.vstack([sample, sample])
+    samples[1, 0] += dt
     out, Phi, _ = propagate_block(state, samples, noise)
     return out, Phi
 
@@ -235,7 +249,7 @@ class TestStateTransitionJacobian:
 
     def test_dt_to_zero_limit(self):
         state = NavState()
-        sample = ImuSample(0.0, np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5, 9.0]))
+        sample = imu_row(0.0, np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5, 9.0]))
         _, Phi = one_step(state, sample, 1e-12)
         np.testing.assert_allclose(Phi, np.eye(15), atol=1e-9)
 
@@ -244,7 +258,7 @@ class TestStateTransitionJacobian:
         noise = NoiseParams()
         for _ in range(50):
             state = random_state(rng)
-            sample = ImuSample(
+            sample = imu_row(
                 0.0, rng.normal(scale=5.0, size=3), rng.normal(scale=4.0, size=3)
             )
             dt = 0.0025
@@ -259,7 +273,7 @@ class TestStateTransitionJacobian:
         # E = exp(-[omega dt / 2]x) the half-step rotation
         rng = np.random.default_rng(6)
         state = random_state(rng)
-        sample = ImuSample(0.0, rng.normal(size=3), rng.normal(scale=3.0, size=3))
+        sample = imu_row(0.0, rng.normal(size=3), rng.normal(scale=3.0, size=3))
         dt = 0.0025
         _, Phi = one_step(state, sample, dt, NO_NOISE_NO_G)
         w_t, a_t = correct_measurement(sample, state, NO_NOISE_NO_G)

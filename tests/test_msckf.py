@@ -20,6 +20,7 @@ from binvio.msckf import (
     FilterConfig,
     FilterState,
     InsufficientBaseline,
+    NoConvergence,
     _chi2_gate,
     _ekf_update,
     _inverse_depth_rows,
@@ -55,7 +56,18 @@ def make_state(n_clones=10, estimate_calib=False, spacing=0.12, **cfg_kw):
 
 
 def pixel_of(p_global, cam_pose, calib):
-    return project_points(cam_pose.transform_point(p_global)[None, :], calib)[0]
+    p_cam = cam_pose.rotation() @ (p_global - cam_pose.position)
+    return project_points(p_cam[None, :], calib)[0]
+
+
+def clone_at(state, frame):
+    """First covariance row of the clone of ``frame``."""
+    return state.clone_start() + 6 * state.clones[frame]
+
+
+def slam_at(state, tid):
+    """First covariance row of the landmark of track ``tid``."""
+    return state.slam_start() + 3 * state.slam[tid]
 
 
 def clone_pose(state, frame):
@@ -82,9 +94,7 @@ def triangulate_now(state, track):
     (window,) = _parallax_screen([track], state, cam_poses)
     if window is None:
         raise InsufficientBaseline("the parallax screen rejects the track")
-    return triangulate(
-        track, state.clones, state.calib, state.cfg.min_baseline_deg, cam_poses, window
-    )
+    return triangulate(window, cam_poses, state.calib)
 
 
 def make_track(state, landmark, frames, tid=0, status=TrackStatus.DEAD):
@@ -109,7 +119,7 @@ class TestClonePose:
         state = FilterState(NavState(), calib, cfg)
         P0 = state.cov.copy()
         state.clone_pose(0)
-        off = state.clone_at[0]
+        off = clone_at(state, 0)
         nav_rows = np.r_[0:3, 3:6]
         np.testing.assert_array_equal(
             state.cov[off:off + 6, off:off + 6], P0[np.ix_(nav_rows, nav_rows)]
@@ -131,7 +141,7 @@ class TestClonePose:
 
     def test_marginalization_preserves_remaining_marginals(self):
         state = make_state(5)
-        oldest = state.clone_at[0]
+        oldest = clone_at(state, 0)
         keep = np.r_[0:oldest, oldest + 6:state.dim()]
         expected = state.cov[np.ix_(keep, keep)].copy()
         state.marginalize_clone(0)
@@ -142,7 +152,9 @@ class TestClonePose:
         assert state.dim() == 15 + 14 + 6 * 7
         state.marginalize_clone(0)
         assert state.dim() == 15 + 14 + 6 * 6
-        assert state.clone_at == {k: 15 + 14 + 6 * (k - 1) for k in range(1, 7)}
+        assert {k: clone_at(state, k) for k in state.clones} == {
+            k: 15 + 14 + 6 * (k - 1) for k in range(1, 7)
+        }
 
 
 class TestCloneArrays:
@@ -180,20 +192,20 @@ class TestCloneArrays:
         dx = rng.normal(size=state.dim())
         # per clone: no rotation, one under the small-angle cut, small and large angles
         for f in state.clones:
-            at = state.clone_at[f]
+            at = clone_at(state, f)
             dx[at:at + 3] *= rng.choice([0.0, 1e-10, 1e-3, 0.5])
         q0, p0 = state.clone_q.copy(), state.clone_p.copy()
         fej = state.clone_q_fej.copy(), state.clone_p_fej.copy()
         state.apply_correction(dx)
         for f, row in state.clones.items():
-            at = state.clone_at[f]
+            at = clone_at(state, f)
             want = quat_normalize(quat_multiply(quat_from_axis_angle(dx[at:at + 3]), q0[row]))
             np.testing.assert_allclose(state.clone_q[row], want, rtol=0, atol=1e-15)
             np.testing.assert_array_equal(state.clone_p[row], p0[row] + dx[at + 3:at + 6])
         np.testing.assert_array_equal(state.clone_q_fej, fej[0])
         np.testing.assert_array_equal(state.clone_p_fej, fej[1])
         for tid, row in state.slam.items():
-            at = state.slam_at[tid]
+            at = slam_at(state, tid)
             np.testing.assert_array_equal(state.slam_p[row], landmarks[0][row] + dx[at:at + 3])
         np.testing.assert_array_equal(state.slam_fej, landmarks[1])
 
@@ -288,8 +300,8 @@ class TestLayout:
                 tid = list(state.slam)[pick % len(state.slam)]
                 state.remove_landmark(tid)
                 ref.drop("slam", tid)
-            assert state.clone_at == ref.offsets("clone")
-            assert state.slam_at == ref.offsets("slam")
+            assert {f: clone_at(state, f) for f in state.clones} == ref.offsets("clone")
+            assert {t: slam_at(state, t) for t in state.slam} == ref.offsets("slam")
             np.testing.assert_array_equal(state.cov, ref.cov())
             assert list(state.slam) == ref.slam
             assert list(state.slam.values()) == list(range(len(ref.slam)))
@@ -385,7 +397,8 @@ class TestTriangulate:
         landmark = np.array([3.0, 0.4, 0.2])
         tr = make_track(state, landmark, range(10))
         out = triangulate_now(state, tr)
-        assert np.linalg.norm(out.position - landmark) < 1e-6
+        assert out.shape == (3,)
+        assert np.linalg.norm(out - landmark) < 1e-6
 
     def test_zero_baseline_rejected(self):
         state = make_state(3, spacing=0.0)
@@ -409,6 +422,17 @@ class TestTriangulate:
         tr.status = TrackStatus.DEAD
         with pytest.raises((BehindCamera, InsufficientBaseline)):
             triangulate_now(state, tr)
+
+    def test_non_finite_camera_raises_no_convergence(self):
+        # the tracer counts failures by these exception types, and the filter
+        # catches only them
+        state = make_state(4)
+        tr = make_track(state, np.array([3.0, 0.2, 0.1]), range(4))
+        cam_poses = camera_poses_now(state)
+        (window,) = _parallax_screen([tr], state, cam_poses)
+        cam_poses[1][2] = np.nan
+        with pytest.raises(NoConvergence):
+            triangulate(window, cam_poses, state.calib)
 
     def test_gn_jacobian_matches_finite_differences(self):
         """The affine form's residual is the point's pixel, and its Jacobian that pixel's."""
@@ -724,7 +748,7 @@ class TestEkfUpdate:
         state = make_state(10)
         before = state_snapshot(state)
         H = np.zeros((4, state.dim()))
-        at = state.clone_at[3]
+        at = clone_at(state, 3)
         H[:, at:at + 6] = np.random.default_rng(0).normal(size=(4, 6))
         _ekf_update(state, H, np.array([0.1, np.nan, 0.2, 0.3]))
         for a, b in zip(before, state_snapshot(state)):
@@ -736,7 +760,7 @@ class TestEkfUpdate:
         state.cfg.sigma_px = 0.0  # no noise, so two equal rows make S singular
         before = state_snapshot(state)
         H = np.zeros((2, state.dim()))
-        at = state.clone_at[3]
+        at = clone_at(state, 3)
         H[:, at:at + 6] = np.random.default_rng(0).normal(size=6)
         assert np.linalg.matrix_rank(H @ state.cov @ H.T) == 1
         _ekf_update(state, H, np.array([0.5, -0.5]))
@@ -791,8 +815,8 @@ class TestLandmarkGates:
         for i, tr in enumerate(tracks):
             dense = np.zeros((2, d))
             dense[:, 15:29] = H_calib[i]
-            dense[:, state.clone_at[frame]:state.clone_at[frame] + 6] = H_clone[i]
-            dense[:, state.slam_at[tr.id]:state.slam_at[tr.id] + 3] = H_f[i]
+            dense[:, clone_at(state, frame):clone_at(state, frame) + 6] = H_clone[i]
+            dense[:, slam_at(state, tr.id):slam_at(state, tr.id) + 3] = H_f[i]
             S_dense = dense @ P @ dense.T + np.eye(2)
             np.testing.assert_allclose(S[i], S_dense, rtol=1e-12)
             dense_verdicts.append(r[i] @ np.linalg.solve(S_dense, r[i]) < threshold)
@@ -832,7 +856,7 @@ class TestSlamUpdate:
         slam_update(state, [tr_good, tr_bad], [], frame_index=9)
         assert 8 not in state.slam
         assert state.slam_seen[state.slam[7]] == 9
-        assert state.slam_at == {7: 15 + 6 * 10}
+        assert state.slam == {7: 0} and slam_at(state, 7) == 15 + 6 * 10
         assert state.dim() == 15 + 6 * 10 + 3
 
     def test_retired_landmark_track_promotable_again(self):
@@ -874,7 +898,7 @@ class TestSlamUpdate:
         landmark = np.array([3.0, 0.4, -0.1])
         tr = make_track(state, landmark, range(15), tid=11, status=TrackStatus.LIVE)
         slam_update(state, [], [tr], frame_index=14)
-        off = state.slam_at[11]
+        off = slam_at(state, 11)
         block = state.cov[off:off + 3, off:off + 3]
         assert np.linalg.eigvalsh(block).min() > 0.0
 

@@ -124,23 +124,37 @@ class TestCovarianceHealth:
         assert res.diagnostics[:, 5].max() > 0  # landmarks entered the state
 
 
-GOLDEN_POSES = Path(__file__).resolve().parent / "data" / "hostile_seed1_0.2s_poses.csv"
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+def assert_matches_golden(got: np.ndarray, name: str) -> None:
+    want = np.loadtxt(GOLDEN / name, delimiter=",", skiprows=1)
+    assert got.shape == want.shape == (50, 8)
+    np.testing.assert_array_equal(got[:, 0], want[:, 0])
+    np.testing.assert_allclose(got[:, 1:4], want[:, 1:4], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(got[:, 4:8], want[:, 4:8], rtol=0, atol=1e-9)
 
 
 class TestGoldenPoses:
-    def test_hostile_poses_match_the_pinned_file(self):
-        """Poses of a 0.2 s hostile run, seed 1, against the file they were written to.
+    """Poses of 0.2 s runs against the files they were written to.
 
-        A change that only reorders arithmetic moves poses by rounding, far
-        below these bounds; a change that moves poses on purpose rewrites the
-        file with ``%.17g``, which round-trips float64 exactly.
-        """
-        want = np.loadtxt(GOLDEN_POSES, delimiter=",", skiprows=1)
+    A change that only reorders arithmetic moves poses by rounding, far below
+    these bounds; a change that moves poses on purpose rewrites the file with
+    ``%.17g``, which round-trips float64 exactly.
+    """
+
+    def test_hostile_poses_match_the_pinned_file(self):
+        """Hostile preset, seed 1, ideal binary maps rendered in memory."""
         got = run_pipeline(sg.build_dataset(sg.preset_config("hostile", duration=0.2, seed=1)))
-        assert got.pose_rows.shape == want.shape == (50, 8)
-        np.testing.assert_array_equal(got.pose_rows[:, 0], want[:, 0])
-        np.testing.assert_allclose(got.pose_rows[:, 1:4], want[:, 1:4], rtol=0, atol=1e-9)
-        np.testing.assert_allclose(got.pose_rows[:, 4:8], want[:, 4:8], rtol=0, atol=1e-9)
+        assert_matches_golden(got.pose_rows, "hostile_seed1_0.2s_poses.csv")
+
+    def test_gentle_gray_on_disk_poses_match_the_pinned_file(self, tmp_path):
+        """Gentle preset, seed 4, grayscale: through imu.csv, gray blobs, the emulator and feather."""
+        from dataclasses import replace
+
+        cfg = replace(sg.preset_config("gentle", duration=0.2, seed=4), mode="grayscale")
+        got = run_pipeline(sg.load_dataset(sg.write_dataset(cfg, tmp_path / "ds")))
+        assert_matches_golden(got.pose_rows, "gentle_gray_seed4_0.2s_poses.csv")
 
 
 class TestLowRateImu:

@@ -65,11 +65,11 @@ class TestSynthesizeImu:
     def test_stationary_gravity_only(self):
         spec = sg.TrajectorySpec(duration=1.0)
         samples = sg.synthesize_imu(spec, NO_NOISE, 400.0, seed=1)
-        assert len(samples) == 401
+        assert samples.shape == (401, 7)
         for s in samples[::50]:
-            np.testing.assert_allclose(s.omega, np.zeros(3), atol=1e-15)
-            np.testing.assert_allclose(s.accel, [0, 0, 9.81], atol=1e-12)
-            assert abs(np.linalg.norm(s.accel) - 9.81) < 1e-12
+            np.testing.assert_allclose(s[1:4], np.zeros(3), atol=1e-15)
+            np.testing.assert_allclose(s[4:7], [0, 0, 9.81], atol=1e-12)
+            assert abs(np.linalg.norm(s[4:7]) - 9.81) < 1e-12
 
     def test_round_trip_through_propagation(self):
         # integer-period sinusoids keep the midpoint rule's truncation error
@@ -91,8 +91,7 @@ class TestSynthesizeImu:
         spec = sg.preset_config("hostile", duration=0.5).trajectory
         a = sg.synthesize_imu(spec, NoiseParams(), 400.0, seed=3)
         b = sg.synthesize_imu(spec, NoiseParams(), 400.0, seed=3)
-        for s, t in zip(a, b):
-            assert np.array_equal(s.omega, t.omega) and np.array_equal(s.accel, t.accel)
+        assert np.array_equal(a, b)
 
     def test_bias_walk_variance_linear(self):
         # across seeds, Var[b_N] = walk^2 * N * dt: check the 2x point
@@ -101,8 +100,8 @@ class TestSynthesizeImu:
         n_half, n_full = [], []
         for seed in range(100):
             samples = sg.synthesize_imu(spec, noise, 400.0, seed=seed)
-            n_half.append(samples[400].omega)   # t = 1 s
-            n_full.append(samples[800].omega)   # t = 2 s
+            n_half.append(samples[400, 1:4])   # t = 1 s
+            n_full.append(samples[800, 1:4])   # t = 2 s
         var_half = np.var(np.array(n_half), axis=0).mean()
         var_full = np.var(np.array(n_full), axis=0).mean()
         expected_half = 1e-6 * 1.0
@@ -225,7 +224,7 @@ class TestDatasetIO:
         _, (mc, me) = next(iter(mem.iter_frames()))
         np.testing.assert_array_equal(corners.bits, mc.bits)
         np.testing.assert_array_equal(edges.bits, me.bits)
-        assert len(ds.imu) == len(mem.imu)
+        np.testing.assert_array_equal(ds.imu[:, 0], mem.imu[:, 0])
 
     def test_byte_identical_for_same_seed(self, tmp_path):
         cfg = sg.preset_config("hostile", duration=0.04, seed=5)

@@ -9,7 +9,6 @@ from scipy import ndimage
 from binvio import tracker as tk
 from binvio.emulator import MAP_SIZE, MAX_CORNER_POINTS, BinaryMap, MapKind
 from binvio.tracker import (
-    FeatherMap,
     TrackerConfig,
     TrackStatus,
     TrackTable,
@@ -156,7 +155,7 @@ def reference_batch_track(prev_f, next_f, points, guesses, cfg):
 def track_one(prev, nxt, point, cfg, guess=(0.0, 0.0)):
     """``_batch_track`` on a single point: (displacement, ok, reason)."""
     disp, ok, reason = tk._batch_track(
-        prev.values, nxt.values, np.array([point], dtype=float),
+        prev, nxt, np.array([point], dtype=float),
         np.array([guess], dtype=float), cfg, tk.KltWorkspace(),
     )
     return disp[0], bool(ok[0]), reason[0]
@@ -192,28 +191,28 @@ def random_edge_bits(rng, density=0.03):
 class TestFeather:
     def test_empty_map_zero(self):
         out = feather(edge_map(np.zeros((256, 256))), 2.5)
-        assert out.values.sum() == 0
+        assert out.sum() == 0
 
     def test_single_pixel_matches_brute_force(self):
         bits = np.zeros((256, 256), dtype=np.uint8)
         bits[100, 120] = 1
         out = feather(edge_map(bits), 2.5)
         oracle = brute_force_feather(bits, 2.5)
-        np.testing.assert_array_equal(out.values, oracle)
+        np.testing.assert_array_equal(out, oracle)
         # center keeps the peak weight of the normalized kernel times 128
         radius = int(np.ceil(3 * 2.5))
         xs = np.arange(-radius, radius + 1, dtype=float)
         kern = np.exp(-0.5 * (xs[:, None] ** 2 + xs[None, :] ** 2) / 2.5**2)
         kern /= kern.sum()
-        assert out.values[100, 120] == round(128 * kern[radius, radius])
+        assert out[100, 120] == round(128 * kern[radius, radius])
 
     def test_straight_line_matches_brute_force(self):
         bits = np.zeros((256, 256), dtype=np.uint8)
         bits[:, 128] = 1
         out = feather(edge_map(bits), 2.5)
-        np.testing.assert_array_equal(out.values, brute_force_feather(bits, 2.5))
+        np.testing.assert_array_equal(out, brute_force_feather(bits, 2.5))
         # cross-section is symmetric and peaks on the line
-        row = out.values[128].astype(int)
+        row = out[128].astype(int)
         assert row.argmax() == 128
         np.testing.assert_array_equal(row[128 - 8:128], row[129:129 + 8][::-1])
 
@@ -221,7 +220,7 @@ class TestFeather:
         rng = np.random.default_rng(3)
         bits = random_edge_bits(rng, 0.01)
         np.testing.assert_array_equal(
-            feather(edge_map(bits), 2.5).values, brute_force_feather(bits, 2.5)
+            feather(edge_map(bits), 2.5), brute_force_feather(bits, 2.5)
         )
 
     def test_disjoint_support_linearity(self):
@@ -229,22 +228,22 @@ class TestFeather:
         b = np.zeros((256, 256), dtype=np.uint8)
         a[60, 60] = 1
         b[200, 200] = 1  # far beyond kernel diameter
-        fa = feather(edge_map(a), 2.5).values.astype(int)
-        fb = feather(edge_map(b), 2.5).values.astype(int)
-        fab = feather(edge_map(a | b), 2.5).values.astype(int)
+        fa = feather(edge_map(a), 2.5).astype(int)
+        fb = feather(edge_map(b), 2.5).astype(int)
+        fab = feather(edge_map(a | b), 2.5).astype(int)
         np.testing.assert_array_equal(fab, np.clip(fa + fb, 0, 128))
 
     @pytest.mark.parametrize("sigma", [0.7, 2.5, 4.0])
     @pytest.mark.parametrize("density", [0.0, 0.01, 0.2, 1.0])
     def test_in_place_passes_match_copies(self, sigma, density):
         bits = random_edge_bits(np.random.default_rng(16), density)
-        np.testing.assert_array_equal(feather(edge_map(bits), sigma).values,
+        np.testing.assert_array_equal(feather(edge_map(bits), sigma),
                                       feather_with_copies(bits, sigma))
 
     def test_values_bounded(self):
         rng = np.random.default_rng(4)
         out = feather(edge_map(random_edge_bits(rng, 0.5)), 2.5)
-        assert out.values.max() <= 128
+        assert out.max() <= 128
 
 
 ONE_STEP = TrackerConfig(max_iters=1, epsilon=1e-12, photometric_gate=1e9)
@@ -267,7 +266,7 @@ class TestKltStep:
         rng = np.random.default_rng(5)
         pts = rng.uniform(30, 225, size=(50, 2))
         ws = tk.KltWorkspace()
-        _, gx, gy = tk._template(f.values, pts - 21 // 2, 21, ws)
+        _, gx, gy = tk._template(f, pts - 21 // 2, 21, ws)
         for H in tk._hessian(gx, gy, ws):
             if tk._min_eigenvalue(H) < tk.MIN_EIGENVALUE:
                 continue
@@ -276,7 +275,7 @@ class TestKltStep:
 
     def test_integer_shift_vs_ssd_oracle(self):
         f0 = self.make_feathered(2)
-        f1 = FeatherMap(np.roll(f0.values, 2, axis=1), 0.0)
+        f1 = np.roll(f0, 2, axis=1)
         rng = np.random.default_rng(6)
         checked = 0
         while checked < 10:
@@ -284,7 +283,7 @@ class TestKltStep:
             u, ok, _ = track_one(f0, f1, pt, CONVERGE)
             if not ok:
                 continue
-            oracle = exhaustive_ssd(f0.as_float(), f1.as_float(), pt, 21)
+            oracle = exhaustive_ssd(f0.astype(np.float64), f1.astype(np.float64), pt, 21)
             if np.linalg.norm(oracle - [2, 0]) > 0.2:
                 continue  # locally ambiguous patch, oracle itself unsure
             assert np.linalg.norm(u - [2.0, 0.0]) < 0.05
@@ -292,7 +291,7 @@ class TestKltStep:
             checked += 1
 
     def test_constant_region_singular(self):
-        flat = FeatherMap(np.zeros((256, 256), dtype=np.uint8))
+        flat = np.zeros((256, 256), dtype=np.uint8)
         _, ok, reason = track_one(flat, flat, [128.0, 128.0], ONE_STEP)
         assert not ok and reason == "singular"
 
@@ -303,11 +302,11 @@ class TestKltStep:
 
     def test_batch_matches_single(self):
         f0 = self.make_feathered(7)
-        f1 = FeatherMap(np.roll(f0.values, 1, axis=0))
+        f1 = np.roll(f0, 1, axis=0)
         rng = np.random.default_rng(8)
         pts = rng.uniform(40, 215, size=(20, 2))
         disp, ok, _ = tk._batch_track(
-            f0.values, f1.values, pts, np.zeros_like(pts), ONE_STEP, tk.KltWorkspace()
+            f0, f1, pts, np.zeros_like(pts), ONE_STEP, tk.KltWorkspace()
         )
         for i, pt in enumerate(pts):
             du, single_ok, _ = track_one(f0, f1, pt, ONE_STEP)
@@ -322,10 +321,10 @@ def assert_matches_reference(prev, nxt, points, guesses, cfg):
     """``_batch_track`` on the uint8 maps against the reference on float copies."""
     points = np.asarray(points, dtype=float)
     guesses = np.asarray(guesses, dtype=float)
-    disp, ok, reason = tk._batch_track(prev.values, nxt.values, points, guesses, cfg,
+    disp, ok, reason = tk._batch_track(prev, nxt, points, guesses, cfg,
                                        tk.KltWorkspace())
     ref_disp, ref_ok, ref_reason = reference_batch_track(
-        prev.as_float(), nxt.as_float(), points, guesses, cfg)
+        prev.astype(np.float64), nxt.astype(np.float64), points, guesses, cfg)
     np.testing.assert_array_equal(ok, ref_ok)
     np.testing.assert_array_equal(reason, ref_reason)
     np.testing.assert_allclose(disp[ok], ref_disp[ok], rtol=0, atol=1e-9)
@@ -493,7 +492,7 @@ class TestTrackFrame:
         assert rate_raw > rate_feathered
 
 
-def reference_spawn(table, corners, cfg, frame_index, initial_flow=None):
+def reference_spawn(table, corners, cfg, frame_index, initial_flow):
     """Spawning by a dense candidates-by-live distance matrix and a cell-hash greedy loop.
 
     Same contract as ``tracker._spawn_tracks``.
@@ -527,8 +526,7 @@ def reference_spawn(table, corners, cfg, frame_index, initial_flow=None):
         if clash:
             continue
         track = table.spawn(frame_index, p)
-        if initial_flow is not None:
-            track.last_flow = initial_flow.copy()
+        track.last_flow = initial_flow.copy()
         occupied.setdefault(key, []).append(p)
         budget -= 1
 
@@ -588,8 +586,8 @@ class TestKltWorkspace:
             pts = rng.uniform(0, MAP_SIZE - 1, size=(n, 2))
             guesses = rng.uniform(-3, 3, size=(n, 2))
             cfg = TrackerConfig(window=window)
-            got = tk._batch_track(prev.values, nxt.values, pts, guesses, cfg, ws)
-            fresh = tk._batch_track(prev.values, nxt.values, pts, guesses, cfg, tk.KltWorkspace())
+            got = tk._batch_track(prev, nxt, pts, guesses, cfg, ws)
+            fresh = tk._batch_track(prev, nxt, pts, guesses, cfg, tk.KltWorkspace())
             for a, b in zip(got, fresh):
                 np.testing.assert_array_equal(a, b)
 
@@ -631,7 +629,7 @@ class TestTrackStatus:
 
 class TestShiTomasi:
     def test_empty_map(self):
-        out = shi_tomasi_on_edges(FeatherMap(np.zeros((256, 256), dtype=np.uint8)), 50)
+        out = shi_tomasi_on_edges(np.zeros((256, 256), dtype=np.uint8), 50)
         assert out.shape == (0, 2)
 
     def test_l_junction_peak_matches_eigen_oracle(self):
@@ -643,7 +641,7 @@ class TestShiTomasi:
         assert len(pts) > 0
         # brute-force min-eigenvalue response near the junction; the arm
         # endpoints are also legitimate corners, so check the local peak
-        img = fmap.as_float()
+        img = fmap.astype(np.float64)
         best, best_resp = None, -1.0
         for v in range(95, 106):
             for u in range(95, 106):
@@ -669,4 +667,4 @@ class TestShiTomasi:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            shi_tomasi_on_edges(FeatherMap(np.zeros((256, 256), dtype=np.uint8)), 0)
+            shi_tomasi_on_edges(np.zeros((256, 256), dtype=np.uint8), 0)
