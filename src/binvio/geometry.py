@@ -2,12 +2,17 @@
 
 Conventions used throughout the package:
 
-* Quaternions are stored scalar-last as ``[x, y, z, w]`` and represent the
-  rotation from the global frame G into a local frame (body or camera).
-  Composition is defined so that ``R(a * b) = R(a) @ R(b)``.
-* ``Pose.orientation`` maps global vectors into the pose's frame and
-  ``Pose.position`` is the frame origin expressed in G, so a world point
-  ``p`` has frame coordinates ``R(q) @ (p - position)``.
+* Quaternions are plain float arrays stored scalar-last as ``[x, y, z, w]``:
+  (4,) for one, (n, 4) for many.  Each represents the rotation from the
+  global frame G into a local frame (body or camera), and composition is
+  defined so that ``R(a * b) = R(a) @ R(b)``.  The rotation helpers take one
+  row or stacked rows alike, and a stacked call gives each row the bits of
+  the one-row call.
+* A frame's pose is its orientation ``q`` (G into the frame) and its origin
+  ``p`` expressed in G, so a world point ``x`` has frame coordinates
+  ``R(q) @ (x - p)``.  A camera pose is the pair ``(R, centre)`` of its
+  rotation matrix and centre, as :meth:`CameraCalibration.camera_pose`
+  returns it and :func:`project_batch` takes it.
 * Pixel coordinates are ``(u, v)`` with ``u`` along columns and ``v`` along
   rows of the 256x256 maps.
 
@@ -38,21 +43,42 @@ import numpy as np
 SMALL_ANGLE = 1e-8
 
 
+# [v]x[i, j] = _SKEW_SIGN[i, j] * v[_SKEW_INDEX[i, j]]
+_SKEW_INDEX = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+_SKEW_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+
+
 def skew(v: np.ndarray) -> np.ndarray:
-    """Return the 3x3 cross-product matrix of ``v``."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Cross-product matrices (..., 3, 3) of rows ``v`` (..., 3)."""
+    return np.asarray(v, dtype=float)[..., _SKEW_INDEX] * _SKEW_SIGN
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms (...,) of rows ``v`` (..., k), each summed in column order.
+
+    Unlike einsum's, the sum does not depend on the memory layout of ``v``.
+    """
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
+def _rodrigues(phi, coefficients, limits) -> np.ndarray:
+    """``I + a [phi]x + b [phi]x^2`` of rows ``phi`` (..., 3), (..., 3, 3).
+
+    ``(a, b) = coefficients(|phi|)``; rows shorter than SMALL_ANGLE take the
+    Taylor ``limits`` (a, b) instead.
+    """
+    K = skew(phi)
+    angle = _norms(np.asarray(phi, dtype=float))[..., None, None]
+    small = angle < SMALL_ANGLE
+    a, b = coefficients(np.where(small, 1.0, angle))
+    if small.any():
+        a, b = np.where(small, limits[0], a), np.where(small, limits[1], b)
+    return np.eye(3) + a * K + b * (K @ K)
 
 
 def so3_exp(phi: np.ndarray) -> np.ndarray:
-    """Rotation matrix exp([phi]x) via Rodrigues, Taylor fallback near zero."""
-    angle = float(np.linalg.norm(phi))
-    K = skew(phi)
-    if angle < SMALL_ANGLE:
-        return np.eye(3) + K + 0.5 * (K @ K)
-    a = np.sin(angle) / angle
-    b = (1.0 - np.cos(angle)) / (angle * angle)
-    return np.eye(3) + a * K + b * (K @ K)
+    """Rotation matrices exp([phi]x) (..., 3, 3) of rows ``phi`` (..., 3), via Rodrigues."""
+    return _rodrigues(phi, lambda t: (np.sin(t) / t, (1.0 - np.cos(t)) / (t * t)), (1.0, 0.5))
 
 
 def so3_log(R: np.ndarray) -> np.ndarray:
@@ -78,31 +104,25 @@ def so3_log(R: np.ndarray) -> np.ndarray:
 
 
 def so3_right_jacobian(phi: np.ndarray) -> np.ndarray:
-    """Right Jacobian Jr(phi) with exp(phi + d) = exp(phi) exp(Jr d)."""
-    angle = float(np.linalg.norm(phi))
-    K = skew(phi)
-    if angle < SMALL_ANGLE:
-        return np.eye(3) - 0.5 * K + (K @ K) / 6.0
-    a2 = angle * angle
-    return (
-        np.eye(3)
-        - (1.0 - np.cos(angle)) / a2 * K
-        + (angle - np.sin(angle)) / (a2 * angle) * (K @ K)
+    """Right Jacobians (..., 3, 3) of rows phi (..., 3): exp(phi + d) = exp(phi) exp(Jr d)."""
+    return _rodrigues(
+        phi,
+        lambda t: (-(1.0 - np.cos(t)) / (t * t), (t - np.sin(t)) / (t * t * t)),
+        (-0.5, 1.0 / 6.0),
     )
 
 
-# Array-level quaternion helpers (scalar-last, global-to-local).  These are
-# the hot-path primitives; UnitQuaternion wraps them for the public types.
+# Quaternion helpers (scalar-last, global-to-local) on one (4,) row or
+# stacked (n, 4) rows.
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(q))
-    if n < 1e-15:
+    """Unit quaternions of rows ``q`` (..., 4), signed so that w >= 0."""
+    n = _norms(q)[..., None]
+    if (n < 1e-15).any():
         raise ValueError("cannot normalize zero quaternion")
     q = q / n
-    if q[3] < 0.0:
-        q = -q
-    return q
+    return np.where(q[..., 3:] < 0.0, -q, q)
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,109 +158,24 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def quat_from_matrix(R: np.ndarray) -> np.ndarray:
-    """Quaternion of a global-to-local rotation matrix."""
-    t = np.trace(R)
-    if t > 0.0:
-        s = np.sqrt(t + 1.0) * 2.0
-        w = 0.25 * s
-        x = (R[1, 2] - R[2, 1]) / s
-        y = (R[2, 0] - R[0, 2]) / s
-        z = (R[0, 1] - R[1, 0]) / s
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        w = (R[1, 2] - R[2, 1]) / s
-        x = 0.25 * s
-        y = (R[0, 1] + R[1, 0]) / s
-        z = (R[0, 2] + R[2, 0]) / s
-    elif R[1, 1] > R[2, 2]:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        w = (R[2, 0] - R[0, 2]) / s
-        x = (R[0, 1] + R[1, 0]) / s
-        y = 0.25 * s
-        z = (R[1, 2] + R[2, 1]) / s
-    else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        w = (R[0, 1] - R[1, 0]) / s
-        x = (R[0, 2] + R[2, 0]) / s
-        y = (R[1, 2] + R[2, 1]) / s
-        z = 0.25 * s
-    return quat_normalize(np.array([x, y, z, w]))
-
-
 def quat_from_axis_angle(phi: np.ndarray) -> np.ndarray:
-    """Quaternion with R(q) = exp(-[phi]x), i.e. the local frame rotated by phi."""
-    angle = float(np.linalg.norm(phi))
-    if angle < SMALL_ANGLE:
-        q = np.array([0.5 * phi[0], 0.5 * phi[1], 0.5 * phi[2], 1.0])
-        return quat_normalize(q)
-    axis = phi / angle
-    half = 0.5 * angle
-    s = np.sin(half)
-    return quat_normalize(np.array([axis[0] * s, axis[1] * s, axis[2] * s, np.cos(half)]))
-
-
-def quat_integrate_array(q: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
-    """Advance a global-to-local quaternion by body rate ``omega`` over ``dt``."""
-    if dt < 0.0:
-        raise ValueError("dt must be non-negative")
-    return quat_normalize(quat_multiply(quat_from_axis_angle(np.asarray(omega) * dt), q))
-
-
-@dataclass(frozen=True)
-class UnitQuaternion:
-    """Unit quaternion (scalar-last) rotating global vectors into a local frame."""
-
-    xyzw: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]))
-
-    def __post_init__(self):
-        q = quat_normalize(np.asarray(self.xyzw, dtype=float))
-        object.__setattr__(self, "xyzw", q)
-
-    @staticmethod
-    def identity() -> "UnitQuaternion":
-        return UnitQuaternion()
-
-    def to_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.xyzw)
-
-    def multiply(self, other: "UnitQuaternion") -> "UnitQuaternion":
-        return UnitQuaternion(quat_multiply(self.xyzw, other.xyzw))
-
-
-@dataclass(frozen=True)
-class Pose:
-    """Rigid transform: ``orientation`` maps G into the frame, ``position`` in G."""
-
-    orientation: UnitQuaternion = field(default_factory=UnitQuaternion.identity)
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "_rotation_cache", None)
-
-    def rotation(self) -> np.ndarray:
-        if self._rotation_cache is None:
-            object.__setattr__(self, "_rotation_cache", self.orientation.to_matrix())
-        return self._rotation_cache
-
-    def compose(self, inner: "Pose") -> "Pose":
-        """Pose mapping global coords through ``inner`` then ``self``.
-
-        Interpreting poses as frame definitions: if ``inner`` is frame A in G
-        and ``self`` is frame B in A, the result is frame B in G.
-        """
-        q = self.orientation.multiply(inner.orientation)
-        p = inner.position + inner.rotation().T @ self.position
-        return Pose(q, p)
+    """Quaternions (..., 4), R(q) = exp(-[phi]x): the local frame rotated by rows phi (..., 3)."""
+    phi = np.asarray(phi, dtype=float)
+    angle = _norms(phi)[..., None]
+    small = angle < SMALL_ANGLE
+    safe = np.where(small, 1.0, angle)
+    xyz = phi / safe * np.sin(0.5 * safe)
+    if small.any():
+        xyz = np.where(small, 0.5 * phi, xyz)
+    return quat_normalize(np.concatenate([xyz, np.cos(0.5 * angle)], axis=-1))
 
 
 @dataclass(frozen=True)
 class CameraCalibration:
     """Pinhole intrinsics with radial-tangential distortion and IMU extrinsics.
 
-    ``extrinsic.orientation`` maps IMU-frame vectors into the camera frame and
-    ``extrinsic.position`` is the camera origin expressed in the IMU frame.
+    ``extrinsic_q`` (xyzw) maps IMU-frame vectors into the camera frame and
+    ``extrinsic_p`` is the camera origin expressed in the IMU frame.
     """
 
     fx: float
@@ -248,23 +183,33 @@ class CameraCalibration:
     cx: float
     cy: float
     distortion: np.ndarray = field(default_factory=lambda: np.zeros(4))
-    extrinsic: Pose = field(default_factory=Pose)
+    extrinsic_q: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]))
+    extrinsic_p: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValueError("focal lengths must be positive")
-        object.__setattr__(self, "distortion", np.asarray(self.distortion, dtype=float))
+        for name in ("distortion", "extrinsic_q", "extrinsic_p"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
     def intrinsic_vector(self) -> np.ndarray:
         """(fx, fy, cx, cy, k1, k2, p1, p2) as one error-state block."""
         return np.concatenate(([self.fx, self.fy, self.cx, self.cy], self.distortion))
 
     @staticmethod
-    def from_intrinsic_vector(vec: np.ndarray, extrinsic: Pose) -> "CameraCalibration":
+    def from_intrinsic_vector(vec: np.ndarray, extrinsic_q, extrinsic_p) -> "CameraCalibration":
         vec = np.asarray(vec, dtype=float)
         return CameraCalibration(
             fx=float(vec[0]), fy=float(vec[1]), cx=float(vec[2]), cy=float(vec[3]),
-            distortion=vec[4:8].copy(), extrinsic=extrinsic,
+            distortion=vec[4:8].copy(), extrinsic_q=extrinsic_q, extrinsic_p=extrinsic_p,
+        )
+
+    def camera_pose(self, q: np.ndarray, p: np.ndarray):
+        """Camera poses (R (..., 3, 3), centre (..., 3)) of IMU poses q (..., 4), p (..., 3)."""
+        R = quat_to_matrix(q)
+        return (
+            quat_to_matrix(self.extrinsic_q) @ R,
+            p + np.einsum("...ji,j->...i", R, self.extrinsic_p),
         )
 
 
@@ -342,20 +287,20 @@ def undistort(pixels: np.ndarray, calib: CameraCalibration, iters: int = 20) -> 
 
 def project_batch(
     points: np.ndarray,
-    cam_pose: Pose,
+    cam_pose: tuple[np.ndarray, np.ndarray],
     calib: CameraCalibration,
     min_depth: float = 0.05,
     max_normalized_radius: float = 2.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Project many global points at once.
+    """Project many global points at once through the camera pose ``(R, centre)``.
 
     Returns ``(pixels, valid)``; entries with depth below ``min_depth`` or
     wild normalized coordinates are flagged invalid (their pixel values are
     unspecified).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    R = cam_pose.rotation()
-    pc = (pts - cam_pose.position) @ R.T
+    R, centre = cam_pose
+    pc = (pts - centre) @ R.T
     valid = pc[:, 2] > min_depth
     z = np.where(valid, pc[:, 2], 1.0)
     x = pc[:, 0] / z

@@ -1,8 +1,9 @@
 """Inertial state and covariance propagation between camera frames.
 
 The navigation state is (orientation, position, velocity, gyro bias,
-accel bias); its 15-dim error state is ordered (dtheta, dp, dv, dbg, dba)
-with the attitude error defined by ``q = dq(dtheta) * q_hat``.
+accel bias), the orientation an xyzw array; its 15-dim error state is
+ordered (dtheta, dp, dv, dbg, dba) with the attitude error defined by
+``q = dq(dtheta) * q_hat``.
 
 Measurements model specific force: with the gravity acceleration vector
 ``g`` pointing down (0, 0, -9.81), a sample reads
@@ -26,10 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    UnitQuaternion,
     quat_from_axis_angle,
-    quat_integrate_array,
     quat_multiply,
+    quat_normalize,
     quat_to_matrix,
     skew,
     so3_exp,
@@ -50,36 +50,20 @@ class TimestampGap(RuntimeError):
 
 @dataclass
 class NavState:
-    orientation: UnitQuaternion = field(default_factory=UnitQuaternion.identity)
+    """IMU pose, velocity and biases; ``orientation`` (4,) xyzw maps G into the IMU frame."""
+
+    orientation: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]))
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     bias_gyro: np.ndarray = field(default_factory=lambda: np.zeros(3))
     bias_accel: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        for name in ("position", "velocity", "bias_gyro", "bias_accel"):
+        for name in ("orientation", "position", "velocity", "bias_gyro", "bias_accel"):
             v = np.asarray(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} must be finite")
             setattr(self, name, v)
-
-    def copy(self) -> "NavState":
-        return NavState(
-            self.orientation,
-            self.position.copy(),
-            self.velocity.copy(),
-            self.bias_gyro.copy(),
-            self.bias_accel.copy(),
-        )
-
-    def apply_error(self, dx: np.ndarray) -> None:
-        """Left-multiplicative correction on orientation, additive elsewhere."""
-        dq = quat_from_axis_angle(dx[TH])
-        self.orientation = UnitQuaternion(quat_multiply(dq, self.orientation.xyzw))
-        self.position = self.position + dx[P]
-        self.velocity = self.velocity + dx[V]
-        self.bias_gyro = self.bias_gyro + dx[BG]
-        self.bias_accel = self.bias_accel + dx[BA]
 
 
 @dataclass(frozen=True)
@@ -108,60 +92,6 @@ class NoiseParams:
         return np.array([0.0, 0.0, -self.gravity])
 
 
-def _discrete_noise(noise: NoiseParams, dt: float) -> np.ndarray:
-    """Discrete process noise of one step.
-
-    The densities are isotropic, so the accelerometer noise rotated into G
-    is the same diagonal as in the body frame; position has none of its own.
-    """
-    return np.diag(
-        np.repeat(
-            [noise.gyro_noise**2, 0.0, noise.accel_noise**2, noise.gyro_walk**2,
-             noise.accel_walk**2],
-            3,
-        )
-        * dt
-    )
-
-
-def _step(
-    state: NavState, omega_m, accel_m, noise: NoiseParams, dt: float
-) -> tuple[NavState, np.ndarray]:
-    """Advance the mean over one interval, and return the step's error transition Phi.
-
-    Velocity and position are integrated with the half-step attitude
-    ``R_mid = E R``, ``E = exp(-[omega_hat dt / 2]x)``, and Phi is the
-    Jacobian of exactly this step.  With ``f = a_m - b_a`` its velocity rows
-    are ``-R^T [E^T f]x dt`` for attitude, ``R_mid^T [f]x J_r(omega_hat dt / 2)
-    dt^2 / 2`` for gyro bias and ``-R_mid^T dt`` for accel bias; each
-    position row is ``dt / 2`` times its velocity row.
-    """
-    omega_hat = omega_m - state.bias_gyro
-    force_hat = accel_m - state.bias_accel  # specific force, gravity included
-    R = state.orientation.to_matrix()
-    R_mid = quat_to_matrix(quat_integrate_array(state.orientation.xyzw, omega_hat, 0.5 * dt))
-    accel_global = R_mid.T @ (accel_m + R_mid @ noise.gravity_vector() - state.bias_accel)
-
-    out = state.copy()
-    out.position = state.position + state.velocity * dt + 0.5 * accel_global * dt * dt
-    out.velocity = state.velocity + accel_global * dt
-    out.orientation = UnitQuaternion(
-        quat_integrate_array(state.orientation.xyzw, omega_hat, dt)
-    )
-
-    A = omega_hat * dt
-    Phi = np.eye(ERROR_STATE_DIM)
-    Phi[TH, TH] = so3_exp(-A)
-    Phi[TH, BG] = -so3_right_jacobian(A) * dt
-    Phi[V, TH] = -skew(R_mid.T @ force_hat) @ R.T * dt  # = -R^T [E^T f]x dt
-    Phi[V, BG] = 0.5 * R_mid.T @ skew(force_hat) @ so3_right_jacobian(0.5 * A) * dt * dt
-    Phi[V, BA] = -R_mid.T * dt
-    Phi[P, V] = np.eye(3) * dt
-    for col in (TH, BG, BA):
-        Phi[P, col] = 0.5 * dt * Phi[V, col]
-    return out, Phi
-
-
 def propagate_block(
     state: NavState, samples: np.ndarray, noise: NoiseParams
 ) -> tuple[NavState, np.ndarray, np.ndarray]:
@@ -171,16 +101,64 @@ def propagate_block(
     ``t, wx, wy, wz, ax, ay, az``, times strictly increasing.  The returned
     transition and noise cover the 15-dim navigation error and are what a
     joint filter applies to its nav block and cross terms.
+
+    Step k rotates the attitude by ``A = omega_hat dt`` and integrates
+    velocity and position with the half-step attitude ``R_mid = E R``,
+    ``E = exp(-[A / 2]x)``; its Phi is the Jacobian of exactly this step.
+    With ``f = a_m - b_a`` the velocity rows of Phi are ``-R^T [E^T f]x dt``
+    for attitude, ``R_mid^T [f]x J_r(A / 2) dt^2 / 2`` for gyro bias and
+    ``-R_mid^T dt`` for accel bias; each position row is ``dt / 2`` times its
+    velocity row.  The biases hold over the block, so only the attitudes are
+    chained step by step: every other term of every step comes from one
+    stacked call.
     """
     dts = np.diff(samples[:, 0])
     if (dts <= 0).any():
         raise ValueError("sample timestamps must be strictly increasing")
     mid = 0.5 * (samples[:-1, 1:] + samples[1:, 1:])  # each interval's mean (omega, accel)
+    n, dt = len(dts), dts[:, None, None]
+    A = (mid[:, :3] - state.bias_gyro) * dts[:, None]
+    f = mid[:, 3:] - state.bias_accel  # specific force, gravity included
+
+    # attitudes at each step's start, middle and end; the last ends the block
+    dq = quat_from_axis_angle(np.concatenate([0.5 * A, A])).reshape(2, n, 4)
+    q = np.empty((2 * n + 1, 4))
+    q[0] = state.orientation
+    for k in range(n):
+        q[2 * k + 1:2 * k + 3] = quat_normalize(quat_multiply(dq[:, k], q[2 * k]))
+    R = quat_to_matrix(q[:-1])
+    R_start, R_mid_T = R[0::2], R[1::2].transpose(0, 2, 1)
+    f_global = np.einsum("nij,nj->ni", R_mid_T, f)
+    Jr = so3_right_jacobian(np.concatenate([A, 0.5 * A])).reshape(2, n, 3, 3)
+
+    Phi = np.tile(np.eye(ERROR_STATE_DIM), (n, 1, 1))
+    Phi[:, TH, TH] = so3_exp(-A)
+    Phi[:, TH, BG] = -Jr[0] * dt
+    Phi[:, V, TH] = -skew(f_global) @ R_start.transpose(0, 2, 1) * dt  # = -R^T [E^T f]x dt
+    Phi[:, V, BG] = 0.5 * R_mid_T @ skew(f) @ Jr[1] * dt * dt
+    Phi[:, V, BA] = -R_mid_T * dt
+    Phi[:, P, V] = np.eye(3) * dt
+    for col in (TH, BG, BA):
+        Phi[:, P, col] = 0.5 * dt * Phi[:, V, col]
+
+    # process noise per second of step; the densities are isotropic, so the
+    # accelerometer noise rotated into G is the same diagonal as in the body
+    # frame, and position has none of its own
+    noise_rate = np.diag(
+        np.repeat(
+            [noise.gyro_noise**2, 0.0, noise.accel_noise**2, noise.gyro_walk**2,
+             noise.accel_walk**2],
+            3,
+        )
+    )
+    accel = f_global + noise.gravity_vector()
+    p, v = state.position, state.velocity
     Phi_total = np.eye(ERROR_STATE_DIM)
     Q_total = np.zeros((ERROR_STATE_DIM, ERROR_STATE_DIM))
-    cur = state.copy()
-    for dt, m in zip(dts, mid):
-        cur, Phi = _step(cur, m[:3], m[3:], noise, dt)
-        Phi_total = Phi @ Phi_total
-        Q_total = Phi @ Q_total @ Phi.T + _discrete_noise(noise, dt)
-    return cur, Phi_total, Q_total
+    for Phi_k, a, step in zip(Phi, accel, dts):
+        p = p + v * step + 0.5 * a * step * step
+        v = v + a * step
+        Phi_total = Phi_k @ Phi_total
+        Q_total = Phi_k @ Q_total @ Phi_k.T + noise_rate * step
+    out = NavState(q[-1], p, v, state.bias_gyro.copy(), state.bias_accel.copy())
+    return out, Phi_total, Q_total

@@ -10,6 +10,7 @@ IMU stream is an (N, 7) float array whose columns are ``imu.csv``'s
 from __future__ import annotations
 
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,13 +110,17 @@ def write_imu_csv(samples: np.ndarray, path) -> None:
 def read_imu_csv(path) -> np.ndarray:
     """The (N, 7) IMU stream.
 
-    Raises DatasetCorrupt unless the file has seven columns, every value is
-    finite and times strictly increase.
+    Raises DatasetCorrupt unless the file has at least two samples of seven
+    columns, every value is finite and times strictly increase.
     """
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a file with no rows
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as e:
         raise DatasetCorrupt(f"bad imu csv: {e}") from e
+    if len(data) < 2:
+        raise DatasetCorrupt(f"imu csv has {len(data)} samples, needs at least 2")
     if data.shape[1] != 7:
         raise DatasetCorrupt(f"imu csv has {data.shape[1]} columns, needs 7")
     if not (np.isfinite(data).all() and (np.diff(data[:, 0]) > 0).all()):

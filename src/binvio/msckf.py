@@ -42,15 +42,14 @@ from scipy.stats import chi2 as chi2_dist
 from .geometry import (
     MIN_PROJECTION_DEPTH,
     CameraCalibration,
-    Pose,
-    UnitQuaternion,
     project_points,
     quat_from_axis_angle,
     quat_multiply,
+    quat_normalize,
     quat_to_matrix,
     undistort,
 )
-from .imu import ERROR_STATE_DIM, NavState, NoiseParams, propagate_block
+from .imu import BA, BG, ERROR_STATE_DIM, TH, NavState, NoiseParams, P, V, propagate_block
 from .tracker import FeatureTrack, TrackTable
 
 CLONE_DIM = 6
@@ -210,7 +209,7 @@ class FilterState:
             raise ValueError(f"frame {frame_index} is not newer than every clone")
         at = self.slam_start()
         self.clones[frame_index] = len(self.clones)
-        q, p = self.nav.orientation.xyzw[None], self.nav.position[None]
+        q, p = self.nav.orientation[None], self.nav.position[None]
         self.clone_q, self.clone_q_fej = np.r_[self.clone_q, q], np.r_[self.clone_q_fej, q]
         self.clone_p, self.clone_p_fej = np.r_[self.clone_p, p], np.r_[self.clone_p_fej, p]
         # the clone error is an exact copy of the nav attitude/position error
@@ -241,34 +240,38 @@ class FilterState:
     # -- corrections ------------------------------------------------------
 
     def apply_correction(self, dx: np.ndarray) -> None:
+        """Correct every attitude by ``q <- dq(dtheta) q`` and every other block additively."""
         if dx.shape != (self.dim(),):
             raise ValueError("correction has wrong dimension")
-        self.nav.apply_error(dx[0:ERROR_STATE_DIM])
+        nav, calib, c = self.nav, self.calib, ERROR_STATE_DIM
+        clones = dx[self.clone_start():self.slam_start()].reshape(-1, 2, 3)
+        # every attitude in one call: nav, the extrinsic when estimated, then the clones
+        dtheta, q = [dx[TH]], [nav.orientation]
         if self.cfg.estimate_calibration:
-            c = ERROR_STATE_DIM
-            ext = self.calib.extrinsic
-            dq = quat_from_axis_angle(dx[c:c + 3])
-            q = UnitQuaternion(quat_multiply(dq, ext.orientation.xyzw))
+            dtheta.append(dx[c:c + 3])
+            q.append(calib.extrinsic_q)
+        lead = len(q)
+        q = quat_normalize(quat_multiply(
+            quat_from_axis_angle(np.vstack(dtheta + [clones[:, 0]])), np.vstack(q + [self.clone_q])
+        ))
+        nav.orientation, self.clone_q = q[0], q[lead:]
+        nav.position = nav.position + dx[P]
+        nav.velocity = nav.velocity + dx[V]
+        nav.bias_gyro = nav.bias_gyro + dx[BG]
+        nav.bias_accel = nav.bias_accel + dx[BA]
+        if lead > 1:
             self.calib = CameraCalibration.from_intrinsic_vector(
-                self.calib.intrinsic_vector() + dx[c + 6:c + 14],
-                Pose(q, ext.position + dx[c + 3:c + 6]),
+                calib.intrinsic_vector() + dx[c + 6:c + 14],
+                q[1],
+                calib.extrinsic_p + dx[c + 3:c + 6],
             )
-        # all clones at once: q <- dq q, dq = (sinc(|dtheta| / 2π) dtheta / 2, cos(|dtheta| / 2))
-        dtheta, dp = dx[self.clone_start():self.slam_start()].reshape(-1, 2, 3).transpose(1, 0, 2)
-        half = 0.5 * np.linalg.norm(dtheta, axis=1, keepdims=True)
-        dq = np.hstack([0.5 * np.sinc(half / np.pi) * dtheta, np.cos(half)])
-        q = quat_multiply(dq, self.clone_q)
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        self.clone_q = np.where(q[:, 3:] < 0.0, -q, q)
-        self.clone_p = self.clone_p + dp
+        self.clone_p = self.clone_p + clones[:, 1]
         self.slam_p = self.slam_p + dx[self.slam_start():].reshape(-1, 3)
 
 
 def camera_poses_now(state: FilterState):
     """Camera rotations (n, 3, 3) and centres (n, 3) of the clone rows' current estimates."""
-    ext = state.calib.extrinsic
-    R = quat_to_matrix(state.clone_q)
-    return ext.rotation() @ R, state.clone_p + np.einsum("nji,j->ni", R, ext.position)
+    return state.calib.camera_pose(state.clone_q, state.clone_p)
 
 
 def _inverse_depth_rows(w, B, offset, pixels, calib: CameraCalibration):
@@ -410,6 +413,13 @@ def _in_frames(R: np.ndarray, origins: np.ndarray, points: np.ndarray) -> np.nda
     return np.einsum("nij,nj->ni", R, points - origins)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a × b over the last axis, broadcast; the explicit formula, twice as fast as np.cross."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _observation_jacobians(state: FilterState, rows: np.ndarray, p_global: np.ndarray, cam_poses):
     """Measurement rows for N observations: row i sees point i from clone ``rows[i]``.
 
@@ -421,12 +431,12 @@ def _observation_jacobians(state: FilterState, rows: np.ndarray, p_global: np.nd
     front of both cameras are placeholders.
     """
     p_global = np.broadcast_to(p_global, (len(rows), 3))
-    ext = state.calib.extrinsic
+    R_ext = quat_to_matrix(state.calib.extrinsic_q)
     c_pred = _in_frames(cam_poses[0][rows], cam_poses[1][rows], p_global)
     fej = state.cfg.use_fej
     R_ig = quat_to_matrix((state.clone_q_fej if fej else state.clone_q)[rows])
     u = _in_frames(R_ig, (state.clone_p_fej if fej else state.clone_p)[rows], p_global)
-    c_lin = (u - ext.position) @ ext.rotation().T
+    c_lin = (u - state.calib.extrinsic_p) @ R_ext.T
     in_front = (c_pred[:, 2] > MIN_PROJECTION_DEPTH) & (c_lin[:, 2] > MIN_PROJECTION_DEPTH)
     c_pred[~in_front, 2] = 1.0
     c_lin[~in_front, 2] = 1.0
@@ -435,13 +445,13 @@ def _observation_jacobians(state: FilterState, rows: np.ndarray, p_global: np.nd
     _, J_pt, J_intr = project_points(c_lin, state.calib, jacobians=True)
     # q = dq(dtheta) * q_hat gives R = (I - [dtheta]x) R_hat, so a point in
     # that frame moves by [u]x dtheta; row a of J [u]x is a x u.
-    J_imu = J_pt @ ext.rotation()
+    J_imu = J_pt @ R_ext
     H_f = J_imu @ R_ig
-    H_clone = np.concatenate([np.cross(J_imu, u[:, None, :]), -H_f], axis=2)
+    H_clone = np.concatenate([_cross(J_imu, u[:, None, :]), -H_f], axis=2)
     H_calib = None
     if state.cfg.estimate_calibration:
         H_calib = np.concatenate(
-            [np.cross(J_pt, c_lin[:, None, :]), -J_imu, J_intr], axis=2
+            [_cross(J_pt, c_lin[:, None, :]), -J_imu, J_intr], axis=2
         )
     return pred, H_f, H_clone, H_calib, in_front
 
@@ -703,7 +713,7 @@ def slam_update(
 class FrameResult:
     t: float
     position: np.ndarray
-    orientation: UnitQuaternion
+    orientation: np.ndarray  # xyzw
     trace: float
     pos_sigma: float
     rot_sigma: float
@@ -779,7 +789,7 @@ def process_frame(
     return FrameResult(
         t=t,
         position=state.nav.position.copy(),
-        orientation=state.nav.orientation,
+        orientation=state.nav.orientation.copy(),
         trace=float(np.trace(state.cov)),
         pos_sigma=float(np.sqrt(max(pos_var, 0.0))),
         rot_sigma=float(np.sqrt(max(rot_var, 0.0))),

@@ -17,7 +17,7 @@ from . import io as dataio
 from .config import PipelineConfig
 from .emulator import GrayFrame, detect_corners, detect_edges, inject_analog_noise
 from .evaluate import TrajectorySeries
-from .geometry import UnitQuaternion
+from .geometry import quat_normalize
 from .imu import NavState, NoiseParams, TimestampGap
 from .msckf import FilterState, process_frame
 from .simgen import Dataset
@@ -89,7 +89,7 @@ class _ImuSlicer:
 def initial_state_from_gt(dataset: Dataset, config: PipelineConfig) -> FilterState:
     row = dataset.gt[0]
     nav = NavState(
-        UnitQuaternion(row[4:8]),
+        quat_normalize(row[4:8]),
         row[1:4].copy(),
         row[8:11].copy() if dataset.gt.shape[1] >= 11 else np.zeros(3),
     )
@@ -155,7 +155,7 @@ def run_pipeline(
         result = process_frame(state, table, died, segment, noise, k, t)
 
         pose_rows.append(
-            [t, *result.position, *result.orientation.xyzw]
+            [t, *result.position, *result.orientation]
         )
         diag_rows.append(
             [t, result.trace, result.pos_sigma, result.rot_sigma,

@@ -2,7 +2,8 @@
 
 Trajectories are sums of per-axis sinusoids for position and for a
 rotation vector; every derived quantity (velocity, acceleration, body
-angular rate) is evaluated analytically.  The world is a room shell whose
+angular rate) is evaluated analytically, for all sample times of a stream
+in one :func:`sample_ground_truth` call.  The world is a room shell whose
 walls carry jittered line grids: line crossings are the corner landmarks,
 so every corner is backed by local edge structure.
 """
@@ -17,11 +18,10 @@ import numpy as np
 from .emulator import MAP_SIZE, BinaryMap, GrayFrame, MapKind
 from .geometry import (
     CameraCalibration,
-    Pose,
-    UnitQuaternion,
     project_batch,
-    quat_from_matrix,
-    so3_exp,
+    quat_from_axis_angle,
+    quat_normalize,
+    quat_to_matrix,
     so3_right_jacobian,
 )
 from .imu import NoiseParams
@@ -81,33 +81,31 @@ def _eval_vec(groups, t):
 
 @dataclass(frozen=True)
 class GroundTruth:
-    pose: Pose                 # orientation maps G into the IMU frame
+    """The trajectory at one time, (4,) and (3,) fields, or at n times, (n, 4) and (n, 3)."""
+
+    orientation: np.ndarray    # xyzw, maps G into the IMU frame
+    position: np.ndarray       # m in G
     velocity: np.ndarray       # m/s in G
     angular_rate: np.ndarray   # rad/s in the IMU frame
     acceleration: np.ndarray   # m/s^2 in G
 
 
-def sample_ground_truth(spec: TrajectorySpec, t: float) -> GroundTruth:
-    """Exact pose/velocity/rate/acceleration at time ``t``."""
-    if not 0.0 <= t <= spec.duration + 1e-9:
+def sample_ground_truth(spec: TrajectorySpec, t) -> GroundTruth:
+    """Exact pose/velocity/rate/acceleration at time ``t``, a scalar or an array of times."""
+    t = np.asarray(t, dtype=float)
+    if not ((0.0 <= t) & (t <= spec.duration + 1e-9)).all():
         raise ValueError("t outside trajectory duration")
     p, v, a = _eval_vec(spec.pos_terms, t)
     phi, dphi, _ = _eval_vec(spec.rot_terms, t)
-    A = so3_exp(phi)                       # body-to-global
-    omega_body = so3_right_jacobian(phi) @ dphi
-    q = UnitQuaternion(quat_from_matrix(A.T))
-    return GroundTruth(Pose(q, p), v, omega_body, a)
+    # phi rotates the body into G: exp(-[phi]x) = R(quat_from_axis_angle(phi)) maps G into it
+    omega_body = (so3_right_jacobian(phi) @ dphi[..., None])[..., 0]
+    return GroundTruth(quat_from_axis_angle(phi), p, v, omega_body, a)
 
 
 def peak_angular_rate(spec: TrajectorySpec, samples_per_second: int = 2000) -> float:
     """Max body-rate norm, from dense evaluation of the analytic rate."""
     t = np.linspace(0.0, spec.duration, int(spec.duration * samples_per_second) + 1)
-    phi, dphi, _ = _eval_vec(spec.rot_terms, t)
-    peaks = 0.0
-    for i in range(len(t)):
-        w = so3_right_jacobian(phi[i]) @ dphi[i]
-        peaks = max(peaks, float(np.linalg.norm(w)))
-    return peaks
+    return float(np.linalg.norm(sample_ground_truth(spec, t).angular_rate, axis=1).max())
 
 
 def path_length(spec: TrajectorySpec, samples_per_second: int = 2000) -> float:
@@ -132,9 +130,10 @@ def synthesize_imu(
     seed = spec.seed if seed is None else seed
     n = int(round(spec.duration * rate_hz))
     ts = np.arange(n + 1) / rate_hz
-    phi, dphi, _ = _eval_vec(spec.rot_terms, ts)
-    _, _, acc = _eval_vec(spec.pos_terms, ts)
+    gt = sample_ground_truth(spec, ts)
+    # specific force in the IMU frame, R(q) (a - g)
     g_vec = noise.gravity_vector()
+    force = np.einsum("nij,nj->ni", quat_to_matrix(gt.orientation), gt.acceleration - g_vec)
 
     rng = np.random.default_rng(seed)
     dt = 1.0 / rate_hz
@@ -143,14 +142,9 @@ def synthesize_imu(
     walk_g = np.cumsum(rng.normal(size=(n + 1, 3)) * noise.gyro_walk * np.sqrt(dt), axis=0)
     walk_a = np.cumsum(rng.normal(size=(n + 1, 3)) * noise.accel_walk * np.sqrt(dt), axis=0)
 
-    samples = np.empty((n + 1, 7))
-    samples[:, 0] = ts
-    for i in range(n + 1):
-        samples[i, 1:4] = so3_right_jacobian(phi[i]) @ dphi[i]
-        samples[i, 4:7] = so3_exp(phi[i]).T @ (acc[i] - g_vec)
-    samples[:, 1:4] = samples[:, 1:4] + walk_g + white_g
-    samples[:, 4:7] = samples[:, 4:7] + walk_a + white_a
-    return samples
+    return np.column_stack(
+        [ts, gt.angular_rate + walk_g + white_g, force + walk_a + white_a]
+    )
 
 
 @dataclass
@@ -299,7 +293,7 @@ MAX_SEGMENT_SAMPLES = 512
 SAMPLES_PER_PIXEL = 2
 
 
-def _segment_samples(segments: np.ndarray, cam_pose: Pose, calib: CameraCalibration):
+def _segment_samples(segments: np.ndarray, cam_pose, calib: CameraCalibration):
     """Sample each segment densely enough to cover every crossed pixel."""
     if len(segments) == 0:
         return np.zeros((0, 3))
@@ -322,12 +316,12 @@ def _segment_samples(segments: np.ndarray, cam_pose: Pose, calib: CameraCalibrat
 
 def render_frame(
     world: WorldModel,
-    cam_pose: Pose,
+    cam_pose: tuple[np.ndarray, np.ndarray],
     calib: CameraCalibration,
     mode: str = "ideal-binary",
     timestamp: float = 0.0,
 ):
-    """Render either binary maps or an anti-aliased grayscale frame.
+    """Render binary maps or an anti-aliased grayscale frame seen from ``cam_pose`` (R, centre).
 
     ``ideal-binary`` returns ``(corner_map, edge_map)`` exactly as the
     sensor front end would emit them; ``grayscale`` returns a GrayFrame of
@@ -378,16 +372,13 @@ def render_frame(
 
 def default_calibration() -> CameraCalibration:
     """Wide-angle camera looking along +x of the IMU/global frame."""
-    # camera axes: z_C = +x_G, x_C = -y_G, y_C = -z_G at identity attitude
-    R_cam_from_imu = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
-    extrinsic = Pose(
-        UnitQuaternion(quat_from_matrix(R_cam_from_imu)),
-        np.array([0.02, 0.0, 0.0]),
-    )
+    # camera axes: z_C = +x_G, x_C = -y_G, y_C = -z_G at identity attitude, so
+    # R(extrinsic_q) = [[0, -1, 0], [0, 0, -1], [1, 0, 0]]
     return CameraCalibration(
         fx=128.0, fy=128.0, cx=128.0, cy=128.0,
         distortion=np.array([-0.05, 0.01, 0.0005, -0.0003]),
-        extrinsic=extrinsic,
+        extrinsic_q=np.array([-0.5, 0.5, -0.5, 0.5]),
+        extrinsic_p=np.array([0.02, 0.0, 0.0]),
     )
 
 
@@ -416,9 +407,9 @@ class SimConfig:
         )
 
 
-def camera_pose_at(gt: GroundTruth, calib: CameraCalibration) -> Pose:
-    """Camera pose in G given the IMU ground truth and extrinsics."""
-    return calib.extrinsic.compose(gt.pose)
+def camera_pose_at(gt: GroundTruth, calib: CameraCalibration):
+    """Camera pose(s) (R, centre) in G of the IMU ground truth at one time or many."""
+    return calib.camera_pose(gt.orientation, gt.position)
 
 
 class Dataset:
@@ -463,22 +454,16 @@ class Dataset:
             return
         if self._world is None:
             self._world = self.config.world()
-        for k in range(self.n_frames()):
-            t = self.frame_time(k)
-            gt = sample_ground_truth(self.config.trajectory, t)
-            cam = camera_pose_at(gt, self.calib)
-            yield t, render_frame(self._world, cam, self.calib, self.mode, t)
+        times = np.arange(self.n_frames()) / self.fps
+        Rs, centres = camera_pose_at(sample_ground_truth(self.config.trajectory, times), self.calib)
+        for t, R, centre in zip(times.tolist(), Rs, centres):
+            yield t, render_frame(self._world, (R, centre), self.calib, self.mode, t)
 
 
 def _gt_rows(spec: TrajectorySpec, rate_hz: float = 1000.0) -> np.ndarray:
-    n = int(round(spec.duration * rate_hz))
-    rows = np.zeros((n + 1, 11))
-    for i in range(n + 1):
-        t = i / rate_hz
-        gt = sample_ground_truth(spec, t)
-        q = gt.pose.orientation.xyzw
-        rows[i] = [t, *gt.pose.position, *q, *gt.velocity]
-    return rows
+    ts = np.arange(int(round(spec.duration * rate_hz)) + 1) / rate_hz
+    gt = sample_ground_truth(spec, ts)
+    return np.column_stack([ts, gt.position, gt.orientation, gt.velocity])
 
 
 def build_dataset(cfg: SimConfig) -> Dataset:
@@ -507,15 +492,14 @@ def build_dataset(cfg: SimConfig) -> Dataset:
 
 
 def _calib_meta(calib: CameraCalibration) -> dict:
-    e = calib.extrinsic
     return {
         "calib.fx": repr(float(calib.fx)),
         "calib.fy": repr(float(calib.fy)),
         "calib.cx": repr(float(calib.cx)),
         "calib.cy": repr(float(calib.cy)),
         "calib.distortion": ",".join(repr(float(v)) for v in calib.distortion),
-        "calib.extrinsic_q": ",".join(repr(float(v)) for v in e.orientation.xyzw),
-        "calib.extrinsic_p": ",".join(repr(float(v)) for v in e.position),
+        "calib.extrinsic_q": ",".join(repr(float(v)) for v in calib.extrinsic_q),
+        "calib.extrinsic_p": ",".join(repr(float(v)) for v in calib.extrinsic_p),
     }
 
 
@@ -528,7 +512,8 @@ def _calib_from_meta(meta: dict) -> CameraCalibration:
         cx=float(meta["calib.cx"]),
         cy=float(meta["calib.cy"]),
         distortion=np.array([float(v) for v in meta["calib.distortion"].split(",")]),
-        extrinsic=Pose(UnitQuaternion(q), p),
+        extrinsic_q=quat_normalize(q),
+        extrinsic_p=p,
     )
 
 

@@ -324,7 +324,9 @@ class TestCli:
         rc = main(["run", "--dataset", str(data), "--out", str(tmp_path / "pose.csv")])
         assert rc == 2
 
-    @pytest.mark.parametrize("defect", ["five-columns", "nan", "repeated-time"])
+    @pytest.mark.parametrize(
+        "defect", ["five-columns", "nan", "repeated-time", "one-sample", "header-only"]
+    )
     def test_run_bad_imu_csv_exit_2(self, tiny_dataset, tmp_path, capsys, defect):
         data = tmp_path / "tiny"
         shutil.copytree(tiny_dataset, data)
@@ -334,13 +336,18 @@ class TestCli:
             rows = [row[:5] for row in rows]
         elif defect == "nan":
             rows[10][4] = "nan"
-        else:
+        elif defect == "repeated-time":
             rows[11][0] = rows[10][0]
+        else:
+            rows = rows[:2] if defect == "one-sample" else rows[:1]
         (data / "imu.csv").write_text("".join(",".join(row) + "\n" for row in rows))
         pose = tmp_path / "pose.csv"
         rc = main(["run", "--dataset", str(data), "--out", str(pose)])
         assert rc == 2
-        assert "imu csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "imu csv" in err
+        if defect in ("one-sample", "header-only"):
+            assert f"has {len(rows) - 1} samples" in err
         assert not pose.exists()
 
     def test_ablation_flags(self, tiny_dataset, tmp_path):

@@ -5,31 +5,49 @@ from hypothesis import strategies as st
 from binvio import geometry as geo
 from binvio.geometry import (
     CameraCalibration,
-    Pose,
-    UnitQuaternion,
     project_batch,
     project_points,
-    quat_from_matrix,
-    quat_integrate_array,
+    quat_from_axis_angle,
+    quat_multiply,
+    quat_normalize,
+    quat_to_matrix,
     undistort,
 )
 from binvio.simgen import default_calibration
 
+IDENTITY = np.array([0.0, 0.0, 0.0, 1.0])
+
 
 def random_pose(rng):
-    q = UnitQuaternion(rng.normal(size=4))
-    return Pose(q, rng.normal(scale=2.0, size=3))
+    """A frame's pose ``(q, p)``: orientation G into the frame, origin in G."""
+    return quat_normalize(rng.normal(size=4)), rng.normal(scale=2.0, size=3)
 
 
 def inverse(pose):
     """The pose whose frame is G expressed in ``pose``'s frame."""
-    conjugate = UnitQuaternion(pose.orientation.xyzw * [-1.0, -1.0, -1.0, 1.0])
-    return Pose(conjugate, -pose.rotation() @ pose.position)
+    q, p = pose
+    return q * [-1.0, -1.0, -1.0, 1.0], -quat_to_matrix(q) @ p
+
+
+def compose(outer, inner):
+    """Frame B in G from B in A (``outer``) and A in G (``inner``), as (R, centre).
+
+    This is the camera pose of IMU pose ``inner`` under extrinsic ``outer``.
+    """
+    calib = CameraCalibration(1.0, 1.0, 0.0, 0.0, extrinsic_q=outer[0], extrinsic_p=outer[1])
+    return calib.camera_pose(*inner)
 
 
 def in_frame(pose, p_global):
-    """Coordinates of a global point in ``pose``'s frame."""
-    return pose.rotation() @ (p_global - pose.position)
+    """Coordinates of a global point in the frame of ``pose``, a (q, p) or (R, centre) pair."""
+    rotation, origin = pose
+    R = quat_to_matrix(rotation) if rotation.shape == (4,) else rotation
+    return R @ (p_global - origin)
+
+
+def integrate(q, omega, dt):
+    """The attitude update q <- dq(omega dt) q that propagation and corrections use."""
+    return quat_normalize(quat_multiply(quat_from_axis_angle(np.asarray(omega) * dt), q))
 
 
 def pixel_of(p_global, cam_pose, calib):
@@ -49,8 +67,7 @@ def random_calib(rng, distort=True):
 
 def oracle_project(p_global, cam_pose, calib):
     """Straight-line re-implementation of the four projection formulas."""
-    R = cam_pose.orientation.to_matrix()
-    pc = R @ (np.asarray(p_global, dtype=float) - cam_pose.position)
+    pc = in_frame(cam_pose, np.asarray(p_global, dtype=float))
     x = pc[0] / pc[2]
     y = pc[1] / pc[2]
     k1, k2, p1, p2 = calib.distortion
@@ -63,77 +80,74 @@ def oracle_project(p_global, cam_pose, calib):
 
 class TestQuaternion:
     def test_zero_rate_identity(self):
-        q = quat_integrate_array(UnitQuaternion.identity().xyzw, np.zeros(3), 0.01)
+        q = integrate(IDENTITY, np.zeros(3), 0.01)
         np.testing.assert_allclose(q, [0, 0, 0, 1], atol=1e-15)
 
     def test_pi_about_z(self):
         # closed-form axis-angle: exp(pi * z) is a half turn, w part 0
-        x, y, z, w = quat_integrate_array(
-            UnitQuaternion.identity().xyzw, np.array([0, 0, np.pi]), 1.0
-        )
+        x, y, z, w = integrate(IDENTITY, np.array([0, 0, np.pi]), 1.0)
         assert abs(abs(z) - 1.0) < 1e-12
         assert abs(w) < 1e-12
         assert abs(x) < 1e-12 and abs(y) < 1e-12
 
     def test_fast_spin_angle(self):
         # |omega| * dt at the fastest rate the pipeline is designed for
-        q = quat_integrate_array(
-            UnitQuaternion.identity().xyzw, np.array([0, 0, 15.0]), 0.0025
-        )
+        q = integrate(IDENTITY, np.array([0, 0, 15.0]), 0.0025)
         angle = 2.0 * np.arccos(np.clip(q[3], -1, 1))
         assert abs(angle - 0.0375) < 1e-12
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            q = UnitQuaternion(rng.normal(size=4))
-            out = quat_integrate_array(
-                q.xyzw, rng.normal(scale=10.0, size=3), rng.uniform(0, 0.05)
-            )
+            q = quat_normalize(rng.normal(size=4))
+            out = integrate(q, rng.normal(scale=10.0, size=3), rng.uniform(0, 0.05))
             assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
     def test_halfstep_composition(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            q = UnitQuaternion(rng.normal(size=4))
+            q = quat_normalize(rng.normal(size=4))
             w = rng.normal(scale=8.0, size=3)
             dt = rng.uniform(0.001, 0.02)
-            one = UnitQuaternion(quat_integrate_array(q.xyzw, w, dt))
-            half = quat_integrate_array(q.xyzw, w, dt / 2)
-            two = UnitQuaternion(quat_integrate_array(half, w, dt / 2))
-            np.testing.assert_allclose(one.to_matrix(), two.to_matrix(), atol=1e-8)
+            one = integrate(q, w, dt)
+            two = integrate(integrate(q, w, dt / 2), w, dt / 2)
+            np.testing.assert_allclose(quat_to_matrix(one), quat_to_matrix(two), atol=1e-8)
 
     def test_rotation_matrix_orthogonal(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
-            R = UnitQuaternion(rng.normal(size=4)).to_matrix()
+            R = quat_to_matrix(quat_normalize(rng.normal(size=4)))
             assert np.linalg.norm(R @ R.T - np.eye(3)) < 1e-9
 
     def test_multiply_matches_matrix_product(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
-            a = UnitQuaternion(rng.normal(size=4))
-            b = UnitQuaternion(rng.normal(size=4))
+            a = quat_normalize(rng.normal(size=4))
+            b = quat_normalize(rng.normal(size=4))
             np.testing.assert_allclose(
-                a.multiply(b).to_matrix(), a.to_matrix() @ b.to_matrix(), atol=1e-12
+                quat_to_matrix(quat_multiply(a, b)), quat_to_matrix(a) @ quat_to_matrix(b),
+                atol=1e-12,
             )
 
     def test_matrix_round_trip(self):
+        # R(q) = exp(-[phi]x) for q = quat_from_axis_angle(phi), so -log R(q) gives q back
         rng = np.random.default_rng(11)
         for _ in range(200):
-            q = UnitQuaternion(rng.normal(size=4))
-            q2 = quat_from_matrix(q.to_matrix())
-            np.testing.assert_allclose(q2 * np.sign(q2 @ q.xyzw), q.xyzw, atol=1e-9)
+            q = quat_normalize(rng.normal(size=4))
+            q2 = quat_from_axis_angle(-geo.so3_log(quat_to_matrix(q)))
+            np.testing.assert_allclose(q2 * np.sign(q2 @ q), q, atol=1e-9)
 
 
 class TestPose:
+    """Poses as (q, p) arrays; ``compose`` is ``CameraCalibration.camera_pose``."""
+
     def test_compose_with_inverse_is_identity(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             T = random_pose(rng)
-            I1 = T.compose(inverse(T))
-            assert np.linalg.norm(I1.position) < 1e-9
-            np.testing.assert_allclose(I1.rotation(), np.eye(3), atol=1e-9)
+            R, centre = compose(T, inverse(T))
+            assert np.linalg.norm(centre) < 1e-9
+            np.testing.assert_allclose(R, np.eye(3), atol=1e-9)
 
     def test_transform_round_trip(self):
         rng = np.random.default_rng(13)
@@ -145,7 +159,7 @@ class TestPose:
         rng = np.random.default_rng(14)
         inner = random_pose(rng)   # frame A in G
         outer = random_pose(rng)   # frame B in A
-        combined = outer.compose(inner)
+        combined = compose(outer, inner)
         p = rng.normal(size=3)
         np.testing.assert_allclose(
             in_frame(combined, p),
@@ -168,7 +182,7 @@ class TestProjection:
     def test_non_positive_depth_flagged_invalid(self):
         calib = CameraCalibration(fx=200, fy=200, cx=128, cy=128)
         points = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        _, valid = project_batch(points, Pose(), calib)
+        _, valid = project_batch(points, (np.eye(3), np.zeros(3)), calib)
         np.testing.assert_array_equal(valid, [False, False, True])
 
     def test_matches_duplicate_implementation(self):
@@ -196,7 +210,7 @@ class TestProjection:
             # apply a common rigid transform T to the world
             T = random_pose(rng)
             p2 = in_frame(T, p)
-            cam2 = cam.compose(inverse(T))
+            cam2 = compose(cam, inverse(T))
             z1 = pixel_of(p2, cam2, calib)
             np.testing.assert_allclose(z0, z1, atol=1e-9)
 
@@ -237,7 +251,8 @@ def model_jacobian_errors(p_cam, calib):
     fd_p = finite_difference(lambda v: project_points(v[None, :], calib)[0], p_cam)
     fd_c = finite_difference(
         lambda v: project_points(
-            p_cam[None, :], CameraCalibration.from_intrinsic_vector(v, calib.extrinsic)
+            p_cam[None, :],
+            CameraCalibration.from_intrinsic_vector(v, calib.extrinsic_q, calib.extrinsic_p),
         )[0],
         calib.intrinsic_vector(),
     )
@@ -330,7 +345,7 @@ class TestCameraModelProperties:
     def test_project_batch_matches_oracle(self, calib, q, position, pts):
         if np.linalg.norm(q) < 0.1:
             q = [0.0, 0.0, 0.0, 1.0]
-        cam = Pose(UnitQuaternion(np.array(q)), np.array(position))
+        cam = quat_to_matrix(quat_normalize(np.array(q))), np.array(position)
         pts = np.array(pts)
         px, valid = project_batch(pts, cam, calib)
         for p, row, ok in zip(pts, px, valid):
@@ -357,3 +372,39 @@ class TestSO3Helpers:
             lhs = geo.so3_exp(phi + d)
             rhs = geo.so3_exp(phi) @ geo.so3_exp(geo.so3_right_jacobian(phi) @ d)
             assert np.abs(lhs - rhs).max() < 1e-11
+
+
+def rotation_vectors():
+    """Rotation vectors of any direction, of length 0, below SMALL_ANGLE, moderate or near pi."""
+    direction = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda d: np.linalg.norm(d) > 0.1)
+    length = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, geo.SMALL_ANGLE, exclude_max=True),
+        st.floats(0.0, 3.0),
+        st.floats(np.pi - 1e-6, np.pi + 1e-6),
+    )
+    return st.builds(lambda d, a: np.array(d) / np.linalg.norm(d) * a, direction, length)
+
+
+class TestStackedRotationHelpers:
+    @given(st.lists(rotation_vectors(), min_size=1, max_size=6))
+    def test_stacked_rows_equal_one_row_calls(self, phis):
+        for f in (geo.quat_from_axis_angle, geo.so3_exp, geo.so3_right_jacobian, geo.skew):
+            for stacked in (f(np.array(phis)), f(np.asfortranarray(phis))):
+                for i, phi in enumerate(phis):
+                    assert stacked[i].tobytes() == f(phi).tobytes(), f.__name__
+
+    @given(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 4), min_size=1, max_size=6))
+    def test_stacked_normalize_equals_one_row_calls(self, rows):
+        q = np.array(rows)
+        q = q[np.linalg.norm(q, axis=1) > 1e-3]
+        # C and Fortran order: quat_multiply's stacked products come out transposed
+        for stacked in (quat_normalize(q), quat_normalize(np.asfortranarray(q))):
+            for i in range(len(q)):
+                assert stacked[i].tobytes() == quat_normalize(q[i]).tobytes()
+
+    @given(rotation_vectors())
+    def test_axis_angle_quaternion_is_the_inverse_exponential(self, phi):
+        q = quat_from_axis_angle(phi)
+        assert q[3] >= 0.0
+        np.testing.assert_allclose(quat_to_matrix(q), geo.so3_exp(-phi), rtol=0, atol=1e-14)

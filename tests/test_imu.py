@@ -1,8 +1,18 @@
+import copy
+
 import numpy as np
 import pytest
 
-from binvio.geometry import UnitQuaternion, quat_from_axis_angle, quat_multiply, so3_exp
+from binvio.geometry import (
+    CameraCalibration,
+    quat_from_axis_angle,
+    quat_multiply,
+    quat_normalize,
+    quat_to_matrix,
+    so3_exp,
+)
 from binvio.imu import NavState, NoiseParams, TimestampGap, propagate_block
+from binvio.msckf import FilterConfig, FilterState
 from binvio.pipeline import _ImuSlicer
 
 NO_NOISE = NoiseParams(0.0, 0.0, 0.0, 0.0, 9.81)
@@ -21,14 +31,14 @@ def correct_measurement(sample, state, noise):
     noise is not (and cannot be) subtracted.
     """
     omega_true = sample[1:4] - state.bias_gyro
-    R = state.orientation.to_matrix()
+    R = quat_to_matrix(state.orientation)
     accel_true = sample[4:7] + R @ noise.gravity_vector() - state.bias_accel
     return omega_true, accel_true
 
 
 def forward_model(omega_true, accel_true, state, noise):
     """Noise-free measurement synthesis (inverse of correct_measurement)."""
-    R = state.orientation.to_matrix()
+    R = quat_to_matrix(state.orientation)
     omega_m = omega_true + state.bias_gyro
     accel_m = accel_true - R @ noise.gravity_vector() + state.bias_accel
     return omega_m, accel_m
@@ -48,8 +58,8 @@ def make_stream(t0, t1, rate, omega_fn, accel_fn):
 
 
 def error_state_between(perturbed: NavState, nominal: NavState) -> np.ndarray:
-    nominal_inverse = nominal.orientation.xyzw * [-1.0, -1.0, -1.0, 1.0]
-    dq = quat_multiply(perturbed.orientation.xyzw, nominal_inverse)
+    nominal_inverse = nominal.orientation * [-1.0, -1.0, -1.0, 1.0]
+    dq = quat_multiply(perturbed.orientation, nominal_inverse)
     if dq[3] < 0:
         dq = -dq
     dx = np.zeros(15)
@@ -61,9 +71,17 @@ def error_state_between(perturbed: NavState, nominal: NavState) -> np.ndarray:
     return dx
 
 
+def corrected(state: NavState, dx: np.ndarray) -> NavState:
+    """``state`` moved by the 15-dim error ``dx`` as the filter's correction moves it."""
+    calib = CameraCalibration(1.0, 1.0, 0.0, 0.0)
+    filt = FilterState(copy.deepcopy(state), calib, FilterConfig(estimate_calibration=False))
+    filt.apply_correction(dx)
+    return filt.nav
+
+
 def random_state(rng):
     return NavState(
-        UnitQuaternion(rng.normal(size=4)),
+        quat_normalize(rng.normal(size=4)),
         rng.normal(scale=2.0, size=3),
         rng.normal(scale=1.0, size=3),
         rng.normal(scale=0.01, size=3),
@@ -106,7 +124,7 @@ class TestPropagateMean:
         out, _ = propagate(state, np.zeros((15, 15)), samples, NO_NOISE)
         np.testing.assert_allclose(out.position, [1.0, 0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(
-            out.orientation.to_matrix(), state.orientation.to_matrix(), atol=1e-12
+            quat_to_matrix(out.orientation), quat_to_matrix(state.orientation), atol=1e-12
         )
 
     def test_constant_rotation_matches_closed_form(self):
@@ -117,8 +135,10 @@ class TestPropagateMean:
         )
         # 400 steps at a constant rate
         out, _ = propagate(state, np.zeros((15, 15)), samples, NO_NOISE)
-        expected = UnitQuaternion(quat_from_axis_angle(w * 1.0))
-        np.testing.assert_allclose(out.orientation.to_matrix(), expected.to_matrix(), atol=1e-6)
+        expected = quat_from_axis_angle(w * 1.0)
+        np.testing.assert_allclose(
+            quat_to_matrix(out.orientation), quat_to_matrix(expected), atol=1e-6
+        )
 
     def test_constant_acceleration_double_integral(self):
         a_true = np.array([1.0, 0.0, 0.0])
@@ -179,7 +199,8 @@ class TestPropagateMean:
         end_state, end_cov = propagate(mid_state, mid_cov, samples[j:], NoiseParams())
         assert np.linalg.norm(end_state.position - full_state.position) < 1e-9
         np.testing.assert_allclose(
-            end_state.orientation.to_matrix(), full_state.orientation.to_matrix(), atol=1e-9
+            quat_to_matrix(end_state.orientation), quat_to_matrix(full_state.orientation),
+            atol=1e-9,
         )
         assert np.abs(end_cov - full_cov).max() < 1e-12
 
@@ -238,12 +259,8 @@ class TestStateTransitionJacobian:
         for i in range(15):
             d = np.zeros(15)
             d[i] = eps
-            sp = state.copy()
-            sp.apply_error(d)
-            sm = state.copy()
-            sm.apply_error(-d)
-            xp = error_state_between(one_step(sp, sample, dt, noise)[0], nominal)
-            xm = error_state_between(one_step(sm, sample, dt, noise)[0], nominal)
+            xp = error_state_between(one_step(corrected(state, d), sample, dt, noise)[0], nominal)
+            xm = error_state_between(one_step(corrected(state, -d), sample, dt, noise)[0], nominal)
             J[:, i] = (xp - xm) / (2 * eps)
         return J
 
@@ -278,7 +295,7 @@ class TestStateTransitionJacobian:
         _, Phi = one_step(state, sample, dt, NO_NOISE_NO_G)
         w_t, a_t = correct_measurement(sample, state, NO_NOISE_NO_G)
         f = so3_exp(-0.5 * dt * w_t).T @ a_t
-        R = state.orientation.to_matrix()
+        R = quat_to_matrix(state.orientation)
         expected = -R.T @ np.array(
             [[0, -f[2], f[1]], [f[2], 0, -f[0]], [-f[1], f[0], 0]]
         ) * dt

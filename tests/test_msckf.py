@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,11 @@ from scipy.stats import chi2
 
 from binvio import msckf
 from binvio.geometry import (
-    Pose,
-    UnitQuaternion,
     project_points,
     quat_from_axis_angle,
     quat_multiply,
     quat_normalize,
+    quat_to_matrix,
     undistort,
 )
 from binvio.imu import NavState, NoiseParams
@@ -36,7 +37,7 @@ from binvio.msckf import (
     slam_update,
     triangulate,
 )
-from binvio.simgen import default_calibration
+from binvio.simgen import GroundTruth, camera_pose_at, default_calibration
 from binvio.tracker import FeatureTrack, TrackStatus, TrackTable
 
 
@@ -48,7 +49,7 @@ def make_state(n_clones=10, estimate_calib=False, spacing=0.12, **cfg_kw):
     state = FilterState(nav, calib, cfg)
     for k in range(n_clones):
         state.nav = NavState(
-            UnitQuaternion(quat_from_axis_angle(np.array([0.0, 0.0, 0.02 * k]))),
+            quat_from_axis_angle(np.array([0.0, 0.0, 0.02 * k])),
             np.array([0.05 * np.sin(k), spacing * k, 0.03 * np.cos(k)]),
         )
         state.clone_pose(k)
@@ -56,8 +57,8 @@ def make_state(n_clones=10, estimate_calib=False, spacing=0.12, **cfg_kw):
 
 
 def pixel_of(p_global, cam_pose, calib):
-    p_cam = cam_pose.rotation() @ (p_global - cam_pose.position)
-    return project_points(p_cam[None, :], calib)[0]
+    R, centre = cam_pose
+    return project_points((R @ (p_global - centre))[None, :], calib)[0]
 
 
 def clone_at(state, frame):
@@ -70,14 +71,13 @@ def slam_at(state, tid):
     return state.slam_start() + 3 * state.slam[tid]
 
 
-def clone_pose(state, frame):
-    """The clone of ``frame`` as a Pose, read from the clone arrays."""
-    row = state.clones[frame]
-    return Pose(UnitQuaternion(state.clone_q[row]), state.clone_p[row])
-
-
 def camera_of(state, frame):
-    return state.calib.extrinsic.compose(clone_pose(state, frame))
+    """The camera pose (R, centre) of the clone of ``frame``, formed as the simulator forms it."""
+    row = state.clones[frame]
+    zero = np.zeros(3)
+    return camera_pose_at(
+        GroundTruth(state.clone_q[row], state.clone_p[row], zero, zero, zero), state.calib
+    )
 
 
 def observe(state, landmark, frames):
@@ -111,7 +111,7 @@ class TestClonePose:
         row = state.clones[0]
         for q, p in ((state.clone_q, state.clone_p), (state.clone_q_fej, state.clone_p_fej)):
             np.testing.assert_array_equal(p[row], state.nav.position)
-            np.testing.assert_array_equal(q[row], state.nav.orientation.xyzw)
+            np.testing.assert_array_equal(q[row], state.nav.orientation)
 
     def test_covariance_block_duplicated(self):
         calib = default_calibration()
@@ -159,14 +159,24 @@ class TestClonePose:
 
 class TestCloneArrays:
     def test_camera_poses_match_composed_poses(self):
+        """The filter's stacked camera poses equal ``camera_pose_at``'s bit for bit."""
         state = make_state(6, estimate_calib=True)
         state.marginalize_clone(2)
         rotations, centres = camera_poses_now(state)
         assert rotations.shape == (5, 3, 3) and centres.shape == (5, 3)
         for frame, row in state.clones.items():
-            cam = camera_of(state, frame)
-            np.testing.assert_allclose(rotations[row], cam.rotation(), rtol=0, atol=1e-15)
-            np.testing.assert_allclose(centres[row], cam.position, rtol=0, atol=1e-15)
+            R, centre = camera_of(state, frame)
+            np.testing.assert_array_equal(rotations[row], R)
+            np.testing.assert_array_equal(centres[row], centre)
+        # and the rotation and centre are those of the composed frames
+        R_imu = quat_to_matrix(state.clone_q)
+        np.testing.assert_allclose(
+            rotations, quat_to_matrix(state.calib.extrinsic_q) @ R_imu, rtol=0, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            np.einsum("nij,nj->ni", R_imu, centres - state.clone_p),
+            np.broadcast_to(state.calib.extrinsic_p, centres.shape), rtol=0, atol=1e-15,
+        )
 
     def test_marginalize_keeps_other_rows(self):
         state = make_state(5)
@@ -196,7 +206,14 @@ class TestCloneArrays:
             dx[at:at + 3] *= rng.choice([0.0, 1e-10, 1e-3, 0.5])
         q0, p0 = state.clone_q.copy(), state.clone_p.copy()
         fej = state.clone_q_fej.copy(), state.clone_p_fej.copy()
+        nav0, ext0 = copy.deepcopy(state.nav), state.calib.extrinsic_q.copy()
         state.apply_correction(dx)
+        # the nav attitude and the extrinsic rotation share the clones' one call
+        for q, before, at in ((state.nav.orientation, nav0.orientation, 0),
+                              (state.calib.extrinsic_q, ext0, 15)):
+            want = quat_normalize(quat_multiply(quat_from_axis_angle(dx[at:at + 3]), before))
+            np.testing.assert_array_equal(q, want)
+        np.testing.assert_array_equal(state.nav.velocity, nav0.velocity + dx[6:9])
         for f, row in state.clones.items():
             at = clone_at(state, f)
             want = quat_normalize(quat_multiply(quat_from_axis_angle(dx[at:at + 3]), q0[row]))
@@ -439,21 +456,21 @@ class TestTriangulate:
         rng = np.random.default_rng(0)
         state = make_state(6)
         calib = state.calib
-        anchor = camera_of(state, 0)
-        R_ga = anchor.rotation().T
+        R_anchor, c_anchor = camera_of(state, 0)
+        R_ga = R_anchor.T
         for _ in range(50):
-            cam = camera_of(state, int(rng.integers(0, 6)))
+            cam = R_cam, c_cam = camera_of(state, int(rng.integers(0, 6)))
             w = np.array(
                 [rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), rng.uniform(0.2, 1.0)]
             )
-            R_rel = cam.rotation() @ R_ga
-            t_rel = cam.rotation() @ (anchor.position - cam.position)
+            R_rel = R_cam @ R_ga
+            t_rel = R_cam @ (c_anchor - c_cam)
             B = np.column_stack([R_rel[:, :2], t_rel])
             r, J = _inverse_depth_rows(w, B[None], R_rel[None, :, 2], np.zeros((1, 2)), calib)
 
             def pixel(wv):
                 p_anchor = np.array([wv[0] / wv[2], wv[1] / wv[2], 1.0 / wv[2]])
-                return pixel_of(R_ga @ p_anchor + anchor.position, cam, calib)
+                return pixel_of(R_ga @ p_anchor + c_anchor, cam, calib)
 
             np.testing.assert_allclose(-r, pixel(w), rtol=0, atol=1e-9)
             eps = 1e-7
@@ -471,7 +488,7 @@ def window_rays(state, track) -> np.ndarray:
     xn = undistort(np.array([z for _, z in obs]), state.calib, iters=8)
     d = np.column_stack([xn, np.ones(len(obs))])
     d /= np.linalg.norm(d, axis=1, keepdims=True)
-    return np.stack([camera_of(state, f).rotation().T @ di for (f, _), di in zip(obs, d)])
+    return np.stack([camera_of(state, f)[0].T @ di for (f, _), di in zip(obs, d)])
 
 
 def ray_angle_deg(state, track) -> float:
@@ -516,7 +533,7 @@ class TestParallaxScreen:
             position = np.zeros(3)
             if not rotation_only:
                 position = np.array(data.draw(st.tuples(small, small, small), label="position"))
-            state.nav = NavState(UnitQuaternion(quat_from_axis_angle(axis_angle)), position)
+            state.nav = NavState(quat_from_axis_angle(axis_angle), position)
             state.clone_pose(first + k)
         cam_poses = camera_poses_now(state)
 
@@ -578,12 +595,12 @@ class TestMsckfUpdate:
             make_track(state, lm, range(10), tid=i) for i, lm in enumerate(landmarks)
         ]
         pos_before = state.nav.position.copy()
-        q_before = state.nav.orientation
+        q_before = state.nav.orientation.copy()
         clone_pos = state.clone_p.copy()
         msckf_update(state, tracks)
         assert np.linalg.norm(state.nav.position - pos_before) < 1e-9
         np.testing.assert_allclose(
-            state.nav.orientation.to_matrix(), q_before.to_matrix(), atol=1e-9
+            quat_to_matrix(state.nav.orientation), quat_to_matrix(q_before), atol=1e-9
         )
         assert np.linalg.norm(state.clone_p - clone_pos, axis=1).max() < 1e-9
 
@@ -668,7 +685,7 @@ def dense_joseph_update(P, H, r, sigma2):
 def state_snapshot(state):
     nav = state.nav
     return [state.cov.copy(), state.clone_q.copy(), state.clone_p.copy(), nav.position.copy(),
-            nav.orientation.xyzw.copy(), nav.velocity.copy(), nav.bias_gyro.copy(),
+            nav.orientation.copy(), nav.velocity.copy(), nav.bias_gyro.copy(),
             nav.bias_accel.copy()]
 
 
@@ -905,31 +922,23 @@ class TestSlamUpdate:
 
 class TestCalibrationJacobians:
     def test_full_measurement_jacobian_fd(self):
-        # perturb clone pose, landmark, and calibration; compare row blocks
-        from binvio.msckf import _observation_jacobians
-        from binvio.geometry import CameraCalibration
-
-        rng = np.random.default_rng(2)
+        # perturb clone pose, landmark, and calibration as the filter's
+        # correction moves them; compare row blocks
         state = make_state(4, estimate_calib=True, use_fej=False)
         landmark = np.array([3.0, 0.2, -0.1])
-        clone = clone_pose(state, 2)
         rows = _observation_jacobians(state, np.array([state.clones[2]]), landmark,
                                       camera_poses_now(state))
         pred, H_f, H_clone, H_calib = (a[0] for a in rows[:4])
         eps = 1e-6
 
         def project_with(dtheta_c, dp_c, d_lm, d_ext_rot, d_ext_pos, d_intr):
-            dq = UnitQuaternion(quat_from_axis_angle(dtheta_c))
-            pose = Pose(
-                dq.multiply(clone.orientation), clone.position + dp_c
-            )
-            ext = state.calib.extrinsic
-            eq = UnitQuaternion(quat_from_axis_angle(d_ext_rot))
-            new_ext = Pose(eq.multiply(ext.orientation), ext.position + d_ext_pos)
-            vec = state.calib.intrinsic_vector() + d_intr
-            calib = CameraCalibration.from_intrinsic_vector(vec, new_ext)
-            cam = new_ext.compose(pose)
-            return pixel_of(landmark + d_lm, cam, calib)
+            moved = copy.deepcopy(state)
+            dx = np.zeros(state.dim())
+            at = clone_at(state, 2)
+            dx[at:at + 3], dx[at + 3:at + 6] = dtheta_c, dp_c
+            dx[15:18], dx[18:21], dx[21:29] = d_ext_rot, d_ext_pos, d_intr
+            moved.apply_correction(dx)
+            return pixel_of(landmark + d_lm, camera_of(moved, 2), moved.calib)
 
         zeros = [np.zeros(3)] * 5 + [np.zeros(8)]
 

@@ -1,8 +1,14 @@
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from binvio import simgen as sg
-from binvio.geometry import Pose, project_points, so3_log
+from binvio.geometry import project_points, quat_to_matrix, so3_log
 from binvio.imu import NavState, NoiseParams, propagate_block
 
 NO_NOISE = NoiseParams(0.0, 0.0, 0.0, 0.0, 9.81)
@@ -13,8 +19,8 @@ class TestGroundTruth:
         spec = sg.TrajectorySpec(duration=5.0)
         for t in (0.0, 1.7, 5.0):
             gt = sg.sample_ground_truth(spec, t)
-            assert np.linalg.norm(gt.pose.position) == 0.0
-            np.testing.assert_array_equal(gt.pose.orientation.xyzw, [0.0, 0.0, 0.0, 1.0])
+            assert np.linalg.norm(gt.position) == 0.0
+            np.testing.assert_array_equal(gt.orientation, [0.0, 0.0, 0.0, 1.0])
             assert np.linalg.norm(gt.velocity) == 0.0
             assert np.linalg.norm(gt.angular_rate) == 0.0
 
@@ -45,13 +51,13 @@ class TestGroundTruth:
             gm = sg.sample_ground_truth(spec, t - h)
             g0 = sg.sample_ground_truth(spec, t)
             gp = sg.sample_ground_truth(spec, t + h)
-            v_num = (gp.pose.position - gm.pose.position) / (2 * h)
+            v_num = (gp.position - gm.position) / (2 * h)
             np.testing.assert_allclose(v_num, g0.velocity, atol=1e-5)
             a_num = (gp.velocity - gm.velocity) / (2 * h)
             np.testing.assert_allclose(a_num, g0.acceleration, atol=1e-4)
             # body rate from central difference: A(t-h)^T A(t+h) = exp([2wh])
-            Am = gm.pose.orientation.to_matrix().T
-            Ap = gp.pose.orientation.to_matrix().T
+            Am = quat_to_matrix(gm.orientation).T
+            Ap = quat_to_matrix(gp.orientation).T
             w_num = so3_log(Am.T @ Ap) / (2 * h)
             np.testing.assert_allclose(w_num, g0.angular_rate, atol=1e-4)
 
@@ -59,6 +65,21 @@ class TestGroundTruth:
         spec = sg.TrajectorySpec(duration=2.0)
         with pytest.raises(ValueError):
             sg.sample_ground_truth(spec, 2.5)
+        with pytest.raises(ValueError):
+            sg.sample_ground_truth(spec, np.array([0.0, 1.0, 2.5]))
+
+    @given(
+        st.sampled_from(["hostile", "hostile-rot", "low-texture", "gentle", "static"]),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_stacked_times_equal_one_time_calls(self, preset, fractions):
+        spec = sg.preset_config(preset).trajectory
+        ts = np.array(fractions) * spec.duration
+        stacked = sg.sample_ground_truth(spec, ts)
+        for i, t in enumerate(ts):
+            one = sg.sample_ground_truth(spec, t)
+            for name in ("orientation", "position", "velocity", "angular_rate", "acceleration"):
+                assert getattr(stacked, name)[i].tobytes() == getattr(one, name).tobytes(), name
 
 
 class TestSynthesizeImu:
@@ -77,14 +98,12 @@ class TestSynthesizeImu:
         spec = sg.preset_config("gentle").trajectory
         samples = sg.synthesize_imu(spec, NO_NOISE, 400.0, seed=2)
         g0 = sg.sample_ground_truth(spec, 0.0)
-        state = NavState(
-            g0.pose.orientation, g0.pose.position.copy(), g0.velocity.copy()
-        )
+        state = NavState(g0.orientation, g0.position.copy(), g0.velocity.copy())
         out, _, _ = propagate_block(state, samples, NO_NOISE)
         gT = sg.sample_ground_truth(spec, spec.duration)
-        assert np.linalg.norm(out.position - gT.pose.position) < 1e-4
+        assert np.linalg.norm(out.position - gT.position) < 1e-4
         np.testing.assert_allclose(
-            out.orientation.to_matrix(), gT.pose.orientation.to_matrix(), atol=1e-5
+            quat_to_matrix(out.orientation), quat_to_matrix(gT.orientation), atol=1e-5
         )
 
     def test_deterministic_per_seed(self):
@@ -121,7 +140,7 @@ class TestRenderFrame:
             sg.sample_ground_truth(sg.TrajectorySpec(duration=1.0), 0.0), calib
         )
         # put the camera exactly at the origin so the landmark is on-axis
-        cam = Pose(cam.orientation, np.zeros(3))
+        cam = cam[0], np.zeros(3)
         corners, edges = sg.render_frame(world, cam, calib, "ideal-binary")
         assert corners.bits[128, 128] == 1
         assert corners.bits.sum() == 1
@@ -133,11 +152,11 @@ class TestRenderFrame:
         p0 = np.array([3.0, -1.0, 0.0])
         p1 = np.array([3.0, 1.2, 0.0])
         world = sg.WorldModel(landmarks=np.zeros((0, 3)), segments=np.array([[p0, p1]]))
-        cam = Pose(sg.default_calibration().extrinsic.orientation, np.zeros(3))
+        cam = quat_to_matrix(calib.extrinsic_q), np.zeros(3)
         _, edges = sg.render_frame(world, cam, calib, "ideal-binary")
         oracle = set()
         points = p0 + np.linspace(0, 1, 1000)[:, None] * (p1 - p0)
-        for px in project_points((points - cam.position) @ cam.rotation().T, calib):
+        for px in project_points(points @ cam[0].T, calib):
             u, v = int(round(px[0])), int(round(px[1]))
             if 0 <= u < 256 and 0 <= v < 256:
                 oracle.add((v, u))
@@ -182,10 +201,15 @@ class TestRenderFrame:
         assert frame.pixels.max() > 100     # wireframe visible
         assert np.mean(frame.pixels > 50) < 0.3
 
+    def test_default_camera_axes(self):
+        # the camera looks along +x of the IMU frame: z_C = +x, x_C = -y, y_C = -z
+        R = quat_to_matrix(sg.default_calibration().extrinsic_q)
+        np.testing.assert_array_equal(R, [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+
     def test_unknown_mode_rejected(self):
         world = sg.WorldModel(np.zeros((0, 3)), np.zeros((0, 2, 3)))
         with pytest.raises(sg.InvalidSpec):
-            sg.render_frame(world, Pose(), sg.default_calibration(), "fancy")
+            sg.render_frame(world, (np.eye(3), np.zeros(3)), sg.default_calibration(), "fancy")
 
 
 class TestWorld:
@@ -235,3 +259,41 @@ class TestDatasetIO:
                 continue
             fb = b / fa.relative_to(a)
             assert fa.read_bytes() == fb.read_bytes(), f"{fa.name} differs"
+
+
+def output_digests(out: Path) -> dict:
+    """sha256 of imu.csv, gt.csv and meta.txt, and one over every frame file's name and bytes."""
+    digests = {n: hashlib.sha256((out / n).read_bytes()).hexdigest()
+               for n in ("imu.csv", "gt.csv", "meta.txt")}
+    frames = hashlib.sha256()
+    for f in sorted((out / "frames").iterdir()):
+        frames.update(f.name.encode() + b"\0" + f.read_bytes())
+    digests["frames"] = frames.hexdigest()
+    return digests
+
+
+PINNED_DIGESTS = Path(__file__).parent / "data" / "simulator_0.2s_sha256.txt"
+
+
+class TestPinnedOutput:
+    """Every file ``write_dataset`` writes, against digests recorded from an earlier version.
+
+    The ``%.9f`` text of imu.csv and gt.csv absorbs last-bit changes in the
+    trajectory arithmetic, and the frames absorb sub-pixel ones; a change
+    that moves the simulator's output on purpose rewrites the digest file.
+    """
+
+    @pytest.mark.parametrize("preset, mode, seed", [
+        ("hostile", "ideal-binary", 1),
+        ("gentle", "grayscale", 4),
+    ])
+    def test_output_matches_pinned_digests(self, tmp_path, preset, mode, seed):
+        name = f"{preset}_{mode}_seed{seed}_0.2s"
+        want = {
+            f: digest for n, f, digest in (
+                line.split() for line in PINNED_DIGESTS.read_text().splitlines()
+                if not line.startswith("#")
+            ) if n == name
+        }
+        cfg = replace(sg.preset_config(preset, duration=0.2, seed=seed), mode=mode)
+        assert output_digests(sg.write_dataset(cfg, tmp_path / "ds")) == want
