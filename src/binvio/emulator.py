@@ -110,51 +110,63 @@ def _fast_pass_and_score(pixels: np.ndarray, threshold: float):
     darker than center-t, and a contrast score used for suppression.
 
     One pass over the 16 ring offsets sets bit i of a uint16 "brighter" and
-    a uint16 "darker" code per pixel, and adds that offset's score terms.
-    Whether a code has its arc (wrapping around the ring) is one lookup in
+    a uint16 "darker" code per pixel.  The int16 comparisons use floor(t):
+    for an integer difference d, d > t exactly when d > floor(t), and
+    clamping floor(t) at 511 keeps center +- floor(t) inside int16.  Whether
+    a code has its arc (wrapping around the ring) is one lookup in
     ``_ARC_TABLE``, built at import from the 16 rotations of a 9-bit run.
+    Only the pixels that pass are scored, with the float terms summed in
+    ring order.
     """
-    img = pixels.astype(np.int32)
+    img = pixels.astype(np.int16)
     h, w = img.shape
     m = 3
     center = img[m:h - m, m:w - m]
+    t = int(min(np.floor(threshold), 511))
+    above, below = center + t, center - t
     bright_code = np.zeros(center.shape, dtype=np.uint16)
     dark_code = np.zeros(center.shape, dtype=np.uint16)
-    score_b = score_d = 0
     for i, (dr, dc) in enumerate(FAST_CIRCLE):
-        diff = img[m + dr:h - m + dr, m + dc:w - m + dc] - center
-        brighter = diff > threshold
-        darker = diff < -threshold
-        bright_code |= brighter.astype(np.uint16) << i
-        dark_code |= darker.astype(np.uint16) << i
-        score_b = score_b + (diff - threshold) * brighter
-        score_d = score_d - (diff + threshold) * darker
+        ring = img[m + dr:h - m + dr, m + dc:w - m + dc]
+        bright_code |= (ring > above).astype(np.uint16) << i
+        dark_code |= (ring < below).astype(np.uint16) << i
 
     bright_corner = _ARC_TABLE[bright_code]
     dark_corner = _ARC_TABLE[dark_code]
-    score_inner = np.where(bright_corner, score_b, 0) + np.where(dark_corner, score_d, 0)
+    rows, cols = np.nonzero(bright_corner | dark_corner)
+    bright, dark = bright_corner[rows, cols], dark_corner[rows, cols]
+    at = (rows + m) * w + (cols + m)
+    flat = img.ravel()
+    diff = flat[at + (FAST_CIRCLE[:, :1] * w + FAST_CIRCLE[:, 1:])].astype(np.int32) - flat[at]
+    terms_b = (diff - threshold) * (diff > threshold)
+    terms_d = (diff + threshold) * (diff < -threshold)
+    score_b = score_d = 0
+    for term_b, term_d in zip(terms_b, terms_d):
+        score_b = score_b + term_b
+        score_d = score_d - term_d
 
     passes = np.zeros((h, w), dtype=bool)
     score = np.zeros((h, w), dtype=np.int64)
-    passes[m:h - m, m:w - m] = bright_corner | dark_corner
-    score[m:h - m, m:w - m] = score_inner
+    passes.flat[at] = True
+    score.flat[at] = np.where(bright, score_b, 0) + np.where(dark, score_d, 0)
     return passes, score
 
 
 def suppress_non_maxima(passes: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """3x3 NMS with raster-order tie-break (earlier pixel wins ties)."""
+    """3x3 NMS with raster-order tie-break (the later pixel wins ties)."""
     s = np.where(passes, score, -1).astype(np.int64)
     h, w = s.shape
     keep = passes.copy()
     for dr, dc in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
+        # shifted[r, c] is the neighbour at (r - dr, c - dc)
         shifted = np.full_like(s, -1)
         rs = slice(max(0, dr), h + min(0, dr))
         cs = slice(max(0, dc), w + min(0, dc))
         rs_src = slice(max(0, -dr), h + min(0, -dr))
         cs_src = slice(max(0, -dc), w + min(0, -dc))
         shifted[rs, cs] = s[rs_src, cs_src]
-        later_in_raster = (dr, dc) > (0, 0)
-        if later_in_raster:
+        neighbour_earlier_in_raster = (dr, dc) > (0, 0)
+        if neighbour_earlier_in_raster:
             keep &= s >= shifted
         else:
             keep &= s > shifted

@@ -1,13 +1,25 @@
-"""End-to-end pipeline: dataset frames in, pose stream out.
+"""End-to-end pipeline: dataset frames in, pose stream out, in two stages.
 
-Per frame: obtain binary maps (directly, or through the emulator for
-grayscale datasets), feather the edges into a (256, 256) uint8 map, advance
-the KLT track table, then run one filter cycle fed with the (M, 7) rows of
-the IMU stream that cover the frame interval.
+The sensor stage (``sensor_frames``) does everything a frame needs before
+tracking: it obtains the binary maps (directly, or through the emulator for
+grayscale datasets), feathers the edges into a (256, 256) uint8 map, and for
+the Shi-Tomasi ablation picks the corners from that map.  The host stage
+advances the KLT track table and runs one filter cycle fed with the (M, 7)
+rows of the IMU stream that cover the frame interval.
+
+The sensor stage runs in a worker thread, as the focal-plane array runs
+beside the host: while the host tracks and filters frame k, the worker
+works on frame k + 1.  The worker asks the dataset for a frame only when
+the host asks the worker for one, so while the host is on frame k no frame
+past k + ``LOOK_AHEAD`` has been requested.  An error of the sensor stage
+reaches the caller after the frames before it, with its own type, and the
+worker is joined before ``run_pipeline`` returns or raises.
 """
 
 from __future__ import annotations
 
+import queue
+import threading
 import time
 from dataclasses import dataclass
 
@@ -106,6 +118,50 @@ def dataset_noise_params(dataset: Dataset, config: PipelineConfig) -> NoiseParam
     return config.noise
 
 
+# Frames the sensor stage may run ahead of the one the host is on.
+LOOK_AHEAD = 1
+_END = object()  # the sensor stage's last item: no frames left
+
+
+def sensor_frames(dataset: Dataset, config: PipelineConfig):
+    """Yield (t, corner map, feathered (256, 256) uint8 map) per frame, in order."""
+    emulator_cfg, tracker_cfg = config.emulator, config.tracker
+    for k, (t, payload) in enumerate(dataset.iter_frames()):
+        if isinstance(payload, GrayFrame):
+            edges = detect_edges(payload, emulator_cfg.edge_threshold)
+            corners = detect_corners(
+                payload, emulator_cfg.fast_threshold, tracker_cfg.n_points
+            )
+        else:
+            corners, edges = payload
+        if emulator_cfg.noise_flip_rate > 0.0:
+            base = config.run.seed * 1_000_003 + k * 2
+            corners = inject_analog_noise(corners, emulator_cfg.noise_flip_rate, base)
+            edges = inject_analog_noise(edges, emulator_cfg.noise_flip_rate, base + 1)
+
+        if tracker_cfg.feathering_enabled:
+            feathered = feather(edges, tracker_cfg.sigma_e)
+        else:
+            feathered = binary_to_intensity(edges)
+
+        if tracker_cfg.feature_source is FeatureSource.SHI_TOMASI_ON_EDGES:
+            pts = shi_tomasi_on_edges(feathered, tracker_cfg.n_points)
+            corners = corners_from_points(pts, t)
+        yield t, corners, feathered
+
+
+def _serve_frames(frames, asks: queue.SimpleQueue, ready: queue.SimpleQueue) -> None:
+    """Worker: one item of ``frames`` into ``ready`` per True in ``asks``; False stops.
+
+    The items end with ``_END``, or with the exception that ended ``frames``.
+    """
+    try:
+        while asks.get():
+            ready.put(next(frames, _END))
+    except BaseException as e:  # handed to the host thread, which raises it
+        ready.put(e)
+
+
 def run_pipeline(
     dataset: Dataset,
     config: PipelineConfig | None = None,
@@ -127,42 +183,40 @@ def run_pipeline(
     diag_rows = []
     started = time.perf_counter()
 
-    for k, (t, payload) in enumerate(dataset.iter_frames()):
-        if isinstance(payload, GrayFrame):
-            edges = detect_edges(payload, config.emulator.edge_threshold)
-            corners = detect_corners(
-                payload, config.emulator.fast_threshold, tracker_cfg.n_points
+    asks, ready = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(LOOK_AHEAD):
+        asks.put(True)
+    # daemon: a second interrupt during the join below must not keep the process alive
+    worker = threading.Thread(
+        target=_serve_frames, args=(sensor_frames(dataset, config), asks, ready),
+        name="binvio-sensor", daemon=True,
+    )
+    worker.start()
+    try:
+        k = 0
+        while (frame := ready.get()) is not _END:
+            if isinstance(frame, BaseException):
+                raise frame
+            asks.put(True)  # frame k + LOOK_AHEAD, made while the host works on frame k
+            t, corners, feathered = frame
+            died = track_frame(table, prev_feather, feathered, corners, tracker_cfg, k)
+
+            segment = slicer.slice(prev_t, t) if k > 0 else []
+            result = process_frame(state, table, died, segment, noise, k, t)
+
+            pose_rows.append(
+                [t, *result.position, *result.orientation]
             )
-        else:
-            corners, edges = payload
-        if config.emulator.noise_flip_rate > 0.0:
-            base = config.run.seed * 1_000_003 + k * 2
-            corners = inject_analog_noise(corners, config.emulator.noise_flip_rate, base)
-            edges = inject_analog_noise(edges, config.emulator.noise_flip_rate, base + 1)
-
-        if tracker_cfg.feathering_enabled:
-            feathered = feather(edges, tracker_cfg.sigma_e)
-        else:
-            feathered = binary_to_intensity(edges)
-
-        if tracker_cfg.feature_source is FeatureSource.SHI_TOMASI_ON_EDGES:
-            pts = shi_tomasi_on_edges(feathered, tracker_cfg.n_points)
-            corners = corners_from_points(pts, t)
-
-        died = track_frame(table, prev_feather, feathered, corners, tracker_cfg, k)
-
-        segment = slicer.slice(prev_t, t) if k > 0 else []
-        result = process_frame(state, table, died, segment, noise, k, t)
-
-        pose_rows.append(
-            [t, *result.position, *result.orientation]
-        )
-        diag_rows.append(
-            [t, result.trace, result.pos_sigma, result.rot_sigma,
-             result.live_tracks, result.slam_count, result.msckf_used]
-        )
-        prev_feather = feathered
-        prev_t = t
+            diag_rows.append(
+                [t, result.trace, result.pos_sigma, result.rot_sigma,
+                 result.live_tracks, result.slam_count, result.msckf_used]
+            )
+            prev_feather = feathered
+            prev_t = t
+            k += 1
+    finally:
+        asks.put(False)
+        worker.join()
 
     elapsed = time.perf_counter() - started
     pose_rows = np.array(pose_rows)

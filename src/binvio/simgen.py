@@ -504,17 +504,23 @@ def _calib_meta(calib: CameraCalibration) -> dict:
 
 
 def _calib_from_meta(meta: dict) -> CameraCalibration:
-    q = np.array([float(v) for v in meta["calib.extrinsic_q"].split(",")])
-    p = np.array([float(v) for v in meta["calib.extrinsic_p"].split(",")])
-    return CameraCalibration(
-        fx=float(meta["calib.fx"]),
-        fy=float(meta["calib.fy"]),
-        cx=float(meta["calib.cx"]),
-        cy=float(meta["calib.cy"]),
-        distortion=np.array([float(v) for v in meta["calib.distortion"].split(",")]),
-        extrinsic_q=quat_normalize(q),
-        extrinsic_p=p,
-    )
+    """The manifest's camera; DatasetCorrupt unless every value is finite and fits a camera."""
+    def values(key: str, n: int) -> np.ndarray:
+        v = np.array([float(s) for s in meta[f"calib.{key}"].split(",")])
+        if v.shape != (n,) or not np.isfinite(v).all():
+            raise ValueError(f"calib.{key} must be {n} finite values, got {meta[f'calib.{key}']!r}")
+        return v
+
+    try:
+        fx, fy, cx, cy = (float(values(key, 1)[0]) for key in ("fx", "fy", "cx", "cy"))
+        return CameraCalibration(
+            fx=fx, fy=fy, cx=cx, cy=cy,
+            distortion=values("distortion", 4),
+            extrinsic_q=quat_normalize(values("extrinsic_q", 4)),
+            extrinsic_p=values("extrinsic_p", 3),
+        )
+    except (KeyError, ValueError) as e:
+        raise dataio.DatasetCorrupt(f"bad camera calibration in meta.txt: {e}") from None
 
 
 def write_dataset(cfg: SimConfig, out_dir) -> Path:

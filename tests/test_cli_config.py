@@ -174,6 +174,19 @@ def tiny_dataset(tmp_path_factory):
     return out
 
 
+# manifest value that cannot describe the camera: (key, value)
+BAD_CALIBRATIONS = {
+    "nan-q": ("calib.extrinsic_q", "0,nan,0,1"),
+    "zero-q": ("calib.extrinsic_q", "0,0,0,0"),
+    "short-q": ("calib.extrinsic_q", "0,0,1"),
+    "nan-p": ("calib.extrinsic_p", "0.05,nan,0"),
+    "inf-cx": ("calib.cx", "inf"),
+    "zero-fy": ("calib.fy", "0"),
+    "word-fx": ("calib.fx", "wide"),
+    "short-distortion": ("calib.distortion", "0,0,0"),
+}
+
+
 class TestCli:
     def test_simulate_static_identity_poses(self, tmp_path):
         out = tmp_path / "static"
@@ -348,6 +361,21 @@ class TestCli:
         assert "imu csv" in err
         if defect in ("one-sample", "header-only"):
             assert f"has {len(rows) - 1} samples" in err
+        assert not pose.exists()
+
+    @pytest.mark.parametrize("defect", BAD_CALIBRATIONS)
+    def test_run_bad_calibration_exit_2(self, tiny_dataset, tmp_path, capsys, defect):
+        data = tmp_path / "tiny"
+        shutil.copytree(tiny_dataset, data)
+        meta = read_manifest(data / "meta.txt")
+        key, value = BAD_CALIBRATIONS[defect]
+        assert key in meta
+        meta[key] = value
+        (data / "meta.txt").write_text("".join(f"{k}={v}\n" for k, v in meta.items()))
+        pose = tmp_path / "pose.csv"
+        rc = main(["run", "--dataset", str(data), "--out", str(pose)])
+        assert rc == 2
+        assert "calib" in capsys.readouterr().err
         assert not pose.exists()
 
     def test_ablation_flags(self, tiny_dataset, tmp_path):

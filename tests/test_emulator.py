@@ -261,7 +261,7 @@ class TestDetectCorners:
         frames = [frame for _, frame in simgen.build_dataset(cfg).iter_frames()]
         assert len(frames) == 15
         for frame in frames:
-            for threshold in (20.0, 20.5, 25):
+            for threshold in (0, 13.37, 20.0, 20.5, 25, 300, float("inf")):
                 passes, score = plane_stack_pass_and_score(frame.pixels, threshold)
                 got_passes, got_score = _fast_pass_and_score(frame.pixels, threshold)
                 np.testing.assert_array_equal(got_passes, passes)
@@ -272,6 +272,27 @@ class TestDetectCorners:
                     expected = _budgeted_selection(keep, score, cap).astype(np.uint8)
                     got = detect_corners(frame, threshold, cap).bits
                     assert got.tobytes() == expected.tobytes()
+
+
+class TestSuppressNonMaxima:
+    @pytest.mark.parametrize("first, second", [
+        ((3, 3), (3, 4)), ((3, 3), (4, 3)), ((3, 3), (4, 4)), ((3, 4), (4, 3)),
+    ], ids=["horizontal", "vertical", "diagonal", "anti-diagonal"])
+    def test_tie_keeps_the_later_pixel_in_raster_order(self, first, second):
+        passes = np.zeros((8, 8), dtype=bool)
+        score = np.zeros((8, 8), dtype=np.int64)
+        for pixel in (first, second):
+            passes[pixel] = True
+            score[pixel] = 40
+        keep = suppress_non_maxima(passes, score)
+        assert np.argwhere(keep).tolist() == [list(second)]
+
+    def test_stronger_neighbour_wins_either_way(self):
+        passes = np.zeros((8, 8), dtype=bool)
+        passes[3, 3] = passes[3, 4] = True
+        score = np.zeros((8, 8), dtype=np.int64)
+        score[3, 3], score[3, 4] = 41, 40
+        assert np.argwhere(suppress_non_maxima(passes, score)).tolist() == [[3, 3]]
 
 
 class TestInjectAnalogNoise:

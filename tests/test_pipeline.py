@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ from binvio import simgen as sg
 from binvio.config import PipelineConfig
 from binvio.evaluate import TrajectorySeries, associate, compute_ate_rte
 from binvio.imu import NoiseParams
+from binvio.io import DatasetCorrupt
 from binvio.pipeline import run_pipeline
 from binvio.tracker import FeatureSource
 
@@ -209,3 +213,109 @@ class TestGrayscalePath:
         pc.emulator.noise_flip_rate = 0.002
         res = run_pipeline(ds, pc)
         assert len(res.pose_rows) == 50
+
+
+class TestSensorWorker:
+    """The sensor stage runs one frame ahead in a thread that never outlives run_pipeline."""
+
+    @pytest.fixture(scope="class")
+    def short_hostile(self):
+        return sg.build_dataset(sg.preset_config("hostile", duration=0.1, seed=1))
+
+    @staticmethod
+    def count_requests(monkeypatch, dataset):
+        """Count each request for a frame from ``dataset.iter_frames``, the last one included."""
+        requests = []
+        frames = dataset.iter_frames
+
+        def iter_frames():
+            it = frames()
+            while True:
+                requests.append(None)
+                try:
+                    item = next(it)
+                except StopIteration:
+                    return
+                yield item
+
+        monkeypatch.setattr(dataset, "iter_frames", iter_frames)
+        return requests
+
+    @staticmethod
+    def process_frames_seen(monkeypatch, fail_at=None, error=RuntimeError):
+        """Record the frame index of each process_frame call; raise ``error`` at ``fail_at``."""
+        seen = []
+        original = pipeline.process_frame
+
+        def process_frame(state, table, died, segment, noise, k, t):
+            seen.append(k)
+            if k == fail_at:
+                raise error("filter failure")
+            return original(state, table, died, segment, noise, k, t)
+
+        monkeypatch.setattr(pipeline, "process_frame", process_frame)
+        return seen
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_host_error_reaches_caller_and_joins_worker(self, monkeypatch, short_hostile, error):
+        seen = self.process_frames_seen(monkeypatch, fail_at=3, error=error)
+        threads = threading.active_count()
+        with pytest.raises(error, match="filter failure"):
+            run_pipeline(short_hostile)
+        assert seen == [0, 1, 2, 3]
+        assert threading.active_count() == threads
+
+    def test_truncated_map_raises_after_the_frames_before_it(self, monkeypatch, tmp_path):
+        cfg = sg.preset_config("hostile", duration=0.1, seed=1)
+        ds = sg.load_dataset(sg.write_dataset(cfg, tmp_path / "ds"))
+        victim = sorted((tmp_path / "ds" / "frames").glob("*.edges.tcbm"))[2]
+        victim.write_bytes(victim.read_bytes()[:-7])
+        seen = self.process_frames_seen(monkeypatch)
+        threads = threading.active_count()
+        with pytest.raises(DatasetCorrupt):
+            run_pipeline(ds)
+        assert seen == [0, 1]
+        assert threading.active_count() == threads
+
+    def test_worker_runs_exactly_one_frame_ahead(self, monkeypatch, short_hostile):
+        requests = self.count_requests(monkeypatch, short_hostile)
+        original = pipeline.process_frame
+        ahead = []
+
+        def process_frame(state, table, died, segment, noise, k, t):
+            # frame k + 1 is requested while frame k is filtered ...
+            deadline = time.monotonic() + 10.0
+            while len(requests) < k + 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.005)
+            # ... and frame k + 2 is not
+            ahead.append(len(requests) - (k + 1))
+            return original(state, table, died, segment, noise, k, t)
+
+        monkeypatch.setattr(pipeline, "process_frame", process_frame)
+        threads = threading.active_count()
+        res = run_pipeline(short_hostile)
+        assert len(res.pose_rows) == len(ahead) == 25
+        assert ahead == [1] * 25
+        assert len(requests) == 26
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("feather_delay_s", [0.0, 0.002])
+    def test_poses_do_not_depend_on_thread_interleaving(self, monkeypatch, short_hostile,
+                                                        feather_delay_s):
+        want = run_pipeline(short_hostile)
+        original = pipeline.feather
+
+        def slow_feather(*args):
+            time.sleep(feather_delay_s)
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "feather", slow_feather)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads far more often than by default
+        try:
+            got = run_pipeline(short_hostile)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(got.pose_rows, want.pose_rows)
+        np.testing.assert_array_equal(got.diagnostics, want.diagnostics)
