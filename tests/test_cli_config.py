@@ -215,6 +215,15 @@ class TestCli:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "0.001", "0.002"])
+    def test_simulate_duration_without_a_dataset_exit_2(self, tmp_path, duration):
+        # not finite, or too short for a frame at 250 fps: nothing is written
+        out = tmp_path / "x"
+        rc = main(["simulate", "--preset", "hostile", "--duration", duration,
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_run_and_eval(self, tiny_dataset, tmp_path):
         pose = tmp_path / "pose.csv"
         diag = tmp_path / "diag.csv"

@@ -250,6 +250,18 @@ class TestDatasetIO:
         np.testing.assert_array_equal(edges.bits, me.bits)
         np.testing.assert_array_equal(ds.imu[:, 0], mem.imu[:, 0])
 
+    def test_duration_off_the_imu_grid(self):
+        # 0.3013 s is 120.52 IMU periods: the stream ends 120 periods in, at 0.3 s
+        ds = sg.build_dataset(sg.preset_config("hostile", duration=0.3013, seed=1))
+        assert ds.imu[-1, 0] <= 0.3013
+        assert ds.gt[-1, 0] <= 0.3013
+        assert len(ds.imu) == 121 and len(ds.gt) == 302
+
+    def test_duration_without_two_imu_samples(self):
+        # two frames at 1000 fps, but 0.8 of an IMU period at 400 Hz
+        with pytest.raises(sg.InvalidSpec, match="two IMU samples"):
+            sg.preset_config("hostile", duration=0.002, fps=1000.0)
+
     def test_byte_identical_for_same_seed(self, tmp_path):
         cfg = sg.preset_config("hostile", duration=0.04, seed=5)
         a = sg.write_dataset(cfg, tmp_path / "a")

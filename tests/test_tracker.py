@@ -77,11 +77,27 @@ def in_bounds(x, y, margin):
            (y.min(axis=-1) >= margin) & (y.max(axis=-1) <= lim)
 
 
+# Displacements of the float32 KLT against the float64 per-sample reference:
+# the largest gap measured was 1.5e-6 px, over the 11,711 stable surviving
+# tracks of 300 generated examples like TestPatchSampler's (18,000 tracks,
+# every verdict equal), so the bound has a margin of 6x.
+KLT_FLOAT32_TOL_PX = 1e-5
+
+
 def reference_batch_track(prev_f, next_f, points, guesses, cfg):
-    """Per-sample lockstep KLT: every window sample is its own bilinear gather.
+    """Per-sample lockstep KLT in float64: every window sample is its own bilinear gather.
 
     Same contract as ``tracker._batch_track``; gradients are sampled as
     central differences of bilinear lookups one pixel apart.
+
+    A fourth array, ``stable``, marks the tracks whose displacement is a
+    rounding-stable function of the inputs: their iteration stopped on the
+    epsilon test, or ``max_iters`` is 1, and no step came within
+    ``KLT_FLOAT32_TOL_PX`` of epsilon.  A step that close to epsilon may stop
+    one iteration earlier or later under other rounding.  A track still
+    stepping after several iterations has not contracted, so rounding grows
+    as its iteration amplifies it (2.6 px after 30 steps on one measured
+    example); a single step cannot amplify it.
     """
     n = points.shape[0]
     du_off, dv_off = window_offsets(cfg.window)
@@ -110,6 +126,8 @@ def reference_batch_track(prev_f, next_f, points, guesses, cfg):
     det[~ok] = 1.0
 
     u = guesses.copy()
+    stopped = np.zeros(n, dtype=bool)
+    near_epsilon = np.zeros(n, dtype=bool)
     active_idx = np.nonzero(ok)[0]
     for _ in range(cfg.max_iters):
         if active_idx.size == 0:
@@ -135,7 +153,10 @@ def reference_batch_track(prev_f, next_f, points, guesses, cfg):
         du1 = (-Ha[:, 0, 1] * g0 + Ha[:, 0, 0] * g1) / da
         u[active_idx, 0] += du0
         u[active_idx, 1] += du1
-        still = du0 * du0 + du1 * du1 >= cfg.epsilon**2
+        step2 = du0 * du0 + du1 * du1
+        near_epsilon[active_idx] |= np.abs(np.sqrt(step2) - cfg.epsilon) <= KLT_FLOAT32_TOL_PX
+        still = step2 >= cfg.epsilon**2
+        stopped[active_idx[~still]] = True
         active_idx = active_idx[still]
 
     sx = xs + u[:, 0:1]
@@ -149,7 +170,7 @@ def reference_batch_track(prev_f, next_f, points, guesses, cfg):
     gated = ok & (mean_resid > cfg.photometric_gate)
     reason[gated] = "residual"
     ok &= ~gated
-    return u, ok, reason
+    return u, ok, reason, (stopped | (cfg.max_iters == 1)) & ~near_epsilon
 
 
 def track_one(prev, nxt, point, cfg, guess=(0.0, 0.0)):
@@ -318,16 +339,21 @@ class TestKltStep:
 
 
 def assert_matches_reference(prev, nxt, points, guesses, cfg):
-    """``_batch_track`` on the uint8 maps against the reference on float copies."""
+    """``_batch_track`` on the uint8 maps against the float64 reference on float copies.
+
+    Every verdict and death reason is equal; every surviving track that the
+    reference marks stable lies within ``KLT_FLOAT32_TOL_PX`` of its displacement.
+    """
     points = np.asarray(points, dtype=float)
     guesses = np.asarray(guesses, dtype=float)
     disp, ok, reason = tk._batch_track(prev, nxt, points, guesses, cfg,
                                        tk.KltWorkspace())
-    ref_disp, ref_ok, ref_reason = reference_batch_track(
+    ref_disp, ref_ok, ref_reason, stable = reference_batch_track(
         prev.astype(np.float64), nxt.astype(np.float64), points, guesses, cfg)
     np.testing.assert_array_equal(ok, ref_ok)
     np.testing.assert_array_equal(reason, ref_reason)
-    np.testing.assert_allclose(disp[ok], ref_disp[ok], rtol=0, atol=1e-9)
+    checked = ok & stable
+    np.testing.assert_allclose(disp[checked], ref_disp[checked], rtol=0, atol=KLT_FLOAT32_TOL_PX)
     return ok
 
 
@@ -590,6 +616,49 @@ class TestKltWorkspace:
             fresh = tk._batch_track(prev, nxt, pts, guesses, cfg, tk.KltWorkspace())
             for a, b in zip(got, fresh):
                 np.testing.assert_array_equal(a, b)
+
+
+def float32_blend(img, corner, window):
+    """One grid of ``_sample`` with every operand float32: x blend, then y blend."""
+    p = window + 1
+    u0, v0 = np.minimum(np.floor(corner).astype(np.intp), MAP_SIZE - p)
+    fx, fy = np.float32(corner[0] - u0), np.float32(corner[1] - v0)
+    patch = img[v0:v0 + p, u0:u0 + p].astype(np.float32)
+    rows = patch[:, :-1] * (1 - fx) + patch[:, 1:] * fx
+    return rows[:-1] * (1 - fy) + rows[1:] * fy
+
+
+class TestFloat32:
+    """The KLT's per-pixel arrays are float32: a float64 operand would double their cost."""
+
+    def test_workspace_and_template_are_float32(self):
+        rng = np.random.default_rng(19)
+        f = feather(edge_map(random_edge_bits(rng, 0.03)), 2.5)
+        ws = tk.KltWorkspace()
+        assert ws.view("probe", 3, 4).dtype == np.float32
+        corners = rng.uniform(20, 200, size=(5, 2))
+        assert all(a.dtype == np.float32 for a in tk._template(f, corners, 21, ws))
+
+    def test_samples_are_float32_blends(self):
+        # a float64 weight would compute in float64 and round into the float32
+        # buffer, which changes the bits; the last grid ends on pixel 255
+        rng = np.random.default_rng(21)
+        f = feather(edge_map(random_edge_bits(rng, 0.03)), 2.5)
+        corners = np.vstack([rng.uniform(0, MAP_SIZE - 22, size=(40, 2)), [MAP_SIZE - 21.0] * 2])
+        ws = tk.KltWorkspace()
+        got = tk._sample(f, corners, 21, ws.view("samples", len(corners), 21, 21), ws)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, [float32_blend(f, c, 21) for c in corners])
+
+    def test_hessian_and_displacements_stay_float64(self):
+        rng = np.random.default_rng(20)
+        f = feather(edge_map(random_edge_bits(rng, 0.03)), 2.5)
+        ws = tk.KltWorkspace()
+        _, gx, gy = tk._template(f, rng.uniform(20, 200, size=(5, 2)), 21, ws)
+        assert tk._hessian(gx, gy, ws).dtype == np.float64
+        pts = rng.uniform(40, 215, size=(5, 2))
+        disp, _, _ = tk._batch_track(f, f, pts, np.zeros_like(pts), TrackerConfig(), ws)
+        assert disp.dtype == np.float64
 
 
 class TestAllocation:
