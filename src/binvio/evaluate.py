@@ -61,7 +61,6 @@ class PairedSamples:
     est_quaternions: np.ndarray
     gt_positions: np.ndarray
     gt_quaternions: np.ndarray
-    dropped: int = 0
 
     def __len__(self) -> int:
         return len(self.t)
@@ -85,7 +84,6 @@ def associate(est: TrajectorySeries, gt: TrajectorySeries, max_dt: float = 0.005
         est.quaternions[keep],
         gt.positions[sel],
         gt.quaternions[sel],
-        dropped=int((~keep).sum()),
     )
 
 
@@ -213,14 +211,8 @@ def write_report_csv(report: ErrorReport, path) -> None:
 
 
 def write_series_csv(report: ErrorReport, path, in_state_counts=None) -> None:
-    counts = in_state_counts
-    if counts is None:
-        counts = np.zeros(len(report.series_t), dtype=int)
-    with open(path, "w") as f:
-        f.write("t,ex,ey,ez,rotation_error,in_state_count\n")
-        for i, t in enumerate(report.series_t):
-            ex, ey, ez = report.series_axis_error[i]
-            f.write(
-                f"{t:.9f},{ex:.9f},{ey:.9f},{ez:.9f},"
-                f"{report.series_rotation_error[i]:.9f},{int(counts[i])}\n"
-            )
+    counts = np.zeros(len(report.series_t)) if in_state_counts is None else in_state_counts
+    rows = np.column_stack([report.series_t, report.series_axis_error,
+                            report.series_rotation_error, counts])
+    np.savetxt(path, rows, fmt=["%.9f"] * 5 + ["%d"], delimiter=",",
+               header="t,ex,ey,ez,rotation_error,in_state_count", comments="")

@@ -130,21 +130,27 @@ def read_imu_csv(path) -> np.ndarray:
 
 def write_pose_csv(rows, path, extra_header: str = "") -> None:
     """Rows of (t, position(3), quat_xyzw(4)[, extras...])."""
-    with open(path, "w") as f:
-        f.write("t,px,py,pz,qx,qy,qz,qw" + extra_header + "\n")
-        for row in rows:
-            f.write(",".join(f"{v:.9f}" for v in row) + "\n")
+    np.savetxt(path, rows, fmt="%.9f", delimiter=",",
+               header="t,px,py,pz,qx,qy,qz,qw" + extra_header, comments="")
 
 
 def read_pose_csv(path) -> np.ndarray:
-    """Array with columns t, px, py, pz, qx, qy, qz, qw (extras dropped)."""
+    """Rows of t, px, py, pz, qx, qy, qz, qw, then any extra columns.
+
+    Raises DatasetCorrupt unless the file parses, has at least one row and
+    at least eight columns.
+    """
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a file with no rows
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (ValueError, OSError) as e:
         raise DatasetCorrupt(f"bad pose csv {path}: {e}") from e
+    if len(data) == 0:
+        raise DatasetCorrupt(f"pose csv {path} has no rows")
     if data.shape[1] < 8:
         raise DatasetCorrupt(f"pose csv {path} needs 8 columns")
-    return data[:, :8]
+    return data
 
 
 def write_manifest(entries: dict, path) -> None:

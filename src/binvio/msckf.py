@@ -469,7 +469,7 @@ class TrackRows:
     """One track's observations as rows on the state columns ``cols`` they involve.
 
     ``r`` (2m,) and ``H_x`` (2m, c) are the stacked residuals and Jacobian,
-    ``H_f`` (2m, 3) the landmark Jacobian and ``Q R = H_f`` its complete QR.
+    and ``Q R`` is the complete QR of the (2m, 3) landmark Jacobian.
     ``H_o`` and ``r_o`` are the rows projected onto the left null space
     ``N = Q[:, 3:]``, which are free of the landmark, and ``nis`` is their
     normalized innovation squared under the current covariance.
@@ -478,7 +478,6 @@ class TrackRows:
     r: np.ndarray
     H_x: np.ndarray
     cols: np.ndarray
-    H_f: np.ndarray
     Q: np.ndarray
     R: np.ndarray
     H_o: np.ndarray
@@ -515,9 +514,8 @@ def _track_rows(state: FilterState, windows: list, points: np.ndarray, cam_poses
         H_x[:, np.arange(2 * m)[:, None], blocks] = H_clone[obs].reshape(T, 2 * m, CLONE_DIM)
         if H_calib is not None:
             H_x[:, :, :c] = H_calib[obs].reshape(T, 2 * m, CALIB_DIM)
-        H_fm = H_f[obs].reshape(T, 2 * m, 3)
         r_m = r[obs].reshape(T, 2 * m)
-        Q, R = np.linalg.qr(H_fm, mode="complete")
+        Q, R = np.linalg.qr(H_f[obs].reshape(T, 2 * m, 3), mode="complete")
         Nt = Q[:, :, 3:].transpose(0, 2, 1)
         H_o = Nt @ H_x
         r_o = (Nt @ r_m[:, :, None])[:, :, 0]
@@ -526,8 +524,7 @@ def _track_rows(state: FilterState, windows: list, points: np.ndarray, cam_poses
         S = H_o @ P @ H_o.transpose(0, 2, 1) + state.cfg.sigma_px**2 * np.eye(2 * m - 3)
         nis = _nis(S, r_o)
         for k, i in enumerate(tracks):
-            out[i] = TrackRows(r_m[k], H_x[k], cols[k], H_fm[k], Q[k], R[k], H_o[k], r_o[k],
-                               float(nis[k]))
+            out[i] = TrackRows(r_m[k], H_x[k], cols[k], Q[k], R[k], H_o[k], r_o[k], float(nis[k]))
     return out
 
 

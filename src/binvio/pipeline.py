@@ -9,18 +9,18 @@ rows of the IMU stream that cover the frame interval.
 
 The sensor stage runs in a worker thread, as the focal-plane array runs
 beside the host: while the host tracks and filters frame k, the worker
-works on frame k + 1.  The worker asks the dataset for a frame only when
-the host asks the worker for one, so while the host is on frame k no frame
-past k + ``LOOK_AHEAD`` has been requested.  An error of the sensor stage
-reaches the caller after the frames before it, with its own type, and the
-worker is joined before ``run_pipeline`` returns or raises.
+works on frame k + 1.  The thread is a one-worker ``ThreadPoolExecutor``
+with one pending future, which asks the dataset for frame k + 1 when the
+host takes frame k, so no frame past k + 1 has been requested.  An error
+of the sensor stage reaches the caller after the frames before it, with its
+own type, and leaving the executor joins the worker before ``run_pipeline``
+returns or raises.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,11 +118,6 @@ def dataset_noise_params(dataset: Dataset, config: PipelineConfig) -> NoiseParam
     return config.noise
 
 
-# Frames the sensor stage may run ahead of the one the host is on.
-LOOK_AHEAD = 1
-_END = object()  # the sensor stage's last item: no frames left
-
-
 def sensor_frames(dataset: Dataset, config: PipelineConfig):
     """Yield (t, corner map, feathered (256, 256) uint8 map) per frame, in order."""
     emulator_cfg, tracker_cfg = config.emulator, config.tracker
@@ -150,18 +145,6 @@ def sensor_frames(dataset: Dataset, config: PipelineConfig):
         yield t, corners, feathered
 
 
-def _serve_frames(frames, asks: queue.SimpleQueue, ready: queue.SimpleQueue) -> None:
-    """Worker: one item of ``frames`` into ``ready`` per True in ``asks``; False stops.
-
-    The items end with ``_END``, or with the exception that ended ``frames``.
-    """
-    try:
-        while asks.get():
-            ready.put(next(frames, _END))
-    except BaseException as e:  # handed to the host thread, which raises it
-        ready.put(e)
-
-
 def run_pipeline(
     dataset: Dataset,
     config: PipelineConfig | None = None,
@@ -183,21 +166,13 @@ def run_pipeline(
     diag_rows = []
     started = time.perf_counter()
 
-    asks, ready = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(LOOK_AHEAD):
-        asks.put(True)
-    # daemon: a second interrupt during the join below must not keep the process alive
-    worker = threading.Thread(
-        target=_serve_frames, args=(sensor_frames(dataset, config), asks, ready),
-        name="binvio-sensor", daemon=True,
-    )
-    worker.start()
-    try:
+    frames = sensor_frames(dataset, config)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="binvio-sensor") as sensor:
+        ahead = sensor.submit(next, frames, None)
         k = 0
-        while (frame := ready.get()) is not _END:
-            if isinstance(frame, BaseException):
-                raise frame
-            asks.put(True)  # frame k + LOOK_AHEAD, made while the host works on frame k
+        while (frame := ahead.result()) is not None:
+            # frame k + 1, made while the host works on frame k
+            ahead = sensor.submit(next, frames, None)
             t, corners, feathered = frame
             died = track_frame(table, prev_feather, feathered, corners, tracker_cfg, k)
 
@@ -214,9 +189,6 @@ def run_pipeline(
             prev_feather = feathered
             prev_t = t
             k += 1
-    finally:
-        asks.put(False)
-        worker.join()
 
     elapsed = time.perf_counter() - started
     pose_rows = np.array(pose_rows)
@@ -225,13 +197,9 @@ def run_pipeline(
     if pose_path is not None:
         dataio.write_pose_csv(pose_rows, pose_path)
     if diagnostics_path is not None:
-        with open(diagnostics_path, "w") as f:
-            f.write("t,trace,pos_sigma,rot_sigma,live_tracks,slam_in_state,msckf_used\n")
-            for row in diag_rows:
-                f.write(
-                    f"{row[0]:.9f},{row[1]:.9f},{row[2]:.9f},{row[3]:.9f},"
-                    f"{int(row[4])},{int(row[5])},{int(row[6])}\n"
-                )
+        np.savetxt(diagnostics_path, diag_rows, fmt=["%.9f"] * 4 + ["%d"] * 3, delimiter=",",
+                   header="t,trace,pos_sigma,rot_sigma,live_tracks,slam_in_state,msckf_used",
+                   comments="")
     if tracks_path is not None:
         dump_tracks_csv(table, state.slam, tracks_path)
 

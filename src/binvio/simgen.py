@@ -46,7 +46,6 @@ class TrajectorySpec:
     pos_terms: tuple = ((), (), ())
     rot_terms: tuple = ((), (), ())
     duration: float = 10.0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.duration < math.inf:
@@ -128,8 +127,8 @@ def _grid_steps(duration: float, rate_hz: float) -> int:
 def synthesize_imu(
     spec: TrajectorySpec,
     noise: NoiseParams,
-    rate_hz: float = 400.0,
-    seed: int | None = None,
+    rate_hz: float,
+    seed: int,
 ) -> np.ndarray:
     """Forward IMU model sampled on the uniform grid, seeded and repeatable.
 
@@ -137,7 +136,6 @@ def synthesize_imu(
     """
     if rate_hz <= 0:
         raise ValueError("rate must be positive")
-    seed = spec.seed if seed is None else seed
     n = _grid_steps(spec.duration, rate_hz)
     ts = np.arange(n + 1) / rate_hz
     gt = sample_ground_truth(spec, ts)
@@ -572,7 +570,9 @@ def load_dataset(path) -> Dataset:
     meta = dataio.read_manifest(path / "meta.txt")
     calib = _calib_from_meta(meta)
     imu = dataio.read_imu_csv(path / "imu.csv")
-    gt = np.loadtxt(path / "gt.csv", delimiter=",", skiprows=1, ndmin=2)
+    gt = dataio.read_pose_csv(path / "gt.csv")
+    if not np.isfinite(gt).all():
+        raise dataio.DatasetCorrupt(f"{path / 'gt.csv'} holds a value that is not finite")
     return Dataset(None, calib, imu, gt, meta, frame_dir=path / "frames")
 
 
@@ -580,9 +580,9 @@ def load_dataset(path) -> Dataset:
 # the fast hand-shaken regime: double-digit peak body rates with a ~25 m
 # path, inside a 6 m room.
 
-def _preset_trajectory(name: str, duration: float, seed: int) -> TrajectorySpec:
+def _preset_trajectory(name: str, duration: float) -> TrajectorySpec:
     if name == "static":
-        return TrajectorySpec(duration=duration, seed=seed)
+        return TrajectorySpec(duration=duration)
     if name == "gentle":
         # z-only rotation and z-only translation commute with the midpoint
         # integrator: gravity and lever terms stay on the rotation axis, so
@@ -591,7 +591,6 @@ def _preset_trajectory(name: str, duration: float, seed: int) -> TrajectorySpec:
             pos_terms=((), (), ((0.4, 0.5, 0.0),)),
             rot_terms=((), (), ((0.6, 0.4, 0.0),)),
             duration=duration,
-            seed=seed,
         )
     # cosine-style phases: every rate starts at zero, like a handheld rig
     # picking up from rest, so the tracker warms up its flow history before
@@ -610,7 +609,6 @@ def _preset_trajectory(name: str, duration: float, seed: int) -> TrajectorySpec:
                 ((0.45, 2.3, -HALF_PI),),
             ),
             duration=duration,
-            seed=seed,
         )
     if name == "hostile-rot":
         return TrajectorySpec(
@@ -625,7 +623,6 @@ def _preset_trajectory(name: str, duration: float, seed: int) -> TrajectorySpec:
                 ((0.66, 2.3, -HALF_PI),),
             ),
             duration=duration,
-            seed=seed,
         )
     if name == "low-texture":
         return TrajectorySpec(
@@ -640,7 +637,6 @@ def _preset_trajectory(name: str, duration: float, seed: int) -> TrajectorySpec:
                 ((1.3, 0.35, 0.0),),
             ),
             duration=duration,
-            seed=seed,
         )
     raise InvalidSpec(f"unknown preset {name!r}")
 
@@ -661,4 +657,4 @@ def preset_config(name: str, seed: int = 0, duration: float | None = None, **ove
     if name == "low-texture":
         overrides = {"poor_sector": (0.0, 60.0), "poor_density": 0.05, **overrides}
     # one construction, so that the sampling checks see the overridden rates
-    return SimConfig(trajectory=_preset_trajectory(name, duration, seed), seed=seed, **overrides)
+    return SimConfig(trajectory=_preset_trajectory(name, duration), seed=seed, **overrides)

@@ -255,10 +255,8 @@ def _hessian(gx: np.ndarray, gy: np.ndarray, ws: KltWorkspace) -> np.ndarray:
     return H
 
 
-def _min_eigenvalue(H: np.ndarray) -> np.ndarray:
-    a = H[..., 0, 0]
-    b = H[..., 0, 1]
-    c = H[..., 1, 1]
+def _min_eigenvalue(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Smaller eigenvalue of the symmetric 2x2 matrix(es) [[a, b], [b, c]], elementwise."""
     mean = 0.5 * (a + c)
     return mean - np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
 
@@ -319,7 +317,7 @@ def _batch_track(
     live = np.nonzero(ok)[0]
     t, gx, gy = _template(prev_f, lo[live], cfg.window, ws)
     H = _hessian(gx, gy, ws)
-    singular = _min_eigenvalue(H) < MIN_EIGENVALUE
+    singular = _min_eigenvalue(H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]) < MIN_EIGENVALUE
     reason[live[singular]] = "singular"
     ok[live[singular]] = False
     det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] ** 2
@@ -499,8 +497,7 @@ def shi_tomasi_on_edges(feathered: np.ndarray, max_points: int) -> np.ndarray:
     sxx = smooth(gx * gx)
     sxy = smooth(gx * gy)
     syy = smooth(gy * gy)
-    mean = 0.5 * (sxx + syy)
-    response = mean - np.sqrt(np.maximum(0.25 * (sxx - syy) ** 2 + sxy * sxy, 0.0))
+    response = _min_eigenvalue(sxx, sxy, syy)
 
     passes = response > 1e-9
     keep = suppress_non_maxima(passes, response)

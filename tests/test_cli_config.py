@@ -372,6 +372,26 @@ class TestCli:
             assert f"has {len(rows) - 1} samples" in err
         assert not pose.exists()
 
+    @pytest.mark.parametrize("defect", ["word", "header-only", "five-columns", "nan"])
+    def test_run_bad_gt_exit_2(self, tiny_dataset, tmp_path, capsys, defect):
+        data = tmp_path / "tiny"
+        shutil.copytree(tiny_dataset, data)
+        rows = [line.split(",") for line in (data / "gt.csv").read_text().splitlines()]
+        if defect == "word":
+            rows[10][3] = "wide"
+        elif defect == "header-only":
+            rows = rows[:1]
+        elif defect == "five-columns":
+            rows = [row[:5] for row in rows]
+        else:
+            rows[1][2] = "nan"  # a position of the first row, which seeds the filter
+        (data / "gt.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+        pose = tmp_path / "pose.csv"
+        rc = main(["run", "--dataset", str(data), "--out", str(pose)])
+        assert rc == 2
+        assert "gt.csv" in capsys.readouterr().err
+        assert not pose.exists()
+
     @pytest.mark.parametrize("defect", BAD_CALIBRATIONS)
     def test_run_bad_calibration_exit_2(self, tiny_dataset, tmp_path, capsys, defect):
         data = tmp_path / "tiny"

@@ -612,16 +612,18 @@ class TestMsckfUpdate:
         ]
         built = []
 
-        def track_rows(*args):
-            rows = _track_rows(*args)
-            built.extend(rows)
+        def track_rows(state, windows, points, cam_poses):
+            rows = _track_rows(state, windows, points, cam_poses)
+            for built_rows, window, point in zip(rows, windows, points):
+                _, H_f, *_ = _observation_jacobians(state, window[0], point, cam_poses)
+                built.append((built_rows, H_f.reshape(-1, 3)))
             return rows
 
         monkeypatch.setattr(msckf, "_track_rows", track_rows)
         assert msckf_update(state, tracks) == len(tracks)  # every track was used
         assert len(built) == len(tracks)
-        for rows in built:
-            assert np.linalg.norm(rows.Q[:, 3:].T @ rows.H_f) < 1e-9
+        for rows, H_f in built:
+            assert np.linalg.norm(rows.Q[:, 3:].T @ H_f) < 1e-9
 
     def test_budget_cap(self):
         state = make_state(10)

@@ -9,7 +9,7 @@ import pytest
 from binvio import msckf, pipeline
 from binvio import simgen as sg
 from binvio.config import PipelineConfig
-from binvio.evaluate import TrajectorySeries, associate, compute_ate_rte
+from binvio.evaluate import TrajectorySeries, associate, compute_ate_rte, write_series_csv
 from binvio.imu import NoiseParams
 from binvio.io import DatasetCorrupt
 from binvio.pipeline import run_pipeline
@@ -69,12 +69,12 @@ class TestClosedLoop:
         residuals = []
         original = msckf._track_rows
 
-        def track_rows(*args):
-            built = original(*args)
-            residuals.extend(
-                float(np.linalg.norm(rows.Q[:, 3:].T @ rows.H_f))
-                for rows in built if rows is not None
-            )
+        def track_rows(state, windows, points, cam_poses):
+            built = original(state, windows, points, cam_poses)
+            for rows, window, point in zip(built, windows, points):
+                if rows is not None:
+                    _, H_f, *_ = msckf._observation_jacobians(state, window[0], point, cam_poses)
+                    residuals.append(float(np.linalg.norm(rows.Q[:, 3:].T @ H_f.reshape(-1, 3))))
             return built
 
         with pytest.MonkeyPatch.context() as mp:
@@ -159,6 +159,41 @@ class TestGoldenPoses:
         cfg = replace(sg.preset_config("gentle", duration=0.2, seed=4), mode="grayscale")
         got = run_pipeline(sg.load_dataset(sg.write_dataset(cfg, tmp_path / "ds")))
         assert_matches_golden(got.pose_rows, "gentle_gray_seed4_0.2s_poses.csv")
+
+
+def csv_text(header: str, rows, n_float: int) -> str:
+    """Reference text: ``n_float`` columns as ``f"{v:.9f}"``, then integers."""
+    lines = [header]
+    for row in rows:
+        assert np.array_equal(row[n_float:], np.trunc(row[n_float:]))
+        lines.append(",".join([f"{v:.9f}" for v in row[:n_float]]
+                              + [f"{int(v)}" for v in row[n_float:]]))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvText:
+    """The text of the per-frame tables, against a reference that formats each value."""
+
+    def test_pose_diagnostics_and_series_text(self, tmp_path):
+        ds = sg.build_dataset(sg.preset_config("hostile", duration=0.1, seed=1))
+        pose, diag, series = tmp_path / "pose.csv", tmp_path / "diag.csv", tmp_path / "series.csv"
+        res = run_pipeline(ds, pose_path=pose, diagnostics_path=diag)
+        assert len(res.pose_rows) == 25
+        assert pose.read_text() == csv_text("t,px,py,pz,qx,qy,qz,qw", res.pose_rows, 8)
+        assert diag.read_text() == csv_text(
+            "t,trace,pos_sigma,rot_sigma,live_tracks,slam_in_state,msckf_used", res.diagnostics, 4
+        )
+
+        report = compute_ate_rte(
+            associate(res.trajectory(), TrajectorySeries.from_rows(ds.gt), 0.002), rte_delta=5
+        )
+        counts = res.diagnostics[:, 5]
+        write_series_csv(report, series, counts)
+        rows = np.column_stack([report.series_t, report.series_axis_error,
+                                report.series_rotation_error, counts])
+        assert series.read_text() == csv_text(
+            "t,ex,ey,ez,rotation_error,in_state_count", rows, 5
+        )
 
 
 class TestLowRateImu:

@@ -118,7 +118,7 @@ def reference_batch_track(prev_f, next_f, points, guesses, cfg):
     h01 = (gx * gy).sum(axis=-1)
     h11 = (gy * gy).sum(axis=-1)
     H = np.stack([h00, h01, h01, h11], axis=-1).reshape(n, 2, 2)
-    singular = tk._min_eigenvalue(H) < tk.MIN_EIGENVALUE
+    singular = tk._min_eigenvalue(h00, h01, h11) < tk.MIN_EIGENVALUE
     reason[ok & singular] = "singular"
     ok &= ~singular
 
@@ -289,7 +289,7 @@ class TestKltStep:
         ws = tk.KltWorkspace()
         _, gx, gy = tk._template(f, pts - 21 // 2, 21, ws)
         for H in tk._hessian(gx, gy, ws):
-            if tk._min_eigenvalue(H) < tk.MIN_EIGENVALUE:
+            if tk._min_eigenvalue(H[0, 0], H[0, 1], H[1, 1]) < tk.MIN_EIGENVALUE:
                 continue
             assert abs(H[0, 1] - H[1, 0]) < 1e-9
             assert np.linalg.eigvalsh(H).min() >= -1e-9
