@@ -214,6 +214,7 @@ class CameraCalibration:
 
 
 MIN_PROJECTION_DEPTH = 1e-6
+RENDER_MIN_DEPTH = 0.05  # m; project_batch flags points nearer than this invalid
 
 
 def _distort(x: np.ndarray, y: np.ndarray, distortion: np.ndarray):
@@ -289,7 +290,7 @@ def project_batch(
     points: np.ndarray,
     cam_pose: tuple[np.ndarray, np.ndarray],
     calib: CameraCalibration,
-    min_depth: float = 0.05,
+    min_depth: float = RENDER_MIN_DEPTH,
     max_normalized_radius: float = 2.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project many global points at once through the camera pose ``(R, centre)``.

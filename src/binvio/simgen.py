@@ -18,6 +18,7 @@ import numpy as np
 
 from .emulator import MAP_SIZE, BinaryMap, GrayFrame, MapKind
 from .geometry import (
+    RENDER_MIN_DEPTH,
     CameraCalibration,
     project_batch,
     quat_from_axis_angle,
@@ -29,6 +30,7 @@ from .imu import NoiseParams
 from . import io as dataio
 
 TWO_PI = 2.0 * np.pi
+RENDER_MODES = ("ideal-binary", "grayscale")
 
 
 class InvalidSpec(ValueError):
@@ -299,10 +301,17 @@ def make_room_world(
 MIN_SEGMENT_SAMPLES = 16
 MAX_SEGMENT_SAMPLES = 512
 SAMPLES_PER_PIXEL = 2
+DEPTH_MARGIN = 1e-6  # m; the cull's allowance for rounding in a sample's depth
 
 
 def _segment_samples(segments: np.ndarray, cam_pose, calib: CameraCalibration):
-    """Sample each segment densely enough to cover every crossed pixel."""
+    """Sample each segment densely enough to cover every crossed pixel, skipping what lies behind.
+
+    Depth is affine along a segment, so of its ``counts`` samples at ``frac = i / (counts - 1)``
+    those that can pass :func:`project_batch`'s depth test form one interval of ``i``.  Its ends
+    come from the endpoint depths, with ``DEPTH_MARGIN`` for rounding and widened to whole indices,
+    so every dropped sample would fail the test; the kept ones keep their bits and order.
+    """
     if len(segments) == 0:
         return np.zeros((0, 3))
     ends = segments.reshape(-1, 3)
@@ -314,9 +323,17 @@ def _segment_samples(segments: np.ndarray, cam_pose, calib: CameraCalibration):
     counts = np.clip(
         (SAMPLES_PER_PIXEL * lengths).astype(int), MIN_SEGMENT_SAMPLES, MAX_SEGMENT_SAMPLES
     )
-    seg_idx = np.repeat(np.arange(len(segments)), counts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    frac = (np.arange(counts.sum()) - starts[seg_idx]) / (counts[seg_idx] - 1)
+    z0, z1 = ((segments - cam_pose[1]) @ cam_pose[0][2]).T
+    floor_z = RENDER_MIN_DEPTH - DEPTH_MARGIN
+    last = counts - 1
+    with np.errstate(all="ignore"):
+        cut = (floor_z - z0) / (z1 - z0) * last  # index where the depth crosses floor_z
+    lo = np.where(z1 > z0, np.clip(np.floor(cut), 0, last), 0).astype(int)
+    hi = np.where(z1 < z0, np.clip(np.ceil(cut), 0, last), last).astype(int)
+    kept = np.where((z0 > floor_z) | (z1 > floor_z), hi - lo + 1, 0)
+    seg_idx = np.repeat(np.arange(len(segments)), kept)
+    starts = np.concatenate([[0], np.cumsum(kept)[:-1]])
+    frac = (np.arange(kept.sum()) - starts[seg_idx] + lo[seg_idx]) / last[seg_idx]
     p0 = segments[seg_idx, 0]
     p1 = segments[seg_idx, 1]
     return p0 + frac[:, None] * (p1 - p0)
@@ -335,7 +352,7 @@ def render_frame(
     sensor front end would emit them; ``grayscale`` returns a GrayFrame of
     white wireframe on black for the emulator path.
     """
-    if mode not in ("ideal-binary", "grayscale"):
+    if mode not in RENDER_MODES:
         raise InvalidSpec(f"unknown render mode {mode!r}")
 
     seg_pts = _segment_samples(world.segments, cam_pose, calib)
@@ -568,6 +585,15 @@ def load_dataset(path) -> Dataset:
     if not (path / "meta.txt").exists():
         raise dataio.DatasetCorrupt(f"no meta.txt under {path}")
     meta = dataio.read_manifest(path / "meta.txt")
+    for key, valid in (("n_frames", lambda v: int(v) > 0),
+                       ("fps", lambda v: 0 < float(v) < math.inf),
+                       ("mode", lambda v: v in RENDER_MODES)):
+        try:
+            good = valid(meta[key])
+        except (KeyError, ValueError):
+            good = False
+        if not good:
+            raise dataio.DatasetCorrupt(f"bad {key} in meta.txt: {meta.get(key)!r}")
     calib = _calib_from_meta(meta)
     imu = dataio.read_imu_csv(path / "imu.csv")
     gt = dataio.read_pose_csv(path / "gt.csv")

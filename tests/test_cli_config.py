@@ -174,6 +174,19 @@ def tiny_dataset(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def static_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ds") / "static"
+    assert main(["simulate", "--preset", "static", "--duration", "0.05", "--out", str(out)]) == 0
+    return out
+
+
+# manifest value that cannot drive a replay: (key, value)
+BAD_MANIFEST_VALUES = [
+    ("n_frames", "0"), ("n_frames", "-3"), ("n_frames", "abc"),
+    ("fps", "0"), ("fps", "nan"), ("mode", "fancy"),
+]
+
 # manifest value that cannot describe the camera: (key, value)
 BAD_CALIBRATIONS = {
     "nan-q": ("calib.extrinsic_q", "0,nan,0,1"),
@@ -405,6 +418,22 @@ class TestCli:
         rc = main(["run", "--dataset", str(data), "--out", str(pose)])
         assert rc == 2
         assert "calib" in capsys.readouterr().err
+        assert not pose.exists()
+
+    @pytest.mark.parametrize(
+        "key, value", BAD_MANIFEST_VALUES, ids=[f"{k}={v}" for k, v in BAD_MANIFEST_VALUES]
+    )
+    def test_run_bad_manifest_exit_2(self, static_dataset, tmp_path, capsys, key, value):
+        data = tmp_path / "static"
+        shutil.copytree(static_dataset, data)
+        meta = read_manifest(data / "meta.txt")
+        assert key in meta
+        meta[key] = value
+        (data / "meta.txt").write_text("".join(f"{k}={v}\n" for k, v in meta.items()))
+        pose = tmp_path / "pose.csv"
+        rc = main(["run", "--dataset", str(data), "--out", str(pose)])
+        assert rc == 2
+        assert f"bad {key} in meta.txt" in capsys.readouterr().err
         assert not pose.exists()
 
     def test_ablation_flags(self, tiny_dataset, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from binvio import simgen as sg
-from binvio.geometry import project_points, quat_to_matrix, so3_log
+from binvio.geometry import (
+    RENDER_MIN_DEPTH,
+    project_batch,
+    project_points,
+    quat_from_axis_angle,
+    quat_to_matrix,
+    so3_log,
+)
 from binvio.imu import NavState, NoiseParams, propagate_block
 
 NO_NOISE = NoiseParams(0.0, 0.0, 0.0, 0.0, 9.81)
@@ -129,6 +137,49 @@ class TestSynthesizeImu:
         assert abs(var_full - 2 * expected_half) < 10 * sigma
 
 
+def full_segment_samples(segments, cam_pose, calib):
+    """Every sample of every segment, behind the camera too: the sampling the depth cull replaced."""
+    if len(segments) == 0:
+        return np.zeros((0, 3))
+    px, ok = project_batch(segments.reshape(-1, 3), cam_pose, calib)
+    px, ok = px.reshape(-1, 2, 2), ok.reshape(-1, 2)
+    lengths = np.linalg.norm(px[:, 1] - px[:, 0], axis=1)
+    lengths[~ok.all(axis=1)] = sg.MAX_SEGMENT_SAMPLES
+    counts = np.clip(
+        (sg.SAMPLES_PER_PIXEL * lengths).astype(int), sg.MIN_SEGMENT_SAMPLES, sg.MAX_SEGMENT_SAMPLES
+    )
+    seg_idx = np.repeat(np.arange(len(segments)), counts)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    frac = (np.arange(counts.sum()) - starts[seg_idx]) / (counts[seg_idx] - 1)
+    p0 = segments[seg_idx, 0]
+    p1 = segments[seg_idx, 1]
+    return p0 + frac[:, None] * (p1 - p0)
+
+
+# endpoint depths in the camera frame, with the depth test's threshold and its neighbours
+DEPTHS = st.one_of(
+    st.floats(-4.0, 6.0),
+    st.sampled_from([0.0, -RENDER_MIN_DEPTH, RENDER_MIN_DEPTH,
+                     np.nextafter(RENDER_MIN_DEPTH, 0.0), np.nextafter(RENDER_MIN_DEPTH, 1.0)]),
+)
+# small offsets keep a segment's stretch just past the depth threshold in view
+LATERAL = st.one_of(st.floats(-4.0, 4.0), st.floats(-0.05, 0.05))
+# (x0, y0, z0, x1, y1, z1, parallel) in the camera frame; parallel copies z0 to the far end
+CAMERA_SEGMENTS = st.lists(
+    st.tuples(LATERAL, LATERAL, DEPTHS, LATERAL, LATERAL, DEPTHS, st.booleans()),
+    min_size=1, max_size=8,
+)
+# None: the default camera axes at the origin, where a parallel segment keeps its depth exactly;
+# otherwise a centre in the room and a rotation vector
+CAMERAS = st.one_of(
+    st.none(),
+    st.tuples(
+        st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5), st.floats(-1.2, 1.2)),
+        st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+    ),
+)
+
+
 class TestRenderFrame:
     def test_landmark_on_axis(self):
         calib = sg.default_calibration()
@@ -164,6 +215,51 @@ class TestRenderFrame:
         assert got == oracle
         rows = {r for r, _ in got}
         assert len(rows) == 1, "through-axis flat segment must be a horizontal run"
+
+    def test_segment_across_the_depth_plane_matches_dense_projection_oracle(self):
+        # one end 0.1 m behind the camera, one in front, in the horizontal
+        # plane through the optical axis, which it crosses 2.05 m ahead: a run
+        # along the middle row from the image border past the principal point
+        calib = sg.default_calibration()
+        p0 = np.array([-0.1, 1.7, 0.0])
+        p1 = np.array([2.3, -0.2, 0.0])
+        world = sg.WorldModel(landmarks=np.zeros((0, 3)), segments=np.array([[p0, p1]]))
+        cam = quat_to_matrix(calib.extrinsic_q), np.zeros(3)
+        _, edges = sg.render_frame(world, cam, calib, "ideal-binary")
+        points = p0 + np.linspace(0, 1, 1000)[:, None] * (p1 - p0)
+        p_cam = points @ cam[0].T
+        p_cam = p_cam[p_cam[:, 2] > RENDER_MIN_DEPTH]
+        in_frame = np.hypot(p_cam[:, 0], p_cam[:, 1]) < 2.0 * p_cam[:, 2]
+        oracle = set()
+        for px in project_points(p_cam[in_frame], calib):
+            u, v = int(round(px[0])), int(round(px[1]))
+            if 0 <= u < 256 and 0 <= v < 256:
+                oracle.add((v, u))
+        got = set(zip(*np.nonzero(edges.bits)))
+        assert got == oracle
+        assert {r for r, _ in got} == {128} and (128, 128) in got
+        assert min(c for _, c in got) == 0, "the run must reach the border"
+
+    @given(CAMERAS, CAMERA_SEGMENTS)
+    def test_depth_cull_renders_like_full_sampling(self, camera, camera_segments):
+        calib = sg.default_calibration()
+        if camera is None:
+            R, centre = quat_to_matrix(calib.extrinsic_q), np.zeros(3)
+        else:
+            R, centre = quat_to_matrix(quat_from_axis_angle(np.array(camera[1]))), np.array(camera[0])
+        ends = np.array([
+            [[x0, y0, z0], [x1, y1, z0 if parallel else z1]]
+            for x0, y0, z0, x1, y1, z1, parallel in camera_segments
+        ])
+        world = sg.WorldModel(landmarks=np.zeros((0, 3)), segments=ends @ R + centre)
+        for mode in sg.RENDER_MODES:
+            culled = sg.render_frame(world, (R, centre), calib, mode)
+            with mock.patch.object(sg, "_segment_samples", full_segment_samples):
+                full = sg.render_frame(world, (R, centre), calib, mode)
+            if mode == "ideal-binary":
+                assert np.array_equal(culled[1].bits, full[1].bits)
+            else:
+                assert np.array_equal(culled.pixels, full.pixels)
 
     def test_frame_count_arithmetic(self):
         cfg = sg.preset_config("hostile", duration=12.0)
@@ -298,6 +394,7 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("preset, mode, seed", [
         ("hostile", "ideal-binary", 1),
         ("gentle", "grayscale", 4),
+        ("static", "ideal-binary", 1),
     ])
     def test_output_matches_pinned_digests(self, tmp_path, preset, mode, seed):
         name = f"{preset}_{mode}_seed{seed}_0.2s"
