@@ -63,6 +63,15 @@ class BinaryMap:
             raise ValueError(f"map must be {MAP_SIZE}x{MAP_SIZE}, got {bits.shape}")
         self.bits = (bits != 0).astype(np.uint8)
 
+    @classmethod
+    def from_points(cls, points: np.ndarray, kind: MapKind, timestamp: float = 0.0) -> "BinaryMap":
+        """Map with a bit at each (u, v) of ``points`` (N, 2), rounded; those off it are dropped."""
+        px = np.rint(points).astype(int)
+        px = px[((px >= 0) & (px < MAP_SIZE)).all(axis=1)]
+        bits = np.zeros((MAP_SIZE, MAP_SIZE), dtype=np.uint8)
+        bits[px[:, 1], px[:, 0]] = 1
+        return cls(bits, kind, timestamp)
+
 
 def sobel_magnitude(pixels: np.ndarray) -> np.ndarray:
     """|Gx| + |Gy| of the 3x3 Sobel operator; border ring left at zero."""

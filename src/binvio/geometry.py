@@ -81,28 +81,6 @@ def so3_exp(phi: np.ndarray) -> np.ndarray:
     return _rodrigues(phi, lambda t: (np.sin(t) / t, (1.0 - np.cos(t)) / (t * t)), (1.0, 0.5))
 
 
-def so3_log(R: np.ndarray) -> np.ndarray:
-    """Rotation vector of ``R`` (inverse of :func:`so3_exp`)."""
-    cos_angle = np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0)
-    angle = float(np.arccos(cos_angle))
-    if angle < SMALL_ANGLE:
-        return 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if angle > np.pi - 1e-6:
-        # Near pi the off-diagonal form degenerates; use the symmetric part.
-        A = 0.5 * (R + np.eye(3))
-        axis = np.sqrt(np.clip(np.diag(A), 0.0, None))
-        # Fix signs from the largest component.
-        k = int(np.argmax(axis))
-        if axis[k] > 0.0:
-            signs = np.sign(A[k, :] / axis[k])
-            signs[signs == 0.0] = 1.0
-            axis = axis * signs * np.sign(axis[k])
-        return axis / max(np.linalg.norm(axis), 1e-12) * angle
-    return angle / (2.0 * np.sin(angle)) * np.array(
-        [R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]
-    )
-
-
 def so3_right_jacobian(phi: np.ndarray) -> np.ndarray:
     """Right Jacobians (..., 3, 3) of rows phi (..., 3): exp(phi + d) = exp(phi) exp(Jr d)."""
     return _rodrigues(

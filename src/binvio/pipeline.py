@@ -27,7 +27,9 @@ import numpy as np
 
 from . import io as dataio
 from .config import PipelineConfig
-from .emulator import GrayFrame, detect_corners, detect_edges, inject_analog_noise
+from .emulator import (
+    BinaryMap, GrayFrame, MapKind, detect_corners, detect_edges, inject_analog_noise,
+)
 from .evaluate import TrajectorySeries
 from .geometry import quat_normalize
 from .imu import NavState, NoiseParams, TimestampGap
@@ -37,7 +39,6 @@ from .tracker import (
     FeatureSource,
     TrackTable,
     binary_to_intensity,
-    corners_from_points,
     dump_tracks_csv,
     feather,
     shi_tomasi_on_edges,
@@ -109,12 +110,8 @@ def initial_state_from_gt(dataset: Dataset, config: PipelineConfig) -> FilterSta
 
 
 def dataset_noise_params(dataset: Dataset, config: PipelineConfig) -> NoiseParams:
-    if config.noise.from_manifest and "gyro_noise" in dataset.meta:
-        m = dataset.meta
-        return NoiseParams(
-            float(m["gyro_noise"]), float(m["accel_noise"]),
-            float(m["gyro_walk"]), float(m["accel_walk"]), float(m["gravity"]),
-        )
+    if config.noise.from_manifest and dataset.noise is not None:
+        return dataset.noise
     return config.noise
 
 
@@ -141,7 +138,7 @@ def sensor_frames(dataset: Dataset, config: PipelineConfig):
 
         if tracker_cfg.feature_source is FeatureSource.SHI_TOMASI_ON_EDGES:
             pts = shi_tomasi_on_edges(feathered, tracker_cfg.n_points)
-            corners = corners_from_points(pts, t)
+            corners = BinaryMap.from_points(pts, MapKind.CORNER, t)
         yield t, corners, feathered
 
 

@@ -207,21 +207,19 @@ def _face_lines(rng, u_half, v_half, budget):
     return lines
 
 
-def _line_crossings(lines):
-    """Pairwise intersections of 2D segments, in face coordinates."""
-    pts = []
-    for i in range(len(lines)):
-        (x1, y1), (x2, y2) = lines[i]
-        for j in range(i + 1, len(lines)):
-            (x3, y3), (x4, y4) = lines[j]
-            den = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
-            if abs(den) < 1e-12:
-                continue
-            s = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / den
-            u = ((x1 - x3) * (y1 - y2) - (y1 - y3) * (x1 - x2)) / den
-            if 0.02 <= s <= 0.98 and 0.02 <= u <= 0.98:
-                pts.append((x1 + s * (x2 - x1), y1 + s * (y2 - y1)))
-    return pts
+def _line_crossings(lines: np.ndarray) -> np.ndarray:
+    """Intersections (K, 2) of the segment pairs i < j of (L, 2, 2), in row-major pair order."""
+    i, j = np.triu_indices(len(lines), 1)
+    (x1, y1), (x2, y2) = lines[i, 0].T, lines[i, 1].T
+    (x3, y3), (x4, y4) = lines[j, 0].T, lines[j, 1].T
+    den = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
+    ok = np.abs(den) >= 1e-12
+    den = np.where(ok, den, 1.0)
+    s = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / den
+    u = ((x1 - x3) * (y1 - y2) - (y1 - y3) * (x1 - x2)) / den
+    ok &= (0.02 <= s) & (s <= 0.98) & (0.02 <= u) & (u <= 0.98)
+    s = s[ok]
+    return np.column_stack([x1[ok] + s * (x2[ok] - x1[ok]), y1[ok] + s * (y2[ok] - y1[ok])])
 
 
 def make_room_world(
@@ -246,16 +244,13 @@ def make_room_world(
     landmarks = []
     for (origin, u_dir, v_dir, u_half, v_half), frac in zip(faces, budget_per_face):
         budget = max(4, int(round(n_segments * frac)))
-        lines = _face_lines(rng, u_half, v_half, budget)
-        for (a, b) in lines:
-            p0 = origin + a[0] * u_dir + a[1] * v_dir
-            p1 = origin + b[0] * u_dir + b[1] * v_dir
-            segments.append((p0, p1))
-        for (u, v) in _line_crossings(lines):
-            landmarks.append(origin + u * u_dir + v * v_dir)
+        lines = np.array(_face_lines(rng, u_half, v_half, budget))
+        segments.append(origin + lines[..., :1] * u_dir + lines[..., 1:] * v_dir)
+        uv = _line_crossings(lines)
+        landmarks.append(origin + uv[:, :1] * u_dir + uv[:, 1:] * v_dir)
 
-    segments = np.array(segments)
-    landmarks = np.array(landmarks)
+    segments = np.concatenate(segments)
+    landmarks = np.concatenate(landmarks)
 
     if poor_sector is not None:
         center = np.deg2rad(poor_sector[0])
@@ -272,28 +267,17 @@ def make_room_world(
         keep_lm = ~in_sector(landmarks) | (rng.random(len(landmarks)) < poor_density)
         landmarks = landmarks[keep_lm]
 
-    # spread-preserving subsample down to the landmark budget
+    # spread-preserving subsample: keep each candidate not within the spacing of a kept one
     order = rng.permutation(len(landmarks))
+    chosen = np.empty_like(landmarks)  # the points kept so far, in order
     kept = []
-    cell = max(min_landmark_spacing, 1e-6)
-    occupied = {}
-    for idx in order:
-        p = landmarks[idx]
-        key = tuple((p // cell).astype(int))
-        ok = True
-        for dk in np.ndindex(3, 3, 3):
-            nb = (key[0] + dk[0] - 1, key[1] + dk[1] - 1, key[2] + dk[2] - 1)
-            for q in occupied.get(nb, ()):
-                if np.sum((p - q) ** 2) < min_landmark_spacing**2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for idx, p in zip(order, landmarks[order]):
+        d = chosen[:len(kept)] - p
+        if not ((d * d).sum(axis=1) < min_landmark_spacing**2).any():
+            chosen[len(kept)] = p
             kept.append(idx)
-            occupied.setdefault(key, []).append(p)
-        if len(kept) >= n_landmarks:
-            break
+            if len(kept) >= n_landmarks:
+                break
     landmarks = landmarks[np.sort(np.array(kept, dtype=int))]
     return WorldModel(landmarks=landmarks, segments=segments)
 
@@ -359,38 +343,23 @@ def render_frame(
     seg_px, seg_ok = project_batch(seg_pts, cam_pose, calib)
 
     if mode == "ideal-binary":
-        edge_bits = np.zeros((MAP_SIZE, MAP_SIZE), dtype=np.uint8)
-        px = np.rint(seg_px[seg_ok]).astype(int)
-        keep = (px[:, 0] >= 0) & (px[:, 0] < MAP_SIZE) & (px[:, 1] >= 0) & (px[:, 1] < MAP_SIZE)
-        px = px[keep]
-        edge_bits[px[:, 1], px[:, 0]] = 1
-
-        corner_bits = np.zeros((MAP_SIZE, MAP_SIZE), dtype=np.uint8)
         lm_px, lm_ok = project_batch(world.landmarks, cam_pose, calib)
-        lm = np.rint(lm_px[lm_ok]).astype(int)
-        keep = (lm[:, 0] >= 0) & (lm[:, 0] < MAP_SIZE) & (lm[:, 1] >= 0) & (lm[:, 1] < MAP_SIZE)
-        lm = lm[keep]
-        corner_bits[lm[:, 1], lm[:, 0]] = 1
         return (
-            BinaryMap(corner_bits, MapKind.CORNER, timestamp),
-            BinaryMap(edge_bits, MapKind.EDGE, timestamp),
+            BinaryMap.from_points(lm_px[lm_ok], MapKind.CORNER, timestamp),
+            BinaryMap.from_points(seg_px[seg_ok], MapKind.EDGE, timestamp),
         )
 
-    img = np.zeros((MAP_SIZE, MAP_SIZE), dtype=np.float64)
     pts = seg_px[seg_ok]
-    inside = (
-        (pts[:, 0] >= 0) & (pts[:, 0] < MAP_SIZE - 1)
-        & (pts[:, 1] >= 0) & (pts[:, 1] < MAP_SIZE - 1)
-    )
-    pts = pts[inside]
-    x0 = np.floor(pts[:, 0]).astype(int)
-    y0 = np.floor(pts[:, 1]).astype(int)
-    wx = pts[:, 0] - x0
-    wy = pts[:, 1] - y0
-    np.add.at(img, (y0, x0), (1 - wx) * (1 - wy))
-    np.add.at(img, (y0, x0 + 1), wx * (1 - wy))
-    np.add.at(img, (y0 + 1, x0), (1 - wx) * wy)
-    np.add.at(img, (y0 + 1, x0 + 1), wx * wy)
+    pts = pts[((pts >= 0) & (pts < MAP_SIZE - 1)).all(axis=1)]
+    base = np.floor(pts)
+    (x0, y0), (wx, wy) = base.astype(int).T, (pts - base).T
+    # bilinear splat, corner by corner: each pixel sums its weights in this order
+    at = y0 * MAP_SIZE + x0
+    img = np.bincount(
+        np.concatenate([at, at + 1, at + MAP_SIZE, at + MAP_SIZE + 1]),
+        np.concatenate([(1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy]),
+        minlength=MAP_SIZE * MAP_SIZE,
+    ).reshape(MAP_SIZE, MAP_SIZE)
     img = np.clip(img * 255.0, 0, 255).astype(np.uint8)
     return GrayFrame(img, timestamp)
 
@@ -451,9 +420,10 @@ def camera_pose_at(gt: GroundTruth, calib: CameraCalibration):
 class Dataset:
     """Unified view over an in-memory or on-disk dataset; ``imu`` is its (N, 7) IMU stream."""
 
-    def __init__(self, config: SimConfig | None, calib, imu, gt_rows, meta, frame_dir=None):
+    def __init__(self, config: SimConfig | None, calib, noise, imu, gt_rows, meta, frame_dir=None):
         self.config = config
         self.calib = calib
+        self.noise = noise  # the IMU noise the manifest states, None where it states none
         self.imu = imu
         self.gt = np.asarray(gt_rows)
         self.meta = meta
@@ -516,27 +486,18 @@ def build_dataset(cfg: SimConfig) -> Dataset:
         "n_frames": str(cfg.n_frames()),
         "peak_angular_rate": f"{peak_angular_rate(spec):.6f}",
         "path_length": f"{path_length(spec):.6f}",
-        "gravity": repr(cfg.noise.gravity),
-        "gyro_noise": repr(cfg.noise.gyro_noise),
-        "accel_noise": repr(cfg.noise.accel_noise),
-        "gyro_walk": repr(cfg.noise.gyro_walk),
-        "accel_walk": repr(cfg.noise.accel_walk),
+        **{key: repr(getattr(cfg.noise, key)) for key in NOISE_KEYS},
     }
     calib = default_calibration()
     meta.update(_calib_meta(calib))
-    return Dataset(cfg, calib, imu, gt_rows, meta)
+    return Dataset(cfg, calib, cfg.noise, imu, gt_rows, meta)
 
 
 def _calib_meta(calib: CameraCalibration) -> dict:
-    return {
-        "calib.fx": repr(float(calib.fx)),
-        "calib.fy": repr(float(calib.fy)),
-        "calib.cx": repr(float(calib.cx)),
-        "calib.cy": repr(float(calib.cy)),
-        "calib.distortion": ",".join(repr(float(v)) for v in calib.distortion),
-        "calib.extrinsic_q": ",".join(repr(float(v)) for v in calib.extrinsic_q),
-        "calib.extrinsic_p": ",".join(repr(float(v)) for v in calib.extrinsic_p),
-    }
+    meta = {f"calib.{key}": repr(float(getattr(calib, key))) for key in ("fx", "fy", "cx", "cy")}
+    for key in ("distortion", "extrinsic_q", "extrinsic_p"):
+        meta[f"calib.{key}"] = ",".join(repr(float(v)) for v in getattr(calib, key))
+    return meta
 
 
 def _calib_from_meta(meta: dict) -> CameraCalibration:
@@ -557,6 +518,25 @@ def _calib_from_meta(meta: dict) -> CameraCalibration:
         )
     except (KeyError, ValueError) as e:
         raise dataio.DatasetCorrupt(f"bad camera calibration in meta.txt: {e}") from None
+
+
+NOISE_KEYS = ("gravity", "gyro_noise", "accel_noise", "gyro_walk", "accel_walk")
+
+
+def _noise_from_meta(meta: dict) -> NoiseParams | None:
+    """The manifest's IMU noise, None if it has none; DatasetCorrupt unless all five are valid."""
+    if not any(key in meta for key in NOISE_KEYS):
+        return None
+    values = {}
+    for key in NOISE_KEYS:
+        try:
+            values[key] = float(meta[key])
+        except (KeyError, ValueError):
+            raise dataio.DatasetCorrupt(f"bad {key} in meta.txt: {meta.get(key)!r}") from None
+    try:
+        return NoiseParams(**values)
+    except ValueError as e:  # its message names the key
+        raise dataio.DatasetCorrupt(f"bad IMU noise in meta.txt: {e}") from None
 
 
 def write_dataset(cfg: SimConfig, out_dir) -> Path:
@@ -595,11 +575,12 @@ def load_dataset(path) -> Dataset:
         if not good:
             raise dataio.DatasetCorrupt(f"bad {key} in meta.txt: {meta.get(key)!r}")
     calib = _calib_from_meta(meta)
+    noise = _noise_from_meta(meta)
     imu = dataio.read_imu_csv(path / "imu.csv")
     gt = dataio.read_pose_csv(path / "gt.csv")
     if not np.isfinite(gt).all():
         raise dataio.DatasetCorrupt(f"{path / 'gt.csv'} holds a value that is not finite")
-    return Dataset(None, calib, imu, gt, meta, frame_dir=path / "frames")
+    return Dataset(None, calib, noise, imu, gt, meta, frame_dir=path / "frames")
 
 
 # Trajectory presets.  Amplitudes are tuned so the "hostile" family matches

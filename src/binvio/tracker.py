@@ -49,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .emulator import MAP_SIZE, MAX_CORNER_POINTS, BinaryMap, MapKind, suppress_non_maxima
+from .emulator import MAP_SIZE, MAX_CORNER_POINTS, BinaryMap, suppress_non_maxima
 
 EDGE_INTENSITY = 128
 MIN_EIGENVALUE = 1e-6
@@ -506,20 +506,6 @@ def shi_tomasi_on_edges(feathered: np.ndarray, max_points: int) -> np.ndarray:
         return np.zeros((0, 2))
     order = np.lexsort((cols, rows, -response[rows, cols]))[:max_points]
     return np.column_stack([cols[order], rows[order]]).astype(float)
-
-
-def corners_from_points(points: np.ndarray, timestamp: float = 0.0) -> BinaryMap:
-    """Build a corner map with bits set at the given (u, v) points."""
-    bits = np.zeros((MAP_SIZE, MAP_SIZE), dtype=np.uint8)
-    if len(points):
-        pts = np.rint(np.asarray(points, dtype=float)).astype(int)
-        keep = (
-            (pts[:, 0] >= 0) & (pts[:, 0] < MAP_SIZE)
-            & (pts[:, 1] >= 0) & (pts[:, 1] < MAP_SIZE)
-        )
-        pts = pts[keep]
-        bits[pts[:, 1], pts[:, 0]] = 1
-    return BinaryMap(bits, MapKind.CORNER, timestamp)
 
 
 def dump_tracks_csv(table: TrackTable, landmark_ids, path) -> None:

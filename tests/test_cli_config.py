@@ -17,7 +17,7 @@ from binvio import config
 from binvio.cli import BLAS_THREAD_VARS, main
 from binvio.config import ConfigInvalid, PipelineConfig, load_config, parse_config_text
 from binvio.io import read_manifest, read_pose_csv
-from binvio.simgen import load_dataset
+from binvio.simgen import NOISE_KEYS, load_dataset
 
 
 def nonneg(strict=False):
@@ -186,6 +186,25 @@ BAD_MANIFEST_VALUES = [
     ("n_frames", "0"), ("n_frames", "-3"), ("n_frames", "abc"),
     ("fps", "0"), ("fps", "nan"), ("mode", "fancy"),
 ]
+
+# manifest IMU noise that the filter cannot assume: (key, value), None deleting the key
+BAD_NOISE_VALUES = [
+    ("gyro_noise", "abc"), ("gyro_noise", "-1"), ("gravity", "3.0"), ("accel_walk", "nan"),
+    ("accel_noise", None),
+]
+
+
+def edit_manifest(data: Path, edits: dict) -> None:
+    """Set each key of ``data/meta.txt`` to its value in ``edits``, deleting it for None."""
+    meta = read_manifest(data / "meta.txt")
+    for key, value in edits.items():
+        assert key in meta
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+    (data / "meta.txt").write_text("".join(f"{k}={v}\n" for k, v in meta.items()))
+
 
 # manifest value that cannot describe the camera: (key, value)
 BAD_CALIBRATIONS = {
@@ -409,11 +428,7 @@ class TestCli:
     def test_run_bad_calibration_exit_2(self, tiny_dataset, tmp_path, capsys, defect):
         data = tmp_path / "tiny"
         shutil.copytree(tiny_dataset, data)
-        meta = read_manifest(data / "meta.txt")
-        key, value = BAD_CALIBRATIONS[defect]
-        assert key in meta
-        meta[key] = value
-        (data / "meta.txt").write_text("".join(f"{k}={v}\n" for k, v in meta.items()))
+        edit_manifest(data, dict([BAD_CALIBRATIONS[defect]]))
         pose = tmp_path / "pose.csv"
         rc = main(["run", "--dataset", str(data), "--out", str(pose)])
         assert rc == 2
@@ -426,15 +441,38 @@ class TestCli:
     def test_run_bad_manifest_exit_2(self, static_dataset, tmp_path, capsys, key, value):
         data = tmp_path / "static"
         shutil.copytree(static_dataset, data)
-        meta = read_manifest(data / "meta.txt")
-        assert key in meta
-        meta[key] = value
-        (data / "meta.txt").write_text("".join(f"{k}={v}\n" for k, v in meta.items()))
+        edit_manifest(data, {key: value})
         pose = tmp_path / "pose.csv"
         rc = main(["run", "--dataset", str(data), "--out", str(pose)])
         assert rc == 2
         assert f"bad {key} in meta.txt" in capsys.readouterr().err
         assert not pose.exists()
+
+    @pytest.mark.parametrize(
+        "key, value", BAD_NOISE_VALUES, ids=[f"{k}={v}" for k, v in BAD_NOISE_VALUES]
+    )
+    def test_run_bad_noise_exit_2(self, static_dataset, tmp_path, capsys, key, value):
+        data = tmp_path / "static"
+        shutil.copytree(static_dataset, data)
+        edit_manifest(data, {key: value})
+        pose = tmp_path / "pose.csv"
+        rc = main(["run", "--dataset", str(data), "--out", str(pose)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "meta.txt" in err and key in err
+        assert not pose.exists()
+
+    def test_run_manifest_without_noise_uses_config(self, static_dataset, tmp_path):
+        # with no noise key in the manifest, the noise.* settings drive the filter
+        data = tmp_path / "static"
+        shutil.copytree(static_dataset, data)
+        edit_manifest(data, dict.fromkeys(NOISE_KEYS))
+        flags = ["--noise.gyro_noise", "1e-3", "--noise.accel_walk", "1e-4"]
+        bare, forced = tmp_path / "bare.csv", tmp_path / "forced.csv"
+        assert main(["run", "--dataset", str(data), "--out", str(bare), *flags]) == 0
+        assert main(["run", "--dataset", str(static_dataset), "--out", str(forced), *flags,
+                     "--noise.from_manifest", "false"]) == 0
+        assert bare.read_bytes() == forced.read_bytes()
 
     def test_ablation_flags(self, tiny_dataset, tmp_path):
         rc = main([

@@ -324,3 +324,16 @@ class TestInjectAnalogNoise:
     def test_rate_validation(self):
         with pytest.raises(ValueError):
             inject_analog_noise(self.make_map(), 0.2, seed=0)
+
+
+class TestBinaryMapFromPoints:
+    def test_rounds_and_drops_points_off_the_map(self):
+        pts = [(3.4, 7.6), (255.4, 0.0), (-0.6, 10.0), (255.5, 3.0), (12.0, -0.4), (12.0, 256.2)]
+        m = BinaryMap.from_points(np.array(pts), MapKind.CORNER, 1.5)
+        want = np.zeros((256, 256), dtype=np.uint8)
+        want[8, 3] = want[0, 255] = want[0, 12] = 1  # (u, v) lands at [v, u]
+        np.testing.assert_array_equal(m.bits, want)
+        assert m.kind is MapKind.CORNER and m.timestamp == 1.5
+
+    def test_no_points_empty_map(self):
+        assert not BinaryMap.from_points(np.zeros((0, 2)), MapKind.EDGE).bits.any()

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from binvio.evaluate import (
     Degenerate,
@@ -129,11 +132,34 @@ class TestAteRte:
         R = quat_to_matrix(q_R)
         t = rng.normal(size=3)
         est_pos = gt.positions @ R.T + t
-        est_q = np.array([quat_multiply(gt.quaternions[i], q_R) for i in range(len(gt))])
+        # a body sees est-frame vectors through R(q_gt) R^T, and R^T = R(q_R^-1)
+        q_R_inv = q_R * np.array([-1.0, -1.0, -1.0, 1.0])
+        est_q = np.array([quat_multiply(gt.quaternions[i], q_R_inv) for i in range(len(gt))])
         est = TrajectorySeries(gt.t, est_pos, est_q)
         pairs = associate(est, gt, max_dt=1e-6)
         rep = compute_ate_rte(pairs, rte_delta=20)
         assert rep.ate_rmse < 1e-9
+        assert rep.rotation_rmse < 1e-12
+        assert rep.rte_rmse < 1e-12
+
+    @pytest.mark.parametrize("rte_delta", [1, 25, 199, 200, 250])
+    def test_rte_matches_per_pair_loop(self, rte_delta):
+        # the per-pair loop the array pass replaced; the einsum sums in another order
+        rng = np.random.default_rng(12)
+        gt = random_trajectory(rng)
+        est = random_trajectory(rng)
+        pairs = associate(est, gt, max_dt=1e-6)
+        want = [
+            np.linalg.norm(
+                quat_to_matrix(pairs.est_quaternions[i])
+                @ (pairs.est_positions[i + rte_delta] - pairs.est_positions[i])
+                - quat_to_matrix(pairs.gt_quaternions[i])
+                @ (pairs.gt_positions[i + rte_delta] - pairs.gt_positions[i]))
+            for i in range(len(pairs) - rte_delta)
+        ]
+        rep = compute_ate_rte(pairs, rte_delta=rte_delta)
+        assert rep.rte_rmse == pytest.approx(np.sqrt(np.mean(np.square(want))) if want else 0.0,
+                                             rel=1e-14, abs=1e-15)
 
     def test_rte_delta_zero_is_zero(self):
         rng = np.random.default_rng(8)
@@ -199,6 +225,28 @@ class TestAteRte:
         rep = compute_ate_rte(associate(est, gt, max_dt=1e-6), rte_delta=250)
         assert rep.alignment == "translation"
         assert rep.ate_rmse == 0.0 and rep.rte_rmse == 0.0
+
+
+class TestRotationError:
+    @given(
+        st.lists(st.floats(0.0, np.pi - 1e-9), min_size=1, max_size=8),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scipy_up_to_pi(self, angles, seed):
+        # every pose at the origin fixes no rotation, so the alignment is R = I exactly
+        rng = np.random.default_rng(seed)
+        axes = rng.normal(size=(len(angles), 3))
+        offsets = axes / np.linalg.norm(axes, axis=1, keepdims=True) * np.array(angles)[:, None]
+        r_gt = Rotation.from_quat(rng.normal(size=(len(angles), 4)))
+        q_gt = r_gt.as_quat()
+        q_est = (r_gt * Rotation.from_rotvec(offsets)).as_quat()
+        t = np.arange(len(angles)) * 0.004
+        pairs = associate(make_series(t, np.zeros((len(t), 3)), q_est),
+                          make_series(t, np.zeros((len(t), 3)), q_gt), max_dt=1e-6)
+        rep = compute_ate_rte(pairs, rte_delta=1)
+        assert rep.alignment == "translation"
+        want = (Rotation.from_quat(q_est).inv() * Rotation.from_quat(q_gt)).magnitude()
+        np.testing.assert_allclose(rep.series_rotation_error, want, rtol=0, atol=1e-14)
 
 
 class TestCorrelation:

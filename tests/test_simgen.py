@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from binvio import simgen as sg
 from binvio.geometry import (
@@ -15,7 +16,6 @@ from binvio.geometry import (
     project_points,
     quat_from_axis_angle,
     quat_to_matrix,
-    so3_log,
 )
 from binvio.imu import NavState, NoiseParams, propagate_block
 
@@ -66,7 +66,7 @@ class TestGroundTruth:
             # body rate from central difference: A(t-h)^T A(t+h) = exp([2wh])
             Am = quat_to_matrix(gm.orientation).T
             Ap = quat_to_matrix(gp.orientation).T
-            w_num = so3_log(Am.T @ Ap) / (2 * h)
+            w_num = Rotation.from_matrix(Am.T @ Ap).as_rotvec() / (2 * h)
             np.testing.assert_allclose(w_num, g0.angular_rate, atol=1e-4)
 
     def test_out_of_range_t(self):
@@ -322,6 +322,37 @@ class TestWorld:
         n_full = np.sum(np.abs(az_full) < np.deg2rad(60))
         n_poor = np.sum(np.abs(az_poor) < np.deg2rad(60))
         assert n_poor < 0.3 * n_full
+
+    @given(st.lists(st.tuples(*[st.floats(-3.0, 3.0)] * 4), max_size=12),
+           st.sampled_from([None, 1, 4]))
+    def test_line_crossings_match_pairwise_loop(self, ends, parallel_to):
+        # the per-pair loop the array pass replaced, as the bit-for-bit reference
+        lines = np.array(ends, dtype=float).reshape(-1, 2, 2)
+        if parallel_to is not None and len(lines) > parallel_to:
+            lines[parallel_to] = lines[0] + 0.5  # a parallel pair, skipped by both
+        want = []
+        for i in range(len(lines)):
+            (x1, y1), (x2, y2) = lines[i]
+            for j in range(i + 1, len(lines)):
+                (x3, y3), (x4, y4) = lines[j]
+                den = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
+                if abs(den) < 1e-12:
+                    continue
+                s = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / den
+                u = ((x1 - x3) * (y1 - y2) - (y1 - y3) * (x1 - x2)) / den
+                if 0.02 <= s <= 0.98 and 0.02 <= u <= 0.98:
+                    want.append((x1 + s * (x2 - x1), y1 + s * (y2 - y1)))
+        np.testing.assert_array_equal(sg._line_crossings(lines), np.array(want).reshape(-1, 2))
+
+    @pytest.mark.parametrize("preset, digest", [
+        ("hostile-rot", "0817c839c58e288f404bbb973be75076e661058146d24f3af01dc3fba6e82424"),
+        # the poor sector's decimation
+        ("low-texture", "323343e662179e2a7ecfba40d492f59bf3e8bc38c710e2b3a2498b65d396c413"),
+    ], ids=["hostile-rot", "low-texture"])
+    def test_world_matches_pinned_digest(self, preset, digest):
+        # sha256 of the landmark then the segment array bytes, recorded from an earlier version
+        w = sg.preset_config(preset, seed=1).world()
+        assert hashlib.sha256(w.landmarks.tobytes() + w.segments.tobytes()).hexdigest() == digest
 
     def test_reproducible(self):
         a = sg.make_room_world(7)
