@@ -20,6 +20,19 @@ triangulate only those that pass, one ``triangulate(window, cam_poses,
 calib)`` call per track as the benchmark's tracer counts them.  One builder,
 ``_track_rows``, gives the triangulated tracks their rows in a batched pass.
 
+Windows: the screen reads a track's last observations as arrays, frames
+(T, W) and pixels (T, W, 2), from the track table's rows for promotion
+candidates and from the death records for the MSCKF update alike; a frame's
+clone row is its rank among the cloned frames, found for every observation
+in one search.  Schedule of delayed initialization: the first pass screens
+as many due candidates as could still be initialized.  A pass whose windows
+run out with no update since leaves the calibration as it was, so the next
+pass screens twice as many; after an update the calibration has changed,
+and the next pass screens afresh from the current candidate.  A track's
+window and verdict do not depend on the batch it is screened in, so the
+schedule changes no verdict, and each due candidate is screened once per
+calibration.
+
 The χ² gates and the EKF step read only the blocks of P that an update's
 Jacobian involves, so a k-row update costs O(d² k), not O(d³).
 
@@ -33,7 +46,6 @@ spurious information gain along unobservable directions.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +177,10 @@ class FilterState:
         """First row of the landmark blocks in ``cov``."""
         return self.clone_start() + CLONE_DIM * len(self.clones)
 
+    def landmark_ids(self) -> np.ndarray:
+        """Track ids of the landmarks (L,), in their rows' order."""
+        return np.fromiter(self.slam, dtype=np.int64, count=len(self.slam))
+
     def _reindex(self) -> None:
         """Renumber both maps; clones are kept in frame order, landmarks in insertion order."""
         for row, frame_index in enumerate(self.clones):
@@ -288,17 +304,6 @@ def _inverse_depth_rows(w, B, offset, pixels, calib: CameraCalibration):
     return (pixels - pred).ravel(), (J_point @ B).reshape(-1, 3)
 
 
-def _window_observations(track: FeatureTrack, clones) -> list:
-    """The track's ``(frame, pixel)`` observations of cloned frames, oldest first.
-
-    Observations are frame-ordered, so only the tail from the oldest clone on is read.
-    """
-    if not clones:
-        return []
-    tail = track.observations[bisect_left(track.observations, min(clones), key=lambda o: o[0]):]
-    return [(f, z) for f, z in tail if f in clones]
-
-
 def _max_subtended_deg(bearings: np.ndarray) -> np.ndarray:
     """Largest angle in degrees between two rays of each of T tracks, from rays (T, W, 3).
 
@@ -309,24 +314,32 @@ def _max_subtended_deg(bearings: np.ndarray) -> np.ndarray:
     return np.degrees(np.arccos(np.clip((x + y + z).min(axis=(1, 2)), -1.0, 1.0)))
 
 
-def _parallax_screen(tracks: list[FeatureTrack], state: FilterState, cam_poses) -> list:
+def _parallax_screen(frames: np.ndarray, pixels: np.ndarray, state: FilterState, cam_poses) -> list:
     """Each track's window, or None where it cannot be triangulated, from one batched pass.
 
-    A track passes when it has at least two in-window observations whose rays
-    subtend at least ``min_baseline_deg``.  Its window is ``(rows, pixels,
-    rays)``: the clone rows (m,) of its in-window observations, their pixels
-    (m, 2) and their unit global rays (m, 3) under ``state.calib`` and
-    ``cam_poses``, which it stays valid with.
+    ``frames`` (T, W) and ``pixels`` (T, W, 2) hold each track's last
+    observations oldest first, frame -1 in an unfilled column, as the rows of
+    the track table and the death records hold them.  A track
+    passes when it has at least two in-window observations (of cloned
+    frames) whose rays subtend at least ``min_baseline_deg``.  Its window is
+    ``(rows, pixels, rays)``: the clone rows (m,) of its in-window
+    observations, their pixels (m, 2) and their unit global rays (m, 3) under
+    ``state.calib`` and ``cam_poses``, which it stays valid with.
     """
-    windows = [_window_observations(t, state.clones) for t in tracks]
-    lengths = np.array([len(w) for w in windows], dtype=int)
+    out = [None] * len(frames)
+    if not state.clones:
+        return out
+    # clones are numbered in frame order, so a frame's clone row is its rank
+    cloned = np.fromiter(state.clones, dtype=np.int64, count=len(state.clones))
+    slot = np.minimum(np.searchsorted(cloned, frames), len(cloned) - 1)
+    seen = cloned[slot] == frames
+    lengths = seen.sum(axis=1)
     viewed = np.flatnonzero(lengths >= 2)
-    out = [None] * len(tracks)
     if not len(viewed):
         return out
-    obs = [o for i in viewed for o in windows[i]]
-    pixels = np.array([z for _, z in obs], dtype=float)
-    rows = np.array([state.clones[f] for f, _ in obs])
+    seen = seen[viewed]
+    rows = slot[viewed][seen]
+    pixels = pixels[viewed][seen]
     xn = undistort(pixels, state.calib, iters=8)
     d_cam = np.column_stack([xn, np.ones(len(xn))])
     d_cam /= np.linalg.norm(d_cam, axis=1, keepdims=True)
@@ -592,12 +605,16 @@ def _ekf_update(state: FilterState, H: np.ndarray, r: np.ndarray) -> None:
 
 def msckf_update(state: FilterState, dead_tracks: list[FeatureTrack]) -> int:
     """Consume dead tracks via left null-space projection; returns how many were used."""
+    if not dead_tracks:
+        return 0
     cam_poses = camera_poses_now(state)
     # calibration and camera poses hold until the one update below, so one
     # screen, one rows pass and one P serve every track
     tracks = sorted(dead_tracks, key=lambda t: t.id)
+    frames = np.array([t.frames for t in tracks])
+    pixels = np.array([t.pixels for t in tracks])
     windows, points = [], []
-    for window in _parallax_screen(tracks, state, cam_poses):
+    for window in _parallax_screen(frames, pixels, state, cam_poses):
         point = _triangulated(state, window, cam_poses)
         if point is not None:
             windows.append(window)
@@ -614,26 +631,23 @@ def msckf_update(state: FilterState, dead_tracks: list[FeatureTrack]) -> int:
     return len(accepted)
 
 
-def slam_update(
-    state: FilterState,
-    in_state_tracks: list[FeatureTrack],
-    promotions: list[FeatureTrack],
-    frame_index: int,
-) -> None:
-    """Update the landmarks of ``in_state_tracks``, then initialize ``promotions`` in order."""
+def slam_update(state: FilterState, table: TrackTable, promotions: np.ndarray, frame_index: int):
+    """Update the landmarks whose tracks ``table`` observed in ``frame_index``, then promote.
+
+    ``promotions`` are rows of ``table``, initialized in order as capacity
+    allows; a row whose screen or triangulation fails waits 5 frames.
+    """
     # (a) per-feature EKF rows for landmarks observed this frame, all from
-    # this frame's clone, built in one batch
+    # this frame's clone, built in one batch, in the landmarks' order
     accepted = []
     inconsistent = []
-    by_id = {t.id: t for t in in_state_tracks}
     cam_poses = camera_poses_now(state)
-    seen = [
-        (tid, by_id[tid]) for tid in state.slam
-        if tid in by_id and by_id[tid].last_frame() == frame_index
-    ]
-    if seen:
-        rows = np.full(len(seen), state.clones[frame_index])
-        lm_rows = np.array([state.slam[tid] for tid, _ in seen])
+    slam_ids = state.landmark_ids()
+    track_rows = table.rows_of(slam_ids)
+    lm_rows = np.flatnonzero(track_rows >= 0)
+    lm_rows = lm_rows[table.last_frame[track_rows[lm_rows]] == frame_index]
+    if len(lm_rows):
+        rows = np.full(len(lm_rows), state.clones[frame_index])
         now = state.slam_p[lm_rows]
         lin = state.slam_fej[lm_rows] if state.cfg.use_fej else now
         pred, H_f, H_clone, H_calib, in_front = _observation_jacobians(state, rows, lin, cam_poses)
@@ -643,7 +657,7 @@ def slam_update(
             in_front &= c_now[:, 2] > MIN_PROJECTION_DEPTH
             c_now[~in_front, 2] = 1.0
             pred = project_points(c_now, state.calib)
-        r = np.array([t.last_position() for _, t in seen], dtype=float) - pred
+        r = table.pos[track_rows[lm_rows]] - pred
         # rows i involve the calibration, this clone and landmark i only, and
         # every gate reads the same P: all their S in one batched pass
         H = np.concatenate(([] if H_calib is None else [H_calib]) + [H_clone, H_f], axis=2)
@@ -651,7 +665,7 @@ def slam_update(
         cols = np.hstack([_involved_cols(state, rows[:, None]), lm_cols])
         P = state.cov[cols[:, :, None], cols[:, None, :]]
         nis = _nis(H @ P @ H.transpose(0, 2, 1) + state.cfg.sigma_px**2 * np.eye(2), r)
-    for i, (tid, track) in enumerate(seen):
+    for i, tid in enumerate(slam_ids[lm_rows].tolist()):
         if len(accepted) >= state.cfg.max_slam_update:
             break
         if not in_front[i]:
@@ -672,20 +686,27 @@ def slam_update(
 
     # (b) delayed initialization of newly promoted tracks that are due
     capacity = state.cfg.max_slam_update - len(state.slam)
-    due = [t for t in promotions if frame_index >= t.retry_after]
+    due = promotions[table.retry_after[promotions] <= frame_index]
     windows = {}  # index in due -> parallax screen window under the current state.calib
-    for i, track in enumerate(due):
+    take = 0
+    failed = []  # rows whose screen or triangulation failed
+    for i, row in enumerate(due.tolist()):
         if capacity <= 0:
             break
         if i not in windows:
-            # screen as many candidates as could still be initialized
-            screened = _parallax_screen(due[i:i + capacity], state, cam_poses)
+            # screen as many candidates as could still be initialized; after a
+            # pass that ran out with no update, whose calibration still holds,
+            # twice as many as that pass
+            take = 2 * take if windows else capacity
+            batch = due[i:i + take]
+            screened = _parallax_screen(table.obs_frames[batch], table.obs_pixels[batch], state,
+                                        cam_poses)
             windows = dict(enumerate(screened, start=i))
         window = windows[i]
         p_tri = _triangulated(state, window, cam_poses)
         (rows,) = [None] if p_tri is None else _track_rows(state, [window], p_tri[None], cam_poses)
         if rows is None:
-            track.retry_after = frame_index + 5
+            failed.append(row)
             continue
         R1 = rows.R[:3, :]
         if np.abs(np.diag(R1)).min() < 1e-9 * max(1.0, np.abs(R1).max()):
@@ -697,13 +718,14 @@ def slam_update(
         cov_ff = cov_fx[:, rows.cols] @ M.T + state.cfg.sigma_px**2 * (R1_inv @ R1_inv.T)
         cov_ff = 0.5 * (cov_ff + cov_ff.T)  # keeps P exactly symmetric
         position = p_tri + R1_inv @ (Q1.T @ rows.r)
-        state.add_landmark(track.id, position, position, cov_ff, cov_fx, frame_index)
+        state.add_landmark(int(table.ids[row]), position, position, cov_ff, cov_fx, frame_index)
         capacity -= 1
         # the other 2m - 3 rows are landmark-free: consume them as a plain update;
         # appending the landmark left their columns and S as they were
         if _chi2_gate(state, rows.nis, rows.r.size - 3):
             _ekf_update(state, _dense_rows(state, rows.H_o, rows.cols), rows.r_o)
             windows = {}  # the update replaced state.calib, which the screen's rays read
+    table.retry_after[failed] = frame_index + 5
 
 
 @dataclass
@@ -720,18 +742,17 @@ class FrameResult:
 
 
 def route_tracks(state: FilterState, table: TrackTable, died: list[FeatureTrack]):
-    """This frame's promotion candidates and MSCKF tracks, each sorted by id.
+    """This frame's promotion candidates, as table rows, and MSCKF tracks, each in id order.
 
     Live tracks without a landmark seen for ``max_clones`` frames are
     promoted to in-state landmarks; tracks in ``died`` with at least
     ``min_msckf_len`` observations feed the MSCKF update.
     """
-    promote = [
-        t for t in table.tracks.values()
-        if t.id not in state.slam and t.length() >= state.cfg.max_clones
-    ]
-    dead = [t for t in died if t.length() >= state.cfg.min_msckf_len]
-    return sorted(promote, key=lambda t: t.id), sorted(dead, key=lambda t: t.id)
+    candidate = table.length >= state.cfg.max_clones
+    in_state = table.rows_of(state.landmark_ids())
+    candidate[in_state[in_state >= 0]] = False
+    dead = [t for t in died if t.length >= state.cfg.min_msckf_len]
+    return np.flatnonzero(candidate), sorted(dead, key=lambda t: t.id)
 
 
 def process_frame(
@@ -764,22 +785,21 @@ def process_frame(
     state.clone_pose(frame_index)
 
     promotions, dead_tracks = route_tracks(state, table, died)
-    in_state = [t2 for t2 in table.tracks.values() if t2.id in state.slam]
-    slam_update(state, in_state, promotions, frame_index)
+    slam_update(state, table, promotions, frame_index)
     msckf_used = msckf_update(state, dead_tracks)
 
     while len(state.clones) > cfg.max_clones:
         state.marginalize_clone(min(state.clones))
 
     # retire landmarks whose track died, or that went unseen for a whole
-    # window (stale), together with their track
+    # window (stale), together with their track; each removal reshapes P, so
+    # they run in the landmarks' order
+    slam_ids = state.landmark_ids()
+    rows = table.rows_of(slam_ids)
     stale = state.slam_seen < frame_index - cfg.max_clones
-    for tid, is_stale in zip(list(state.slam), stale):
-        track = table.tracks.get(tid)
-        if track is not None and is_stale:
-            table.retire(track, "stale")
-        if tid not in table.tracks:
-            state.remove_landmark(tid)
+    table.retire(np.sort(rows[stale & (rows >= 0)]), "stale")
+    for tid in slam_ids[stale | (rows < 0)].tolist():
+        state.remove_landmark(tid)
 
     pos_var = np.trace(state.cov[3:6, 3:6])
     rot_var = np.trace(state.cov[0:3, 0:3])
@@ -790,7 +810,7 @@ def process_frame(
         trace=float(np.trace(state.cov)),
         pos_sigma=float(np.sqrt(max(pos_var, 0.0))),
         rot_sigma=float(np.sqrt(max(rot_var, 0.0))),
-        live_tracks=len(table.tracks),
+        live_tracks=len(table),
         slam_count=len(state.slam),
         msckf_used=msckf_used,
     )

@@ -28,7 +28,7 @@ import numpy as np
 from . import io as dataio
 from .config import PipelineConfig
 from .emulator import (
-    BinaryMap, GrayFrame, MapKind, detect_corners, detect_edges, inject_analog_noise,
+    MAP_SIZE, BinaryMap, GrayFrame, MapKind, detect_corners, detect_edges, inject_analog_noise,
 )
 from .evaluate import TrajectorySeries
 from .geometry import quat_normalize
@@ -118,6 +118,7 @@ def dataset_noise_params(dataset: Dataset, config: PipelineConfig) -> NoiseParam
 def sensor_frames(dataset: Dataset, config: PipelineConfig):
     """Yield (t, corner map, feathered (256, 256) uint8 map) per frame, in order."""
     emulator_cfg, tracker_cfg = config.emulator, config.tracker
+    planes = np.empty((2, MAP_SIZE, MAP_SIZE))  # feather's float64 passes, kept for the run
     for k, (t, payload) in enumerate(dataset.iter_frames()):
         if isinstance(payload, GrayFrame):
             edges = detect_edges(payload, emulator_cfg.edge_threshold)
@@ -132,7 +133,7 @@ def sensor_frames(dataset: Dataset, config: PipelineConfig):
             edges = inject_analog_noise(edges, emulator_cfg.noise_flip_rate, base + 1)
 
         if tracker_cfg.feathering_enabled:
-            feathered = feather(edges, tracker_cfg.sigma_e)
+            feathered = feather(edges, tracker_cfg.sigma_e, planes)
         else:
             feathered = binary_to_intensity(edges)
 
@@ -155,7 +156,8 @@ def run_pipeline(
 
     state = initial_state_from_gt(dataset, config)
     slicer = _ImuSlicer(dataset.imu)
-    table = TrackTable()
+    # a row keeps an update's worth of observations: the clones plus the frame being cloned
+    table = TrackTable(config.filter.max_clones + 1, history=tracks_path is not None)
 
     prev_feather = None
     prev_t = 0.0

@@ -9,6 +9,18 @@ filter's state when ``FilterState.slam`` holds a landmark under its id.
 Coordinates are ``(u, v)`` pixels with ``u`` along columns; map arrays are
 indexed ``[v, u]``.
 
+Track table: live tracks are rows of arrays in id order (``TrackTable``),
+so each frame's bookkeeping is a few array passes, not Python per track.
+A row holds the id, last position and flow, length, last observed frame and
+promotion backoff, and the last W observations, right-aligned: W is the
+filter's clone window plus the frame being cloned, so a row holds every
+observation an update can use.  A frame's survivors move with one add, spawns
+append rows and deaths compact them, so rows never reorder.  A track that
+dies leaves a ``FeatureTrack`` record (id, length, its row of observations
+and the reason), made in table order and marked dead once, which is what
+the MSCKF update consumes.  The full observation history is kept only when
+asked for, for ``dump_tracks_csv``.
+
 Sampling: a tracking window is a unit-spaced grid, so all of its samples
 share one sub-pixel fraction, and bilinear sampling is a 4-tap blend of one
 integer ``(window + 1)``-square patch gathered through a strided view of
@@ -43,7 +55,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -96,30 +108,22 @@ class TrackerConfig:
             raise ValueError("min_separation must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class FeatureTrack:
-    """One tracked corner: id, per-frame observations, and lifecycle status."""
+    """The record a track leaves when it dies: id, length, last observations and reason.
+
+    ``frames`` (W,) and ``pixels`` (W, 2) are its row of the table's last
+    observations, oldest first and right-aligned, frame -1 in a column the
+    track never filled.  ``status`` and ``death_reason`` are set by
+    ``mark_dead``, which the table calls once per record.
+    """
 
     id: int
-    observations: list = field(default_factory=list)  # (frame_index, np.array([u, v]))
+    length: int
+    frames: np.ndarray
+    pixels: np.ndarray
     status: TrackStatus = TrackStatus.LIVE
-    last_flow: np.ndarray = field(default_factory=lambda: np.zeros(2))
     death_reason: str = ""
-    retry_after: int = 0  # promotion backoff after a failed parallax screen or triangulation
-
-    def add_observation(self, frame_index: int, z: np.ndarray) -> None:
-        if self.observations and frame_index <= self.observations[-1][0]:
-            raise ValueError("frame indices must be strictly increasing")
-        self.observations.append((frame_index, np.asarray(z, dtype=float).copy()))
-
-    def length(self) -> int:
-        return len(self.observations)
-
-    def last_position(self) -> np.ndarray:
-        return self.observations[-1][1]
-
-    def last_frame(self) -> int:
-        return self.observations[-1][0]
 
     def mark_dead(self, reason: str = "") -> None:
         self.status = TrackStatus.DEAD
@@ -149,24 +153,105 @@ class KltWorkspace:
 
 
 class TrackTable:
-    """Live tracks by id, in spawn order; a track leaves the table when it dies."""
+    """Live tracks as rows of arrays, in id order; a track leaves the table when it dies.
 
-    def __init__(self):
-        self.tracks: dict[int, FeatureTrack] = {}
+    Row i is track ``ids[i]``: position ``pos[i]`` and flow ``flow[i]``,
+    ``length[i]`` observations, the last in frame ``last_frame[i]``, and the
+    promotion backoff ``retry_after[i]``.  ``obs_frames[i]`` (W,) and
+    ``obs_pixels[i]`` (W, 2) are its last W observations, oldest first, the
+    newest in column W - 1 and frame -1 in a column not yet filled.  With
+    ``history`` the table also logs every observation, for :func:`dump_tracks_csv`.
+    """
+
+    COLUMNS = ("ids", "pos", "flow", "length", "last_frame", "retry_after",
+               "obs_frames", "obs_pixels")
+
+    def __init__(self, width: int, history: bool = False):
         self.next_id = 0
         self.klt = KltWorkspace()
+        self.ids = np.empty(0, dtype=np.int64)
+        self.pos = np.empty((0, 2))
+        self.flow = np.empty((0, 2))
+        self.length = np.empty(0, dtype=np.int64)
+        self.last_frame = np.empty(0, dtype=np.int64)
+        self.retry_after = np.empty(0, dtype=np.int64)
+        self.obs_frames = np.empty((0, width), dtype=np.int64)
+        self.obs_pixels = np.empty((0, width, 2))
+        self.history = [] if history else None  # (frame, ids, positions) per step
 
-    def spawn(self, frame_index: int, position: np.ndarray) -> FeatureTrack:
-        track = FeatureTrack(self.next_id)
-        self.next_id += 1
-        track.add_observation(frame_index, position)
-        self.tracks[track.id] = track
-        return track
+    def __len__(self) -> int:
+        return len(self.ids)
 
-    def retire(self, track: FeatureTrack, reason: str) -> None:
-        """Mark a live track dead and drop it from the table."""
-        track.mark_dead(reason)
-        del self.tracks[track.id]
+    def spawn(self, frame_index: int, positions: np.ndarray, flow: np.ndarray) -> None:
+        """Append one row per position (k, 2), observed in ``frame_index``, each with ``flow``."""
+        k = len(positions)
+        ids = np.arange(self.next_id, self.next_id + k)
+        frames = np.full((k, self.obs_frames.shape[1]), -1, dtype=np.int64)
+        frames[:, -1] = frame_index
+        pixels = np.zeros((k,) + self.obs_pixels.shape[1:])
+        pixels[:, -1] = positions
+        new = (ids, positions, np.broadcast_to(flow, (k, 2)), np.ones(k, dtype=np.int64),
+               np.full(k, frame_index), np.zeros(k, dtype=np.int64), frames, pixels)
+        for name, rows in zip(self.COLUMNS, new):
+            setattr(self, name, np.concatenate([getattr(self, name), rows]))
+        self.next_id += k
+        if self.history is not None:
+            self.history.append((frame_index, ids, positions.copy()))
+
+    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """The row of each track id (N,), or -1 where the track is not live."""
+        at = np.searchsorted(self.ids, ids)
+        inside = at < len(self)
+        found = np.zeros(len(ids), dtype=bool)
+        found[inside] = self.ids[at[inside]] == ids[inside]
+        return np.where(found, at, -1)
+
+    def _records(self, rows: np.ndarray, reasons: list) -> list[FeatureTrack]:
+        """One record per row (indices or mask), in table order, marked dead with its reason."""
+        died = [FeatureTrack(*fields) for fields in zip(
+            self.ids[rows].tolist(), self.length[rows].tolist(),
+            self.obs_frames[rows], self.obs_pixels[rows])]
+        for track, reason in zip(died, reasons):
+            track.mark_dead(reason)
+        return died
+
+    def retire(self, rows: np.ndarray, reason: str) -> list[FeatureTrack]:
+        """Drop ``rows`` (ascending) from the table; returns their records, dead for ``reason``."""
+        if not len(rows):
+            return []
+        died = self._records(rows, [reason] * len(rows))
+        keep = np.ones(len(self), dtype=bool)
+        keep[rows] = False
+        for name in self.COLUMNS:
+            setattr(self, name, getattr(self, name)[keep])
+        return died
+
+    def advance(self, frame_index: int, disp: np.ndarray, ok: np.ndarray, reason) -> list:
+        """Move the rows where ``ok`` by ``disp`` (n, 2) into ``frame_index``; retire the rest.
+
+        A retired row's record is marked dead with its entry of ``reason``;
+        the records are returned in table order.
+        """
+        lost = ~ok
+        died = self._records(lost, reason[lost].tolist())
+        self.ids, self.retry_after = self.ids[ok], self.retry_after[ok]
+        self.length = self.length[ok] + 1
+        self.last_frame = np.full(len(self.ids), frame_index)
+        self.flow = disp[ok]
+        self.pos = self.pos[ok] + self.flow
+        self.obs_frames = _push(self.obs_frames, ok, frame_index)
+        self.obs_pixels = _push(self.obs_pixels, ok, self.pos)
+        if self.history is not None:
+            self.history.append((frame_index, self.ids, self.pos))
+        return died
+
+
+def _push(rows: np.ndarray, kept: np.ndarray, newest) -> np.ndarray:
+    """Rows ``kept`` (a mask) of ``rows`` (n, W, ...) shifted one column left, ``newest`` last."""
+    out = np.empty((np.count_nonzero(kept),) + rows.shape[1:], dtype=rows.dtype)
+    out[:, :-1] = rows[kept, 1:]
+    out[:, -1] = newest
+    return out
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -177,17 +262,20 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def feather(edges: BinaryMap, sigma_e: float) -> np.ndarray:
+def feather(edges: BinaryMap, sigma_e: float, planes: np.ndarray | None = None) -> np.ndarray:
     """Blur the 128-valued edge image with a normalized Gaussian, into a (256, 256) uint8 map.
 
     The separable pass is identical to convolving with the 2-D product
     kernel normalized over its square support; values stay in [0, 128].
+    The two float64 passes run in ``planes`` (2, 256, 256) when given, so a
+    caller that feathers every frame keeps them for its run instead of
+    faulting fresh pages in per frame; the returned map is always new.
     """
     if sigma_e <= 0:
         raise ValueError("sigma_e must be positive")
     k = gaussian_kernel_1d(sigma_e)
-    img = np.multiply(edges.bits, EDGE_INTENSITY, dtype=np.float64)
-    out = np.empty_like(img)
+    img, out = np.empty((2,) + edges.bits.shape) if planes is None else planes
+    np.multiply(edges.bits, EDGE_INTENSITY, out=img, dtype=np.float64)
     ndimage.correlate1d(img, k, axis=0, output=out, mode="constant", cval=0.0)
     ndimage.correlate1d(out, k, axis=1, output=img, mode="constant", cval=0.0)
     np.clip(np.rint(img, out=img), 0, EDGE_INTENSITY, out=img)
@@ -387,29 +475,32 @@ def track_frame(
     to ``n_points`` live tracks.
     """
     died = []
-    live = list(table.tracks.values())
     median_flow = np.zeros(2)
-    if prev is not None and live:
-        points = np.array([t.last_position() for t in live])
-        guesses = np.array([t.last_flow for t in live])
-        disp, ok, reason = _batch_track(prev, next_map, points, guesses, cfg, table.klt)
-        for i, tr in enumerate(live):
-            if ok[i]:
-                tr.add_observation(frame_index, points[i] + disp[i])
-                tr.last_flow = disp[i].copy()
-            else:
-                table.retire(tr, str(reason[i]))
-                died.append(tr)
+    if len(table):
+        if prev is None:
+            raise ValueError("live tracks but no previous frame")
+        disp, ok, reason = _batch_track(prev, next_map, table.pos, table.flow, cfg, table.klt)
+        died = table.advance(frame_index, disp, ok, reason)
         if ok.any():
-            median_flow = np.median(disp[ok], axis=0)
-    elif prev is None and live:
-        raise ValueError("live tracks but no previous frame")
+            median_flow = _median(disp[ok])
 
     if new_corners is not None:
         # fresh spawns inherit the crowd's flow so their first advance
         # starts inside the convergence basin even under fast motion
         _spawn_tracks(table, new_corners, cfg, frame_index, median_flow)
     return died
+
+
+def _median(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=0)`` of finite rows ``a`` (m, 2), m >= 1, with the same bits.
+
+    The middle of each sorted column, or the mean of the middle two as
+    ``np.median`` takes it, ``(a + b) / 2``, without its fixed cost of some
+    twenty array calls.
+    """
+    s = np.sort(a, axis=0)
+    h = len(a) // 2
+    return s[h] if len(a) % 2 else (s[h - 1] + s[h]) / 2
 
 
 def _spawn_tracks(
@@ -419,7 +510,7 @@ def _spawn_tracks(
     frame_index: int,
     initial_flow: np.ndarray,
 ) -> None:
-    budget = cfg.n_points - len(table.tracks)
+    budget = cfg.n_points - len(table)
     if budget <= 0:
         return
     rows, cols = np.nonzero(corners.bits)
@@ -427,27 +518,27 @@ def _spawn_tracks(
         return
     cand = np.column_stack([cols, rows]).astype(float)  # (u, v) in (row, col) order
     sep2 = cfg.min_separation ** 2
-    free = _clear_of_live(cand, table, cfg.min_separation)
+    free = _clear_of_live(cand, table.pos, cfg.min_separation)
 
     # greedy pass in row-major order: each spawn clears the later candidates
     # closer than min_separation, which lie at most min_separation rows below
     # it; candidates are integer pixels, so their d² is exact
     reach = np.searchsorted(cand[:, 1], cand[:, 1] + cfg.min_separation, side="right")
+    chosen = []
     for i in np.flatnonzero(free):
-        if budget <= 0:
+        if len(chosen) >= budget:
             break
         if not free[i]:
             continue
-        track = table.spawn(frame_index, cand[i])
-        track.last_flow = initial_flow.copy()
-        budget -= 1
+        chosen.append(i)
         later = slice(i + 1, reach[i])
         d = cand[later] - cand[i]
         free[later] &= d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] >= sep2
+    table.spawn(frame_index, cand[chosen], initial_flow)
 
 
-def _clear_of_live(cand: np.ndarray, table: TrackTable, min_separation: float) -> np.ndarray:
-    """Whether each candidate is ``min_separation`` or more from every live track, (N,) bool.
+def _clear_of_live(cand: np.ndarray, live: np.ndarray, min_separation: float) -> np.ndarray:
+    """Whether each candidate is ``min_separation`` or more from every live position, (N,) bool.
 
     ``cand`` (N, 2) is sorted by v.  Only pairs whose v differ by at most
     ``min_separation + 1`` are compared; any other pair is farther apart than
@@ -456,9 +547,8 @@ def _clear_of_live(cand: np.ndarray, table: TrackTable, min_separation: float) -
     formed SPAWN_BLOCK candidates at a time.
     """
     free = np.ones(len(cand), dtype=bool)
-    if not table.tracks:
+    if not len(live):
         return free
-    live = np.array([t.last_position() for t in table.tracks.values()])
     lu, lv = live[np.argsort(live[:, 1])].T
     sep2 = min_separation ** 2
     band = min_separation + 1.0
@@ -509,10 +599,20 @@ def shi_tomasi_on_edges(feathered: np.ndarray, max_points: int) -> np.ndarray:
 
 
 def dump_tracks_csv(table: TrackTable, landmark_ids, path) -> None:
-    """Write the live tracks as ``frame,id,u,v,status`` rows, ``in_state`` for ``landmark_ids``."""
+    """Write the live tracks as ``frame,id,u,v,status`` rows, ``in_state`` for ``landmark_ids``.
+
+    Each track's rows cover its whole life, in frame order, from the table's history.
+    """
     with open(path, "w") as f:
         f.write("frame,id,u,v,status\n")
-        for tid in sorted(table.tracks):
+        if not table.history:
+            return
+        frames, ids, pos = (np.concatenate(c) for c in zip(*(
+            (np.full(len(i), frame), i, p) for frame, i, p in table.history
+        )))
+        live = np.isin(ids, table.ids)
+        order = np.flatnonzero(live)[np.argsort(ids[live], kind="stable")]
+        for frame, tid, (u, v) in zip(frames[order].tolist(), ids[order].tolist(),
+                                      pos[order].tolist()):
             status = "in_state" if tid in landmark_ids else "out_of_state"
-            for frame, z in table.tracks[tid].observations:
-                f.write(f"{frame},{tid},{z[0]:.4f},{z[1]:.4f},{status}\n")
+            f.write(f"{frame},{tid},{u:.4f},{v:.4f},{status}\n")

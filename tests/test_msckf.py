@@ -29,7 +29,6 @@ from binvio.msckf import (
     _observation_jacobians,
     _parallax_screen,
     _track_rows,
-    _window_observations,
     camera_poses_now,
     msckf_update,
     process_frame,
@@ -39,6 +38,10 @@ from binvio.msckf import (
 )
 from binvio.simgen import GroundTruth, camera_pose_at, default_calibration
 from binvio.tracker import FeatureTrack, TrackStatus, TrackTable
+
+# the pipeline's table width: the filter's clones plus the frame being cloned
+WIDTH = FilterConfig().max_clones + 1
+NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 def make_state(n_clones=10, estimate_calib=False, spacing=0.12, **cfg_kw):
@@ -91,18 +94,58 @@ def triangulate_now(state, track):
     A track that the screen rejects raises InsufficientBaseline, as the filter counts it.
     """
     cam_poses = camera_poses_now(state)
-    (window,) = _parallax_screen([track], state, cam_poses)
+    (window,) = _parallax_screen(track.frames[None], track.pixels[None], state, cam_poses)
     if window is None:
         raise InsufficientBaseline("the parallax screen rejects the track")
     return triangulate(window, cam_poses, state.calib)
 
 
-def make_track(state, landmark, frames, tid=0, status=TrackStatus.DEAD):
-    tr = FeatureTrack(tid)
-    for f, z in observe(state, landmark, frames):
-        tr.add_observation(f, z)
-    tr.status = status
-    return tr
+def record(tid, obs, width=WIDTH):
+    """The death record of track ``tid`` with observations ``obs`` [(frame, pixel)], oldest first.
+
+    Its last ``width`` observations, right-aligned as the track table keeps them.
+    """
+    frames = np.full(width, -1)
+    pixels = np.zeros((width, 2))
+    last = obs[-width:]
+    if last:
+        frames[width - len(last):] = [f for f, _ in last]
+        pixels[width - len(last):] = [z for _, z in last]
+    track = FeatureTrack(tid, len(obs), frames, pixels)
+    track.mark_dead("test")
+    return track
+
+
+def make_track(state, landmark, frames, tid=0):
+    """The death record of a track that saw ``landmark`` exactly in ``frames``."""
+    return record(tid, observe(state, landmark, frames))
+
+
+def advance(table, frame, pixels=None, dies=()):
+    """Advance every row of ``table`` into ``frame``, to ``pixels`` (n, 2) or by one pixel in u.
+
+    Rows in ``dies`` fail instead; returns their death records.
+    """
+    n = len(table)
+    disp = np.tile([1.0, 0.0], (n, 1)) if pixels is None else np.asarray(pixels) - table.pos
+    ok = np.ones(n, dtype=bool)
+    ok[list(dies)] = False
+    return table.advance(frame, disp, ok, np.full(n, "test", dtype=object))
+
+
+def observed_table(pixels, frames):
+    """A table whose track i (id i) saw ``pixels[i][k]`` in ``frames[k]``, from ``frames[0]`` on."""
+    pixels = np.asarray(pixels, dtype=float)
+    table = TrackTable(WIDTH)
+    table.spawn(frames[0], pixels[:, 0], np.zeros(2))
+    for k, f in enumerate(frames[1:], start=1):
+        advance(table, f, pixels[:, k])
+    return table
+
+
+def exact_pixels(state, landmarks, frames):
+    """Exact pixels (L, F, 2) of L landmarks from the clones of F ``frames``."""
+    return np.array([[z for _, z in observe(state, lm, frames)] for lm in landmarks])
 
 
 class TestClonePose:
@@ -134,7 +177,7 @@ class TestClonePose:
         state = FilterState(NavState(), calib, FilterConfig(estimate_calibration=False))
         noise = NoiseParams(2e-4, 2e-3, 2e-6, 3e-5, 9.81)
         for k in range(20):
-            process_frame(state, TrackTable(), [], [], noise, k, k / 250.0)
+            process_frame(state, TrackTable(WIDTH), [], [], noise, k, k / 250.0)
             assert len(state.clones) == min(k + 1, 15)
         assert sorted(state.clones) == list(range(5, 20))
         assert state.dim() == 15 + 6 * 15
@@ -339,73 +382,73 @@ class TestLayout:
 
 
 class TestRouteTracks:
-    def make_track(self, table, n_obs, start=0, died=None):
-        """A track with ``n_obs`` observations; retired into ``died`` when given."""
-        t = table.spawn(start, np.array([50.0, 50.0]))
-        for k in range(1, n_obs):
-            t.add_observation(start + k, np.array([50.0 + k, 50.0]))
-        if died is not None:
-            table.retire(t, "test")
-            died.append(t)
-        return t
+    @staticmethod
+    def live(starts, end):
+        """A table with one track per entry of ``starts``, spawned then and seen through ``end``."""
+        table = TrackTable(WIDTH)
+        for f in range(min(starts), end + 1):
+            if len(table):
+                advance(table, f)
+            if f in starts:
+                table.spawn(f, np.full((starts.count(f), 2), 50.0), np.zeros(2))
+        return table
 
     def route(self, table, died=(), max_clones=15, min_msckf_len=4, state=None):
         if state is None:
             cfg = FilterConfig(max_clones=max_clones, min_msckf_len=min_msckf_len)
             state = FilterState(NavState(), default_calibration(), cfg)
         promote, msckf = route_tracks(state, table, list(died))
-        return [t.id for t in promote], [t.id for t in msckf]
+        return table.ids[promote].tolist(), [t.id for t in msckf]
 
     def test_boundary_promotion(self):
-        table = TrackTable()
-        t15 = self.make_track(table, 15)
-        t14 = self.make_track(table, 14)
+        table = self.live([0, 1], 14)  # 15 and 14 observations
+        assert table.length.tolist() == [15, 14]
         promote, msckf = self.route(table)
-        assert t15.id in promote
-        assert t14.id not in promote
+        assert promote == [0]
         assert msckf == []
 
     def test_dead_tracks_to_msckf(self):
-        table, died = TrackTable(), []
-        t_short = self.make_track(table, 3, died=died)
-        t_ok = self.make_track(table, 7, died=died)
-        t_long = self.make_track(table, 14, died=died)
-        assert table.tracks == {}
+        # three tracks die with 3, 7 and 14 observations
+        table = self.live([0, 0, 0], 2)
+        died = advance(table, 3, dies=[0])
+        for f in range(4, 7):
+            advance(table, f)
+        died += advance(table, 7, dies=[0])
+        for f in range(8, 14):
+            advance(table, f)
+        died += advance(table, 14, dies=[0])
+        assert len(table) == 0
+        assert [(t.id, t.length) for t in died] == [(0, 3), (1, 7), (2, 14)]
         promote, msckf = self.route(table, died, min_msckf_len=4)
         assert promote == []
-        assert t_ok.id in msckf and t_long.id in msckf
-        assert t_short.id not in msckf
+        assert msckf == [1, 2]
 
     def test_empty_table(self):
-        assert self.route(TrackTable()) == ([], [])
+        assert self.route(TrackTable(WIDTH)) == ([], [])
 
     def test_dead_track_longer_than_window_to_msckf(self):
-        table, died = TrackTable(), []
-        t = self.make_track(table, 20, died=died)
-        assert self.route(table, died) == ([], [t.id])
+        table = self.live([0], 19)
+        died = advance(table, 20, dies=[0])
+        assert died[0].length == 20
+        assert self.route(table, died) == ([], [0])
 
     def test_live_track_longer_than_window_promoted_never_retired(self):
         # a promotion that fails leaves the track live and out of state
-        table = TrackTable()
-        t = self.make_track(table, 20, start=1)
-        assert self.route(table) == ([t.id], [])
+        table = self.live([1], 20)
+        assert self.route(table) == ([0], [])
         state = FilterState(NavState(), default_calibration(), FilterConfig())
         noise = NoiseParams(2e-4, 2e-3, 2e-6, 3e-5, 9.81)
         process_frame(state, table, [], [], noise, 20, 0.08)
-        assert t.status is TrackStatus.LIVE
-        assert t.death_reason == ""
-        assert table.tracks == {t.id: t}
-        assert t.id not in state.slam
+        assert table.ids.tolist() == [0]
+        assert table.retry_after.tolist() == [25]
+        assert 0 not in state.slam
 
     def test_track_with_landmark_not_promoted(self):
         # in state means a landmark under the track's id, nothing else
-        table = TrackTable()
-        t_in = self.make_track(table, 15)
-        t_out = self.make_track(table, 15)
+        table = self.live([0, 0], 14)
         state = FilterState(NavState(), default_calibration(), FilterConfig())
-        state.add_landmark(t_in.id, np.zeros(3), np.zeros(3), np.eye(3),
-                           np.zeros((3, state.dim())), 0)
-        assert self.route(table, state=state) == ([t_out.id], [])
+        state.add_landmark(0, np.zeros(3), np.zeros(3), np.eye(3), np.zeros((3, state.dim())), 0)
+        assert self.route(table, state=state) == ([1], [])
 
 
 class TestTriangulate:
@@ -430,13 +473,9 @@ class TestTriangulate:
     def test_behind_camera(self):
         state = make_state(4)
         landmark = np.array([3.0, 0.2, 0.1])
-        tr = FeatureTrack(0)
-        for f in range(4):
-            z = pixel_of(landmark, camera_of(state, f), state.calib)
-            # reflect the bearing: a consistent point behind every camera
-            center = np.array([state.calib.cx, state.calib.cy])
-            tr.add_observation(f, 2 * center - z)
-        tr.status = TrackStatus.DEAD
+        # reflect the bearing: a consistent point behind every camera
+        center = np.array([state.calib.cx, state.calib.cy])
+        tr = record(0, [(f, 2 * center - z) for f, z in observe(state, landmark, range(4))])
         with pytest.raises((BehindCamera, InsufficientBaseline)):
             triangulate_now(state, tr)
 
@@ -446,7 +485,7 @@ class TestTriangulate:
         state = make_state(4)
         tr = make_track(state, np.array([3.0, 0.2, 0.1]), range(4))
         cam_poses = camera_poses_now(state)
-        (window,) = _parallax_screen([tr], state, cam_poses)
+        (window,) = _parallax_screen(tr.frames[None], tr.pixels[None], state, cam_poses)
         cam_poses[1][2] = np.nan
         with pytest.raises(NoConvergence):
             triangulate(window, cam_poses, state.calib)
@@ -482,31 +521,31 @@ class TestTriangulate:
             assert np.abs(J - fd).max() / max(1.0, np.abs(fd).max()) < 1e-4
 
 
-def window_rays(state, track) -> np.ndarray:
+def window_rays(state, observations) -> np.ndarray:
     """Unit global rays of a track's in-window observations, computed here from scratch."""
-    obs = [(f, z) for f, z in track.observations if f in state.clones]
+    obs = [(f, z) for f, z in observations if f in state.clones]
     xn = undistort(np.array([z for _, z in obs]), state.calib, iters=8)
     d = np.column_stack([xn, np.ones(len(obs))])
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     return np.stack([camera_of(state, f)[0].T @ di for (f, _), di in zip(obs, d)])
 
 
-def ray_angle_deg(state, track) -> float:
+def ray_angle_deg(state, observations) -> float:
     """Largest angle between a track's in-window rays, computed here from scratch."""
-    rays = window_rays(state, track)
+    rays = window_rays(state, observations)
     return float(np.degrees(np.arccos(np.clip(rays @ rays.T, -1.0, 1.0).min())))
 
 
-def rejects_for_baseline(state, track):
+def rejects_for_baseline(state, observations):
     """Whether a track has under two in-window observations, or rays narrower than the baseline.
 
     None when the angle lies within rounding of the threshold: an arccos of a
     cosine that is off by 1e-15 is off by up to min(1e-15 / sin θ, sqrt(2e-15)),
     and the screen composes its camera rotations in another order than here.
     """
-    if sum(f in state.clones for f, _ in track.observations) < 2:
+    if sum(f in state.clones for f, _ in observations) < 2:
         return True
-    angle = ray_angle_deg(state, track)
+    angle = ray_angle_deg(state, observations)
     theta = np.radians(angle)
     rounding = np.degrees(min(1e-15 / max(np.sin(theta), 1e-300), np.sqrt(2e-15)))
     if abs(angle - state.cfg.min_baseline_deg) <= rounding:
@@ -537,22 +576,19 @@ class TestParallaxScreen:
             state.clone_pose(first + k)
         cam_poses = camera_poses_now(state)
 
-        tracks = []
-        for tid in range(data.draw(st.integers(0, 6), label="tracks")):
+        observations = []
+        for _ in range(data.draw(st.integers(0, 6), label="tracks")):
             landmark = np.array(
                 [data.draw(st.floats(2.0, 6.0)), 3 * data.draw(small), 3 * data.draw(small)]
             )
             seen = data.draw(
                 st.lists(st.sampled_from(list(state.clones)), max_size=n_clones, unique=True)
             )
-            tr = FeatureTrack(tid)
-            for f in range(data.draw(st.integers(0, first), label="frames before the window")):
-                tr.add_observation(f, np.array([100.0 + f, 90.0]))
-            for f in sorted(seen):
-                tr.add_observation(f, pixel_of(landmark, camera_of(state, f), state.calib))
-            tracks.append(tr)
+            before = data.draw(st.integers(0, first), label="frames before the window")
+            observations.append([(f, np.array([100.0 + f, 90.0])) for f in range(before)]
+                                + observe(state, landmark, sorted(seen)))
 
-        viewed = [t for t in tracks if sum(f in state.clones for f, _ in t.observations) >= 2]
+        viewed = [obs for obs in observations if sum(f in state.clones for f, _ in obs) >= 2]
         if viewed:
             # put the threshold at (or within 1e-6 deg of) one track's own angle
             angle = ray_angle_deg(state, data.draw(st.sampled_from(viewed)))
@@ -561,30 +597,92 @@ class TestParallaxScreen:
         else:
             state.cfg.min_baseline_deg = data.draw(st.floats(0.0, 5.0))
 
-        windows = _parallax_screen(tracks, state, cam_poses)
-        for track, window in zip(tracks, windows):
-            rejects = rejects_for_baseline(state, track)
+        tracks = [record(tid, obs) for tid, obs in enumerate(observations)]
+        frames = np.array([t.frames for t in tracks]).reshape(-1, WIDTH)
+        pixels = np.array([t.pixels for t in tracks]).reshape(-1, WIDTH, 2)
+        windows = _parallax_screen(frames, pixels, state, cam_poses)
+        assert len(windows) == len(tracks)
+        for obs, window in zip(observations, windows):
+            rejects = rejects_for_baseline(state, obs)
             assert rejects is None or (window is None) == rejects
             if window is None:
                 continue
             rows, pixels, rays = window
-            obs = [(f, z) for f, z in track.observations if f in state.clones]
-            assert rows.tolist() == [state.clones[f] for f, _ in obs]
-            np.testing.assert_array_equal(pixels, [z for _, z in obs])
-            np.testing.assert_allclose(rays, window_rays(state, track), rtol=0, atol=1e-14)
+            in_window = [(f, z) for f, z in obs if f in state.clones]
+            assert rows.tolist() == [state.clones[f] for f, _ in in_window]
+            np.testing.assert_array_equal(pixels, [z for _, z in in_window])
+            np.testing.assert_allclose(rays, window_rays(state, obs), rtol=0, atol=1e-14)
 
-    @given(
-        frames=st.lists(st.integers(0, 40), unique=True),
-        window=st.lists(st.integers(0, 40), unique=True),
-    )
-    def test_window_observations_match_full_scan(self, frames, window):
-        track = FeatureTrack(0)
-        for f in sorted(frames):
-            track.add_observation(f, np.array([f, -f], dtype=float))
-        clones = dict.fromkeys(window)
-        got = _window_observations(track, clones)
-        want = [(f, z) for f, z in track.observations if f in clones]
-        assert [(f, id(z)) for f, z in got] == [(f, id(z)) for f, z in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_table_rows_match_observation_lists(self, data):
+        """Spawns, advances with KLT deaths, and stale retirements, against observation lists.
+
+        After each step the table holds the live tracks in id order, every
+        live row and death record screens to the in-window observations of
+        its track's list under a clone set with gaps, and each record holds
+        its track's length and last observations.
+        """
+        table = TrackTable(WIDTH)
+        live = {}  # id -> [(frame, pixel)], in id order
+        next_id = 0
+        frame = -1
+        coord = st.floats(0.0, 255.0)
+        for _ in range(data.draw(st.integers(1, 30), label="steps")):
+            frame += data.draw(st.integers(1, 3), label="frame step")
+            op = data.draw(st.sampled_from(["spawn", "advance", "retire"]), label="op")
+            n = len(table)
+            died, expected = [], []
+            if op == "spawn":
+                points = data.draw(st.lists(st.tuples(coord, coord), max_size=4), label="spawns")
+                table.spawn(frame, np.array(points, dtype=float).reshape(-1, 2), np.zeros(2))
+                for point in points:
+                    live[next_id] = [(frame, np.array(point))]
+                    next_id += 1
+            elif op == "advance" and n:
+                ok = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+                disp = np.array(data.draw(st.lists(st.tuples(coord, coord), min_size=n,
+                                                   max_size=n))) - 128.0
+                died = table.advance(frame, disp, ok, np.full(n, "oob", dtype=object))
+                for tid, moved, d in zip(list(live), ok, disp):
+                    if moved:
+                        live[tid].append((frame, live[tid][-1][1] + d))
+                    else:
+                        expected.append((tid, live.pop(tid), "oob"))
+            elif op == "retire" and n:
+                rows = sorted(data.draw(st.sets(st.integers(0, n - 1)), label="stale rows"))
+                died = table.retire(np.array(rows, dtype=int), "stale")
+                ids = list(live)
+                expected = [(ids[i], live.pop(ids[i]), "stale") for i in rows]
+
+            assert table.next_id == next_id
+            assert table.ids.tolist() == list(live)
+            assert [t.id for t in died] == [tid for tid, _, _ in expected]
+            for track, (_, obs, reason) in zip(died, expected):
+                assert (track.status, track.death_reason) == (TrackStatus.DEAD, reason)
+                assert track.length == len(obs)
+                want = record(track.id, obs)
+                np.testing.assert_array_equal(track.frames, want.frames)
+                np.testing.assert_array_equal(track.pixels, want.pixels)
+
+            # clones: a subset, with gaps, of the last WIDTH frames
+            recent = range(max(frame - WIDTH + 1, 0), frame + 1)
+            cloned = data.draw(st.lists(st.sampled_from(recent), unique=True), label="clones")
+            state = FilterState(NavState(), default_calibration(),
+                                FilterConfig(estimate_calibration=False, min_baseline_deg=0.0))
+            for f in sorted(cloned):
+                state.clone_pose(f)
+            lists = list(live.values()) + [obs for _, obs, _ in expected]
+            frames = np.concatenate([table.obs_frames] + [t.frames[None] for t in died])
+            pixels = np.concatenate([table.obs_pixels] + [t.pixels[None] for t in died])
+            windows = _parallax_screen(frames, pixels, state, camera_poses_now(state))
+            for obs, window in zip(lists, windows):
+                in_window = [(f, z) for f, z in obs if f in state.clones]
+                assert (window is None) == (len(in_window) < 2)
+                if window is not None:
+                    assert window[0].tolist() == [state.clones[f] for f, _ in in_window]
+                    np.testing.assert_array_equal(window[1], [z for _, z in in_window])
 
 
 class TestMsckfUpdate:
@@ -654,11 +752,8 @@ class TestMsckfUpdate:
             rng = np.random.default_rng(1)
             for i in range(5):
                 lm = np.array([3.0, 0.3 * i - 0.6, 0.1])
-                tr = FeatureTrack(i)
-                for f, z in observe(state, lm, range(10)):
-                    tr.add_observation(f, z + rng.normal(scale=1.0, size=2))
-                tr.status = TrackStatus.DEAD
-                tracks.append(tr)
+                tracks.append(record(i, [(f, z + rng.normal(scale=1.0, size=2))
+                                         for f, z in observe(state, lm, range(10))]))
             return msckf_update(state, tracks)
 
         accepted = [run(c) for c in (1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9)]
@@ -791,7 +886,7 @@ class TestEkfUpdate:
     @staticmethod
     def assert_next_frame_runs(state):
         noise = NoiseParams(2e-4, 2e-3, 2e-6, 3e-5, 9.81)
-        result = process_frame(state, TrackTable(), [], [], noise, 10, 10 / 250.0)
+        result = process_frame(state, TrackTable(WIDTH), [], [], noise, 10, 10 / 250.0)
         assert 10 in state.clones
         assert np.isfinite(result.position).all() and np.isfinite(state.cov).all()
 
@@ -803,22 +898,22 @@ class TestLandmarkGates:
         state = make_state(10, estimate_calib=True)
         frame = 9
         offsets = [0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0]  # pixel error of each observation
-        tracks = []
+        seen = []
         for tid, offset in enumerate(offsets):
             lm = np.array([3.0, 0.3 * tid - 0.9, 0.1 * tid - 0.3])
             state.add_landmark(tid, lm + rng.normal(scale=0.01, size=3), lm, np.eye(3),
                                np.zeros((3, state.dim())), 0)
-            tr = FeatureTrack(tid)
-            tr.add_observation(frame, pixel_of(lm, camera_of(state, frame), state.calib)
-                               + offset / np.sqrt(2.0))
-            tracks.append(tr)
+            z = pixel_of(lm, camera_of(state, frame), state.calib)
+            seen.append([z + offset / np.sqrt(2.0)])
+        table = observed_table(seen, [frame])  # track i observes landmark i in this frame only
+        tids = table.ids.tolist()
         d = state.dim()
         A = rng.normal(size=(d, d))
         state.cov = (A @ A.T / d + 0.1 * np.eye(d)) * 1e-4
         P = state.cov.copy()
         cam_poses = camera_poses_now(state)
-        fej = state.slam_fej[[state.slam[t.id] for t in tracks]]
-        rows = np.full(len(tracks), state.clones[frame])
+        fej = state.slam_fej[[state.slam[tid] for tid in tids]]
+        rows = np.full(len(tids), state.clones[frame])
         _, H_f, H_clone, H_calib, _ = _observation_jacobians(state, rows, fej, cam_poses)
 
         batches, verdicts, updates = [], [], []
@@ -826,16 +921,16 @@ class TestLandmarkGates:
         monkeypatch.setattr(msckf, "_chi2_gate",
                             lambda *args: verdicts.append(_chi2_gate(*args)) or verdicts[-1])
         monkeypatch.setattr(msckf, "_ekf_update", lambda st, H, r: updates.append((H, r)))
-        slam_update(state, tracks, [], frame_index=frame)
+        slam_update(state, table, NO_ROWS, frame_index=frame)
 
         (S, r), = batches
         threshold = chi2.ppf(state.cfg.chi2_confidence, 2)
         dense_rows, dense_verdicts = [], []
-        for i, tr in enumerate(tracks):
+        for i, tid in enumerate(tids):
             dense = np.zeros((2, d))
             dense[:, 15:29] = H_calib[i]
             dense[:, clone_at(state, frame):clone_at(state, frame) + 6] = H_clone[i]
-            dense[:, slam_at(state, tr.id):slam_at(state, tr.id) + 3] = H_f[i]
+            dense[:, slam_at(state, tid):slam_at(state, tid) + 3] = H_f[i]
             S_dense = dense @ P @ dense.T + np.eye(2)
             np.testing.assert_allclose(S[i], S_dense, rtol=1e-12)
             dense_verdicts.append(r[i] @ np.linalg.solve(S_dense, r[i]) < threshold)
@@ -858,66 +953,59 @@ class TestSlamUpdate:
     def test_zero_residual_landmark_unchanged(self):
         state = make_state(10)
         landmark = np.array([3.0, 0.1, -0.2])
-        self.add_landmark(state, landmark, tid=7)
-        tr = make_track(state, landmark, range(10), tid=7, status=TrackStatus.LIVE)
-        slam_update(state, [tr], [], frame_index=9)
-        assert np.linalg.norm(state.slam_p[state.slam[7]] - landmark) < 1e-9
+        self.add_landmark(state, landmark, tid=0)
+        table = observed_table(exact_pixels(state, [landmark], range(10)), range(10))
+        slam_update(state, table, NO_ROWS, frame_index=9)
+        assert np.linalg.norm(state.slam_p[state.slam[0]] - landmark) < 1e-9
 
     def test_landmark_behind_camera_retired(self):
         state = make_state(10)
         good = np.array([3.0, 0.1, -0.2])
-        self.add_landmark(state, good, tid=7)
-        self.add_landmark(state, np.array([-3.0, 0.1, -0.2]), tid=8)
-        tr_good = make_track(state, good, range(10), tid=7, status=TrackStatus.LIVE)
-        tr_bad = FeatureTrack(8)
-        for f in range(10):
-            tr_bad.add_observation(f, np.array([128.0, 128.0]))
-        slam_update(state, [tr_good, tr_bad], [], frame_index=9)
-        assert 8 not in state.slam
-        assert state.slam_seen[state.slam[7]] == 9
-        assert state.slam == {7: 0} and slam_at(state, 7) == 15 + 6 * 10
+        self.add_landmark(state, good, tid=0)
+        self.add_landmark(state, np.array([-3.0, 0.1, -0.2]), tid=1)
+        # track 1 claims to see the landmark behind the cameras at the image centre
+        pixels = [exact_pixels(state, [good], range(10))[0], np.full((10, 2), 128.0)]
+        slam_update(state, observed_table(pixels, range(10)), NO_ROWS, frame_index=9)
+        assert 1 not in state.slam
+        assert state.slam_seen[state.slam[0]] == 9
+        assert state.slam == {0: 0} and slam_at(state, 0) == 15 + 6 * 10
         assert state.dim() == 15 + 6 * 10 + 3
 
     def test_retired_landmark_track_promotable_again(self):
         # once its landmark is retired, a live track is out of state
         state = make_state(10, max_clones=10)
         self.add_landmark(state, np.array([-3.0, 0.1, -0.2]), tid=0)
-        table = TrackTable()
-        tr = table.spawn(0, np.array([128.0, 128.0]))
-        for f in range(1, 10):
-            tr.add_observation(f, np.array([128.0, 128.0]))
-        assert route_tracks(state, table, []) == ([], [])
-        slam_update(state, [tr], [], frame_index=9)
+        table = observed_table([np.full((10, 2), 128.0)], range(10))
+        promote, dead = route_tracks(state, table, [])
+        assert promote.tolist() == [] and dead == []
+        slam_update(state, table, promote, frame_index=9)
         assert state.slam == {}
-        assert route_tracks(state, table, []) == ([tr], [])
+        promote, dead = route_tracks(state, table, [])
+        assert promote.tolist() == [0] and dead == []
 
     def test_promotion_initializes_landmark(self):
         state = make_state(15)
         landmark = np.array([3.0, -0.3, 0.25])
-        tr = make_track(state, landmark, range(15), tid=3, status=TrackStatus.LIVE)
-        slam_update(state, [], [tr], frame_index=14)
-        assert 3 in state.slam
-        assert tr.status is TrackStatus.LIVE
-        assert np.linalg.norm(state.slam_p[state.slam[3]] - landmark) < 1e-6
+        table = observed_table(exact_pixels(state, [landmark], range(15)), range(15))
+        slam_update(state, table, np.array([0]), frame_index=14)
+        assert 0 in state.slam
+        assert table.ids.tolist() == [0]
+        assert np.linalg.norm(state.slam_p[state.slam[0]] - landmark) < 1e-6
         assert state.dim() == 15 + 6 * 15 + 3
 
     def test_in_state_cap(self):
         state = make_state(15)
-        tracks = []
-        for i in range(40):
-            lm = np.array([3.0, 0.05 * i - 1.0, 0.04 * i - 0.8])
-            tracks.append(
-                make_track(state, lm, range(15), tid=i, status=TrackStatus.LIVE)
-            )
-        slam_update(state, [], tracks, frame_index=14)
+        landmarks = [np.array([3.0, 0.05 * i - 1.0, 0.04 * i - 0.8]) for i in range(40)]
+        table = observed_table(exact_pixels(state, landmarks, range(15)), range(15))
+        slam_update(state, table, np.arange(40), frame_index=14)
         assert len(state.slam) <= 30
 
     def test_landmark_covariance_positive(self):
         state = make_state(15)
         landmark = np.array([3.0, 0.4, -0.1])
-        tr = make_track(state, landmark, range(15), tid=11, status=TrackStatus.LIVE)
-        slam_update(state, [], [tr], frame_index=14)
-        off = slam_at(state, 11)
+        table = observed_table(exact_pixels(state, [landmark], range(15)), range(15))
+        slam_update(state, table, np.array([0]), frame_index=14)
+        off = slam_at(state, 0)
         block = state.cov[off:off + 3, off:off + 3]
         assert np.linalg.eigvalsh(block).min() > 0.0
 

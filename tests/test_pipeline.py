@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 import time
@@ -6,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binvio import msckf, pipeline
+from binvio import msckf, pipeline, tracker
 from binvio import simgen as sg
 from binvio.config import PipelineConfig
 from binvio.evaluate import TrajectorySeries, associate, compute_ate_rte, write_series_csv
 from binvio.imu import NoiseParams
+from binvio.cli import main
 from binvio.io import DatasetCorrupt
 from binvio.pipeline import run_pipeline
 from binvio.tracker import FeatureSource
@@ -354,3 +356,70 @@ class TestSensorWorker:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(got.pose_rows, want.pose_rows)
         np.testing.assert_array_equal(got.diagnostics, want.diagnostics)
+
+
+class TestTrackDump:
+    def test_tracks_csv_matches_pinned_digest(self, tmp_path):
+        # recorded with ``binvio run --tracks`` before tracks became rows of arrays
+        want = (GOLDEN / "hostile_seed1_0.1s_tracks_sha256.txt").read_text().split()[0]
+        assert main(["simulate", "--preset", "hostile", "--seed", "1", "--duration", "0.1",
+                     "--out", str(tmp_path / "ds")]) == 0
+        assert main(["run", "--dataset", str(tmp_path / "ds"), "--out", str(tmp_path / "poses.csv"),
+                     "--tracks", str(tmp_path / "tracks.csv")]) == 0
+        text = (tmp_path / "tracks.csv").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == want
+        statuses = {line.rsplit(b",", 1)[1] for line in text.splitlines()[1:]}
+        assert statuses == {b"in_state", b"out_of_state"}
+
+    def test_keeping_history_changes_no_pose(self, tmp_path):
+        ds = sg.build_dataset(sg.preset_config("hostile", duration=0.1, seed=1))
+        plain = run_pipeline(ds)
+        dumped = run_pipeline(ds, tracks_path=tmp_path / "tracks.csv")
+        np.testing.assert_array_equal(dumped.pose_rows, plain.pose_rows)
+        np.testing.assert_array_equal(dumped.diagnostics, plain.diagnostics)
+
+
+class TestPromotionRetries:
+    def test_retry_frame_screens_each_due_candidate_once(self, monkeypatch):
+        """At rest every promotion fails its screen and retries 5 frames later, with no update.
+
+        So part (b) of ``slam_update`` screens each due candidate exactly once:
+        ``capacity`` of them, then twice as many per pass while nothing changes
+        the calibration.  Each track's window equals that of screening it alone.
+        """
+        ds = sg.build_dataset(sg.preset_config("static", duration=0.6, seed=1))
+        screen, slam_update = msckf._parallax_screen, msckf.slam_update
+        calls = []  # per slam_update: (due candidates, [candidates per screen pass])
+        inside = []  # whether a slam_update call is running
+
+        def counting_screen(frames, pixels, state, cam_poses):
+            windows = screen(frames, pixels, state, cam_poses)
+            for j, window in enumerate(windows):
+                (alone,) = screen(frames[j:j + 1], pixels[j:j + 1], state, cam_poses)
+                assert (window is None) == (alone is None)
+                if window is not None:
+                    for a, b in zip(window, alone):
+                        np.testing.assert_array_equal(a, b)
+            if inside:
+                calls[-1][1].append(len(frames))
+            return windows
+
+        def counting_slam_update(state, table, promotions, frame_index):
+            calls.append((int((table.retry_after[promotions] <= frame_index).sum()), []))
+            inside.append(True)
+            try:
+                return slam_update(state, table, promotions, frame_index)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(msckf, "_parallax_screen", counting_screen)
+        monkeypatch.setattr(msckf, "slam_update", counting_slam_update)
+        run_pipeline(ds)
+        capacity = PipelineConfig().filter.max_slam_update
+        assert max(due for due, _ in calls) > 3 * capacity  # the parent screened these in 5 passes
+        for due, passes in calls:
+            assert sum(passes) == due
+            assert len(passes) <= 3
+            # capacity, then twice the last pass, while no update changes the calibration
+            for k, n in enumerate(passes):
+                assert n == capacity * 2**k or (k == len(passes) - 1 and n < capacity * 2**k)

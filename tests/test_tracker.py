@@ -18,6 +18,9 @@ from binvio.tracker import (
 )
 
 
+WIDTH = 16  # observations a track table row keeps, as the pipeline sizes it
+
+
 def edge_map(bits):
     return BinaryMap(np.asarray(bits, dtype=np.uint8), MapKind.EDGE)
 
@@ -266,6 +269,21 @@ class TestFeather:
         out = feather(edge_map(random_edge_bits(rng, 0.5)), 2.5)
         assert out.max() <= 128
 
+    def test_run_owned_planes_match_fresh(self):
+        # one pair of planes through maps of every density and three sigmas:
+        # each map has the bits of a fresh feather, and is a new array
+        rng = np.random.default_rng(22)
+        planes = np.full((2, MAP_SIZE, MAP_SIZE), np.nan)
+        maps = []
+        for density in (0.2, 0.0, 1.0, 0.01, 0.5):
+            for sigma in (0.7, 2.5, 4.0):
+                bits = random_edge_bits(rng, density)
+                out = feather(edge_map(bits), sigma, planes)
+                np.testing.assert_array_equal(out, feather(edge_map(bits), sigma))
+                assert not np.shares_memory(out, planes)
+                maps.append(out)
+        assert len({id(m) for m in maps}) == len(maps)
+
 
 ONE_STEP = TrackerConfig(max_iters=1, epsilon=1e-12, photometric_gate=1e9)
 CONVERGE = TrackerConfig(max_iters=50, epsilon=1e-4, photometric_gate=1e9)
@@ -413,15 +431,15 @@ class TestTrackFrame:
     def test_static_scene_stationary_tracks(self):
         fmap, corners = self.static_scene()
         cfg = TrackerConfig()
-        table = TrackTable()
+        table = TrackTable(WIDTH)
         track_frame(table, None, fmap, corners, cfg, 0)
-        first = {t.id: t.last_position().copy() for t in table.tracks.values()}
+        first = dict(zip(table.ids.tolist(), table.pos.copy()))
         assert len(first) > 20
         for k in range(1, 11):
             track_frame(table, fmap, fmap, None, cfg, k)
-        for t in table.tracks.values():
-            assert t.length() == 11
-            assert np.linalg.norm(t.last_position() - first[t.id]) < 0.05
+        assert (table.length == 11).all()
+        for tid, pos in zip(table.ids.tolist(), table.pos):
+            assert np.linalg.norm(pos - first[tid]) < 0.05
 
     def test_translating_scene_median_flow(self):
         rng = np.random.default_rng(9)
@@ -431,17 +449,12 @@ class TestTrackFrame:
         corners = np.zeros((256, 256), dtype=np.uint8)
         pts = rng.integers(40, 216, size=(150, 2))
         corners[pts[:, 0], pts[:, 1]] = 1
-        table = TrackTable()
+        table = TrackTable(WIDTH)
         track_frame(table, None, maps[0], BinaryMap(corners, MapKind.CORNER), cfg, 0)
         for k in range(1, 6):
             track_frame(table, maps[k - 1], maps[k], None, cfg, k)
-        flows = []
-        for t in table.tracks.values():
-            if t.length() == 6:
-                obs = [z for _, z in t.observations]
-                steps = np.diff(np.array(obs), axis=0)
-                flows.extend(steps)
-        flows = np.array(flows)
+        full = table.length == 6
+        flows = np.diff(table.obs_pixels[full, -6:], axis=1).reshape(-1, 2)
         assert len(flows) > 50
         med = np.median(flows, axis=0)
         np.testing.assert_allclose(med, [1.0, 0.0], atol=0.05)
@@ -452,9 +465,9 @@ class TestTrackFrame:
         fmap = feather(edge_map(bits), 2.5)
         corners = (rng.random((256, 256)) < 0.3).astype(np.uint8)
         cfg = TrackerConfig(min_separation=1.0)
-        table = TrackTable()
+        table = TrackTable(WIDTH)
         track_frame(table, None, fmap, BinaryMap(corners, MapKind.CORNER), cfg, 0)
-        assert len(table.tracks) <= 800
+        assert len(table) <= 800
 
     def test_min_separation_enforced(self):
         fmap, _ = self.static_scene(11)
@@ -462,34 +475,36 @@ class TestTrackFrame:
         corners[100, 100] = 1
         corners[100, 104] = 1  # closer than min_separation
         corners[100, 140] = 1
-        table = TrackTable()
+        table = TrackTable(WIDTH)
         track_frame(table, None, fmap, BinaryMap(corners, MapKind.CORNER), TrackerConfig(), 0)
-        assert len(table.tracks) == 2
+        assert len(table) == 2
 
     def test_observations_append_only(self):
         fmap, corners = self.static_scene(12)
-        table = TrackTable()
+        table = TrackTable(WIDTH)
         cfg = TrackerConfig()
         track_frame(table, None, fmap, corners, cfg, 0)
-        snapshot = {t.id: [z.copy() for _, z in t.observations] for t in table.tracks.values()}
+        snapshot = dict(zip(table.ids.tolist(), table.obs_pixels.copy()))
         track_frame(table, fmap, fmap, None, cfg, 1)
-        for t in table.tracks.values():
-            for old, (_, new) in zip(snapshot[t.id], t.observations):
-                np.testing.assert_array_equal(old, new)
+        assert len(table) > 0
+        for tid, frames, pixels in zip(table.ids.tolist(), table.obs_frames, table.obs_pixels):
+            # each row moved one column left, and gained this frame's observation
+            np.testing.assert_array_equal(pixels[:-1], snapshot[tid][1:])
+            assert frames[-2:].tolist() == [0, 1]
 
     def test_dead_tracks_leave_table_and_are_returned(self):
         # every window leaves the image when the map shifts by 300 px
         fmap, corners = self.static_scene(14)
         cfg = TrackerConfig()
-        table = TrackTable()
+        table = TrackTable(WIDTH)
         assert track_frame(table, None, fmap, corners, cfg, 0) == []
-        spawned = list(table.tracks.values())
-        for t in spawned:
-            t.last_flow = np.array([300.0, 0.0])
+        spawned = table.ids.tolist()
+        table.flow[:] = [300.0, 0.0]
         died = track_frame(table, fmap, fmap, None, cfg, 1)
-        assert died == spawned
-        assert table.tracks == {}
+        assert [t.id for t in died] == spawned
+        assert len(table) == 0
         assert all(t.status is TrackStatus.DEAD and t.death_reason == "oob" for t in died)
+        assert all(t.length == 1 and t.frames[-1] == 0 for t in died)
 
     def test_feathering_off_degrades_convergence(self):
         # raw 0/128 edges give near-empty gradients: failure rate must rise
@@ -523,7 +538,7 @@ def reference_spawn(table, corners, cfg, frame_index, initial_flow):
 
     Same contract as ``tracker._spawn_tracks``.
     """
-    budget = cfg.n_points - len(table.tracks)
+    budget = cfg.n_points - len(table)
     if budget <= 0:
         return
     rows, cols = np.nonzero(corners.bits)
@@ -531,7 +546,7 @@ def reference_spawn(table, corners, cfg, frame_index, initial_flow):
         return
     cand = np.column_stack([cols, rows]).astype(float)
 
-    live_pos = np.array([t.last_position() for t in table.tracks.values()])
+    live_pos = table.pos
     sep2 = cfg.min_separation ** 2
     if live_pos.size:
         d2 = ((cand[:, None, :] - live_pos[None, :, :]) ** 2).sum(axis=2)
@@ -551,8 +566,7 @@ def reference_spawn(table, corners, cfg, frame_index, initial_flow):
         )
         if clash:
             continue
-        track = table.spawn(frame_index, p)
-        track.last_flow = initial_flow.copy()
+        table.spawn(frame_index, p[None], initial_flow)
         occupied.setdefault(key, []).append(p)
         budget -= 1
 
@@ -586,17 +600,26 @@ class TestSpawn:
 
         tables = []
         for spawn in (reference_spawn, tk._spawn_tracks):
-            table = TrackTable()
-            for pos in live:
-                table.spawn(0, pos)
+            table = TrackTable(WIDTH)
+            table.spawn(0, live, np.zeros(2))
             spawn(table, corners, cfg, 1, flow)
             tables.append(table)
         ref, got = tables
         assert got.next_id == ref.next_id
-        assert list(got.tracks) == list(ref.tracks)
-        for tid, track in got.tracks.items():
-            np.testing.assert_array_equal(track.last_position(), ref.tracks[tid].last_position())
-            np.testing.assert_array_equal(track.last_flow, ref.tracks[tid].last_flow)
+        for name in TrackTable.COLUMNS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
+
+class TestMedian:
+    @given(rows=st.lists(st.tuples(st.floats(-400, 400), st.floats(-400, 400)), min_size=1,
+                         max_size=50))
+    def test_matches_numpy_median(self, rows):
+        a = np.array(rows)
+        np.testing.assert_array_equal(tk._median(a), np.median(a, axis=0))
+
+    def test_even_count_takes_the_mean_of_the_middle_two(self):
+        a = np.array([[0.1, 3.0], [0.2, -1.0], [0.7, 5.0], [0.4, 2.0]])
+        np.testing.assert_array_equal(tk._median(a), [(0.2 + 0.4) / 2, (2.0 + 3.0) / 2])
 
 
 class TestKltWorkspace:
@@ -671,10 +694,10 @@ class TestAllocation:
         bits[rng.choice(bits.size, MAX_CORNER_POINTS, replace=False)] = 1
         corners = BinaryMap(bits.reshape(MAP_SIZE, MAP_SIZE), MapKind.CORNER)
         cfg = TrackerConfig()
-        table = TrackTable()
+        table = TrackTable(WIDTH)
         for k in range(3):
             track_frame(table, fmap if k else None, fmap, corners, cfg, k)
-        assert 250 <= len(table.tracks) <= 400
+        assert 250 <= len(table) <= 400
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
@@ -687,13 +710,18 @@ class TestAllocation:
 
 class TestTrackStatus:
     def test_status_transitions(self):
-        table = TrackTable()
-        t = table.spawn(0, np.array([50.0, 50.0]))
-        assert t.status is TrackStatus.LIVE
-        table.retire(t, "done")
+        # a track leaves a record when it dies, and only then
+        table = TrackTable(WIDTH)
+        table.spawn(0, np.array([[50.0, 50.0], [60.0, 50.0]]), np.zeros(2))
+        (t,) = table.retire(np.array([0]), "done")
         assert t.status is TrackStatus.DEAD
         assert t.death_reason == "done"
-        assert t.id not in table.tracks
+        assert (t.id, t.length) == (0, 1)
+        assert table.ids.tolist() == [1]
+        record = tk.FeatureTrack(5, 1, t.frames, t.pixels)
+        assert record.status is TrackStatus.LIVE
+        record.mark_dead("oob")
+        assert (record.status, record.death_reason) == (TrackStatus.DEAD, "oob")
 
 
 class TestShiTomasi:
